@@ -26,8 +26,8 @@ from datetime import datetime
 from pathlib import Path
 
 from .configio import format_blocks
-from .optimize import AlgoParams, EvalResult
-from .simcost import CostReport, HardwareConfig, write_run_files
+from .optimize import AlgoParams, EvalResult, simulate_genome
+from .simcost import CostReport, HardwareConfig, hw_block, write_run_files
 
 SNAPSHOT_POLICIES = ("all", "bests", "sampled")
 
@@ -120,17 +120,13 @@ def open_run(root, app: str, algo: str, seed: int, params: AlgoParams,
     (sum_dir / "algo.prm").write_text(format_blocks([("algorithm", algo_body)]),
                                       encoding="utf-8")
 
-    hw_body = {f.name: (_fmt(getattr(hw, f.name))
-                        if isinstance(getattr(hw, f.name), float)
-                        else getattr(hw, f.name))
-               for f in fields(HardwareConfig)}
     run_body: dict[str, object] = {"app": app, "algo": algo, "seed": seed,
                                    "snapshot_policy": policy,
                                    "sample_every": sample_every}
     for key in sorted(run_settings or {}):
         run_body[key] = (run_settings or {})[key]
     (sum_dir / "sim.prm").write_text(
-        format_blocks([("run", run_body), ("hardware", hw_body)]),
+        format_blocks([("run", run_body), ("hardware", hw_block(hw))]),
         encoding="utf-8")
 
     record = ExperimentRecord(app=app, algo=algo, seed=seed, root=root,
@@ -143,14 +139,9 @@ def open_run(root, app: str, algo: str, seed: int, params: AlgoParams,
     return record
 
 
-def _improves_energy(record: ExperimentRecord, result: EvalResult) -> bool:
-    cur = record.best_energy
-    return cur is None or result.objectives.energy < cur.objectives.energy
-
-
-def _improves_latency(record: ExperimentRecord, result: EvalResult) -> bool:
-    cur = record.best_latency
-    return cur is None or result.objectives.latency < cur.objectives.latency
+def _improves(best: EvalResult | None, result: EvalResult, objective: str) -> bool:
+    return best is None or (getattr(result.objectives, objective)
+                            < getattr(best.objectives, objective))
 
 
 def record_evaluation(record: ExperimentRecord, result: EvalResult,
@@ -181,8 +172,8 @@ def record_evaluation(record: ExperimentRecord, result: EvalResult,
 
     if not result.feasible:
         return
-    energy_flag = _improves_energy(record, result)
-    latency_flag = _improves_latency(record, result)
+    energy_flag = _improves(record.best_energy, result, "energy")
+    latency_flag = _improves(record.best_latency, result, "latency")
     if energy_flag:
         record.best_energy = result
     if latency_flag:
@@ -201,7 +192,6 @@ def record_evaluation(record: ExperimentRecord, result: EvalResult,
         if ctx is None:
             raise AnalyticsError(
                 "flagged evaluation needs a cost report or an EvalContext")
-        from .optimize import simulate_genome
         report = simulate_genome(result.genome, ctx)
     stamp = _stamp(datetime.fromtimestamp(now))
     settings = {"eval_index": idx, "generation": record.generation,
@@ -248,7 +238,7 @@ def finalize_run(record: ExperimentRecord) -> None:
     """Emit reports, append the master index row, close the record."""
     if record.closed:
         raise AnalyticsError("record is closed")
-    if record.eval_index > 0:
+    if record.best_energy is not None:
         report_run(record.run_dir)
     index_path = record.root / "index.csv"
     new = not index_path.exists()
@@ -269,15 +259,18 @@ def finalize_run(record: ExperimentRecord) -> None:
 
 # --- report generation (pure functions of evaluations.csv) ---
 
+def _read_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        return header, [dict(zip(header, r)) for r in reader]
+
+
 def read_evaluations(run_dir) -> tuple[list[str], list[dict[str, str]]]:
     path = Path(run_dir) / "evaluations.csv"
     if not path.exists():
         raise AnalyticsError(f"no evaluations.csv under {run_dir}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [dict(zip(header, r)) for r in reader]
-    return header, rows
+    return _read_csv(path)
 
 
 def _sum_dir_of(run_dir: Path) -> Path:
@@ -388,12 +381,7 @@ def report_run(run_dir, group_key: str = "n_cores") -> dict[str, Path]:
 def list_runs(root) -> list[dict[str, str]]:
     """Master index rows, oldest first (empty list when absent)."""
     path = Path(root) / "index.csv"
-    if not path.exists():
-        return []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return [dict(zip(header, r)) for r in reader]
+    return _read_csv(path)[1] if path.exists() else []
 
 
 def sweep_report(records: dict[str, Path], out_path) -> None:

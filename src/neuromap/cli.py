@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime
 from importlib import resources
 from pathlib import Path
 
 from .analytics import (
+    SNAPSHOT_POLICIES,
     attach,
     finalize_run,
     open_run,
@@ -26,6 +28,7 @@ from .analytics import (
 from .fidelity import distortion_flag, load_end_signal, xcorr_score
 from .mesh import SCHEMES, compress, place
 from .optimize import (
+    ALGOS,
     EvalContext,
     GenomeSpace,
     load_algo_params,
@@ -42,10 +45,8 @@ from .partition import (
     build_mapping,
     load_mapping,
 )
-from .simcost import load_hw_config, simulate, write_run_files
+from .simcost import HardwareConfig, load_hw_config, simulate, write_run_files
 from .workload import load_network, load_trace, synth_trace
-
-ALGOS = ("ga", "nsga2", "pso")
 
 
 class CliError(ValueError):
@@ -160,8 +161,7 @@ def cmd_optimize(args) -> int:
         overrides["generations"] = args.generations
     if args.population is not None:
         overrides["population"] = args.population
-    from dataclasses import replace as dc_replace
-    params = dc_replace(params, **overrides)
+    params = replace(params, **overrides)
     params.validate()
 
     objective_names = tuple(p.strip() for p in args.objectives.split(",")
@@ -183,27 +183,22 @@ def cmd_optimize(args) -> int:
                       run_settings=run_settings,
                       gene_names=space.gene_names(), policy=args.policy,
                       sample_every=args.sample_every)
-    hook = attach(record, ctx)
+    runner = {"ga": run_ga, "nsga2": run_nsga2, "pso": run_pso}[args.algo]
+    found, history = runner(ctx, params, seed=args.seed, workers=args.workers,
+                            on_generation=attach(record, ctx))
+    finalize_run(record)
+    print(f"run_dir = {record.run_dir}")
     if args.algo == "nsga2":
-        archive, history = run_nsga2(ctx, params, seed=args.seed,
-                                     workers=args.workers, on_generation=hook)
-        finalize_run(record)
-        print(f"run_dir = {record.run_dir}")
-        print(f"front_size = {len(archive.members)}")
+        print(f"front_size = {len(found.members)}")
         print(f"hypervolume = {history[-1]!r}")
-        for member in archive.front()[:10]:
+        for member in found.front()[:10]:
             print(f"  energy = {member.objectives.energy!r} "
                   f"latency = {member.objectives.latency!r} "
                   f"genome = {member.genome}")
     else:
-        runner = run_ga if args.algo == "ga" else run_pso
-        best, history = runner(ctx, params, seed=args.seed,
-                               workers=args.workers, on_generation=hook)
-        finalize_run(record)
-        print(f"run_dir = {record.run_dir}")
-        print(f"best_energy = {best.objectives.energy!r}")
-        print(f"best_latency = {best.objectives.latency!r}")
-        print(f"best_genome = {best.genome}")
+        print(f"best_energy = {found.objectives.energy!r}")
+        print(f"best_latency = {found.objectives.latency!r}")
+        print(f"best_genome = {found.genome}")
         print(f"best_scalar = {history[-1]!r}")
     return 0
 
@@ -298,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma ints enabling an NPE-count gene, e.g. 1,2,4,8")
     opt.add_argument("--objectives", default="energy,latency",
                      help="comma objectives (default energy,latency)")
-    opt.add_argument("--policy", choices=("all", "bests", "sampled"),
+    opt.add_argument("--policy", choices=SNAPSHOT_POLICIES,
                      default="bests", help="snapshot policy (default bests)")
     opt.add_argument("--sample-every", type=int, default=10,
                      help="snapshot stride for --policy sampled (default 10)")

@@ -7,6 +7,8 @@ configparser, section names may repeat (workload files carry one
 
 from __future__ import annotations
 
+from dataclasses import fields as dataclass_fields
+
 
 class ConfigFormatError(ValueError):
     """Raised when a config/workload file does not parse."""
@@ -93,3 +95,16 @@ def get_float(fields: dict[str, str], key: str, default: float | None = None, so
         return float(raw)
     except ValueError as exc:
         raise ConfigFormatError(f"{source}: {key} = {raw!r} is not a number") from exc
+
+
+def get_numbers(fields: dict[str, str], defaults, source: str = "") -> dict:
+    """The keys of fields that name a numeric field of the dataclass
+    instance defaults, parsed after the default's type (int, else float;
+    a None default reads as float). Absent keys are left out."""
+    out = {}
+    for f in dataclass_fields(defaults):
+        default = getattr(defaults, f.name)
+        if f.name in fields and isinstance(default, (int, float, type(None))):
+            getter = get_int if isinstance(default, int) else get_float
+            out[f.name] = getter(fields, f.name, source=source)
+    return out

@@ -34,8 +34,6 @@ def mesh_strict_area(n_cores: int) -> tuple[int, int]:
 def mesh_loose_area(n_cores: int, max_strip: int = MAX_STRIP_DEFAULT) -> tuple[int, int]:
     """strict-area, but pad the core count upward while the result is a
     1 x n strip longer than max_strip."""
-    if n_cores < 1:
-        raise MeshError("n_cores must be >= 1")
     n = n_cores
     while True:
         rows, cols = mesh_strict_area(n)
@@ -111,13 +109,6 @@ def place(n_cores: int, shape: tuple[int, int]) -> MeshPlacement:
         c = k if r % 2 == 0 else cols - 1 - k
         coords.append((r, c))
     return MeshPlacement(rows=rows, cols=cols, coords=tuple(coords))
-
-
-def place_mapping(mapping, scheme: str = "strict-area",
-                  max_strip: int = MAX_STRIP_DEFAULT) -> MeshPlacement:
-    """Compress a Mapping's core count and place it in one step."""
-    n = mapping.n_cores_total
-    return place(n, compress(n, scheme, max_strip))
 
 
 def save_placement(placement: MeshPlacement, path) -> None:

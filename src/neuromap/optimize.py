@@ -14,14 +14,15 @@ config expresses per-lane costs), so more NPEs buy time, not free energy.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .configio import get_float, get_int, parse_blocks_file
+from .configio import get_numbers, parse_blocks_file
 from .fidelity import FidelityError, from_values, xcorr_score
-from .mesh import MAX_STRIP_DEFAULT, SCHEMES, compress, place
+from .mesh import MAX_STRIP_DEFAULT, compress, place
 from .partition import (
     AXES,
     LayerSplit,
@@ -37,9 +38,35 @@ STRUCTURAL_VIOLATION = 1e12
 
 OBJECTIVE_NAMES = ("energy", "latency", "area", "fidelity_penalty")
 
+ALGOS = ("ga", "nsga2", "pso")
+
 
 class OptimizeError(ValueError):
     pass
+
+
+# Optional architecture genes, in gene order; a space carries one gene per
+# non-None menu. Each entry is GenomeSpace menu field -> (decoded slot it
+# sets, apply(slot value, menu value, base hw) -> slot value, read(slot
+# value) -> menu value). The slots are "hw", "model", "scheme" and "fps".
+MENU_GENES = {
+    "npes_menu": ("hw", lambda hw, n, base: replace(
+        hw, npes_per_core=int(n), e_npe_op=base.e_npe_op * int(n),
+        p_static_core=base.p_static_core * int(n)),
+        lambda hw: hw.npes_per_core),
+    "bw_weights_menu": ("model", lambda m, bw, _: replace(
+        m, bitwidths=replace(m.bitwidths, weights=int(bw))),
+        lambda m: m.bitwidths.weights),
+    "mem_menu": ("hw", lambda hw, v, _: replace(hw, mem_per_core=int(v)),
+                 lambda hw: hw.mem_per_core),
+    "clock_menu": ("hw", lambda hw, v, _: replace(
+        hw.scaled_times(float(v)), clock_period=float(v)),
+        lambda hw: hw.clock_period),
+    "flit_menu": ("hw", lambda hw, v, _: replace(hw, flit_bits=int(v)),
+                  lambda hw: hw.flit_bits),
+    "fps_menu": ("fps", lambda _, v, __: float(v), lambda fps: fps),
+    "scheme_menu": ("scheme", lambda _, v, __: str(v), lambda s: s),
+}
 
 
 @dataclass(frozen=True)
@@ -62,20 +89,14 @@ class GenomeSpace:
             raise OptimizeError("n_layers and c_max must be >= 1")
         if not self.axes_menu or any(a not in AXES for a in self.axes_menu):
             raise OptimizeError(f"axes_menu entries must be among {AXES}")
-        for name in ("axes_menu", "npes_menu", "bw_weights_menu", "mem_menu",
-                     "clock_menu", "flit_menu", "fps_menu", "scheme_menu"):
+        for name in ("axes_menu", *MENU_GENES):
             menu = getattr(self, name)
             if menu is not None and len(set(menu)) != len(menu):
                 raise OptimizeError(f"{name} entries must be unique")
 
     def _menus(self) -> list[tuple[str, tuple]]:
-        out = []
-        for name in ("npes_menu", "bw_weights_menu", "mem_menu", "clock_menu",
-                     "flit_menu", "fps_menu", "scheme_menu"):
-            menu = getattr(self, name)
-            if menu is not None:
-                out.append((name, menu))
-        return out
+        return [(name, getattr(self, name)) for name in MENU_GENES
+                if getattr(self, name) is not None]
 
     @property
     def n_genes(self) -> int:
@@ -112,13 +133,24 @@ class GenomeSpace:
                 raise OptimizeError(f"gene {g} outside [{a}, {b}]")
 
 
+def _apply_menus(genome, space: GenomeSpace, slots: dict,
+                 base_hw: HardwareConfig | None = None) -> dict:
+    """Apply the genome's menu genes to the given slots; others are skipped."""
+    for pos, (name, menu) in enumerate(space._menus(), 2 * space.n_layers):
+        slot, apply, _ = MENU_GENES[name]
+        if slot in slots:
+            slots[slot] = apply(slots[slot], menu[int(genome[pos])], base_hw)
+    return slots
+
+
 def decode(genome, model: NetworkModel, base_hw: HardwareConfig,
            space: GenomeSpace, default_scheme: str = "strict-area"):
     """(PartitionSpec, HardwareConfig, scheme, fps_override).
 
     fps_override is None unless the space carries an fps gene. Clock menu
     values multiply every base time constant. NPE count scales e_npe_op
-    and p_static_core relative to the base's per-lane figures.
+    and p_static_core relative to the base's per-lane figures. The weight
+    bit-width gene is left to decode_model.
     """
     space.validate_genome(genome)
     splits = []
@@ -126,42 +158,14 @@ def decode(genome, model: NetworkModel, base_hw: HardwareConfig,
         n_cores = int(genome[2 * i])
         axis = space.axes_menu[int(genome[2 * i + 1])]
         splits.append(LayerSplit(n_cores=n_cores, axis=axis))
-    spec = PartitionSpec(tuple(splits))
-    hw = base_hw
-    scheme = default_scheme
-    fps_override = None
-    pos = 2 * space.n_layers
-    for (name, menu) in space._menus():
-        value = menu[int(genome[pos])]
-        pos += 1
-        if name == "npes_menu":
-            hw = replace(hw, npes_per_core=int(value),
-                         e_npe_op=base_hw.e_npe_op * int(value),
-                         p_static_core=base_hw.p_static_core * int(value))
-        elif name == "bw_weights_menu":
-            pass  # applied to the model below
-        elif name == "mem_menu":
-            hw = replace(hw, mem_per_core=int(value))
-        elif name == "clock_menu":
-            hw = replace(hw.scaled_times(float(value)), clock_period=float(value))
-        elif name == "flit_menu":
-            hw = replace(hw, flit_bits=int(value))
-        elif name == "fps_menu":
-            fps_override = float(value)
-        elif name == "scheme_menu":
-            scheme = str(value)
-    return spec, hw, scheme, fps_override
+    slots = _apply_menus(genome, space, {"hw": base_hw, "scheme": default_scheme,
+                                         "fps": None}, base_hw)
+    return PartitionSpec(tuple(splits)), slots["hw"], slots["scheme"], slots["fps"]
 
 
 def decode_model(genome, model: NetworkModel, space: GenomeSpace) -> NetworkModel:
     """Model with the genome's weight bit-width applied, if that gene exists."""
-    pos = 2 * space.n_layers
-    for (name, menu) in space._menus():
-        if name == "bw_weights_menu":
-            bw = int(menu[int(genome[pos])])
-            return replace(model, bitwidths=replace(model.bitwidths, weights=bw))
-        pos += 1
-    return model
+    return _apply_menus(genome, space, {"model": model})["model"]
 
 
 def encode(spec: PartitionSpec, hw: HardwareConfig, scheme: str,
@@ -172,23 +176,13 @@ def encode(spec: PartitionSpec, hw: HardwareConfig, scheme: str,
     for split in spec.splits:
         genes.append(split.n_cores)
         genes.append(space.axes_menu.index(split.axis))
+    slots = {"hw": hw, "scheme": scheme, "fps": fps_override, "model": model}
     for (name, menu) in space._menus():
-        if name == "npes_menu":
-            genes.append(menu.index(hw.npes_per_core))
-        elif name == "bw_weights_menu":
-            if model is None:
-                raise OptimizeError("encoding a bw_weights gene needs the model")
-            genes.append(menu.index(model.bitwidths.weights))
-        elif name == "mem_menu":
-            genes.append(menu.index(hw.mem_per_core))
-        elif name == "clock_menu":
-            genes.append(menu.index(hw.clock_period))
-        elif name == "flit_menu":
-            genes.append(menu.index(hw.flit_bits))
-        elif name == "fps_menu":
-            genes.append(menu.index(fps_override))
-        elif name == "scheme_menu":
-            genes.append(menu.index(scheme))
+        slot, _, read = MENU_GENES[name]
+        if slot == "model" and model is None:
+            raise OptimizeError(f"encoding a {name.removesuffix('_menu')} "
+                                "gene needs the model")
+        genes.append(menu.index(read(slots[slot])))
     return tuple(genes)
 
 
@@ -266,34 +260,45 @@ def fidelity_penalty_of(end_signal, ctx: EvalContext) -> float:
     return (1.0 - peak) + ctx.shift_weight * abs(shift_ms)
 
 
+# a decoded, mapped and placed genome, in simulate()'s argument order
+_Design = namedtuple("_Design", "model mapping placement hw trace")
+
+
+def _realize(genome, ctx: EvalContext) -> tuple[float, _Design | None]:
+    """decode -> map -> retime -> compress -> place: (memory violation in
+    bits, design). A genome that overflows a core's memory is not placed
+    (design None); a split that cannot be built raises PartitionError."""
+    model = decode_model(genome, ctx.model, ctx.space)
+    spec, hw, scheme, fps_override = decode(genome, model, ctx.base_hw,
+                                            ctx.space, ctx.scheme)
+    mapping = build_mapping(model, spec, m_max=hw.mem_per_core,
+                            enforce_cap=False)
+    worst = max(mapping.memory_by_core().values())
+    violation = max(0.0, float(worst - hw.mem_per_core))
+    if violation > 0.0:
+        return violation, None
+    trace = ctx.trace
+    if fps_override is not None and fps_override != trace.fps:
+        trace = retime_trace(trace, fps_override)
+    n = mapping.n_cores_total
+    placement = place(n, compress(n, scheme, ctx.max_strip))
+    return 0.0, _Design(model, mapping, placement, hw, trace)
+
+
 def evaluate(genome, ctx: EvalContext) -> EvalResult:
     """decode -> map -> compress -> place -> simulate -> score.
 
     Infeasible or failing candidates come back as penalty objectives with
     a positive violation; they never raise.
     """
-    model = decode_model(genome, ctx.model, ctx.space)
-    spec, hw, scheme, fps_override = decode(genome, model, ctx.base_hw,
-                                            ctx.space, ctx.scheme)
     try:
-        mapping = build_mapping(model, spec, m_max=hw.mem_per_core,
-                                enforce_cap=False)
-    except PartitionError as exc:
+        violation, design = _realize(genome, ctx)
+        if design is None:
+            return _penalty_result(genome, violation)
+        report = simulate(*design)
+    except (PartitionError, SimError) as exc:
         return _penalty_result(genome, STRUCTURAL_VIOLATION, str(exc))
-    worst = max(mapping.memory_by_core().values())
-    violation = max(0.0, float(worst - hw.mem_per_core))
-    if violation > 0.0:
-        return _penalty_result(genome, violation)
-    trace = ctx.trace
-    if fps_override is not None and fps_override != trace.fps:
-        trace = retime_trace(trace, fps_override)
-    n = mapping.n_cores_total
-    shape = compress(n, scheme, ctx.max_strip)
-    placement = place(n, shape)
-    try:
-        report = simulate(model, mapping, placement, hw, trace)
-    except SimError as exc:
-        return _penalty_result(genome, STRUCTURAL_VIOLATION, str(exc))
+    shape = (design.placement.rows, design.placement.cols)
     obj = Objectives(
         energy=report.total_energy,
         latency=report.latency_end_to_end,
@@ -301,21 +306,16 @@ def evaluate(genome, ctx: EvalContext) -> EvalResult:
         fidelity_penalty=fidelity_penalty_of(report.end_signal, ctx),
     )
     return EvalResult(genome=tuple(genome), objectives=obj, violation=0.0,
-                      n_cores=n, mesh_shape=shape)
+                      n_cores=design.mapping.n_cores_total, mesh_shape=shape)
 
 
 def simulate_genome(genome, ctx: EvalContext) -> CostReport:
     """Full CostReport for one genome (for snapshot materialization)."""
-    model = decode_model(genome, ctx.model, ctx.space)
-    spec, hw, scheme, fps_override = decode(genome, model, ctx.base_hw,
-                                            ctx.space, ctx.scheme)
-    mapping = build_mapping(model, spec, m_max=hw.mem_per_core)
-    trace = ctx.trace
-    if fps_override is not None and fps_override != trace.fps:
-        trace = retime_trace(trace, fps_override)
-    n = mapping.n_cores_total
-    placement = place(n, compress(n, scheme, ctx.max_strip))
-    return simulate(model, mapping, placement, hw, trace)
+    violation, design = _realize(genome, ctx)
+    if design is None:
+        raise PartitionError(f"genome overflows a core's memory cap by "
+                             f"{violation:g} bits")
+    return simulate(*design)
 
 
 _WORKER_CTX: EvalContext | None = None
@@ -326,10 +326,13 @@ def _init_worker(ctx: EvalContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _eval_in_worker(genome) -> EvalResult:
+def _eval_in_worker(genome, ctx: EvalContext | None = None) -> EvalResult:
+    """evaluate() for one batch entry; pool workers use the initializer's
+    context. Any exception becomes a "TypeName: message" penalty, so a
+    buggy candidate cannot kill the batch."""
     try:
-        return evaluate(genome, _WORKER_CTX)
-    except Exception as exc:  # defensive: a buggy candidate must not kill the batch
+        return evaluate(genome, _WORKER_CTX if ctx is None else ctx)
+    except Exception as exc:
         return _penalty_result(genome, STRUCTURAL_VIOLATION,
                                f"{type(exc).__name__}: {exc}")
 
@@ -342,18 +345,10 @@ def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1) -> list[EvalResu
     if not genomes:
         return []
     if workers == 1:
-        return [_eval_in_worker_local(g, ctx) for g in genomes]
+        return [_eval_in_worker(g, ctx) for g in genomes]
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(ctx,)) as pool:
         return list(pool.map(_eval_in_worker, genomes, chunksize=8))
-
-
-def _eval_in_worker_local(genome, ctx) -> EvalResult:
-    try:
-        return evaluate(genome, ctx)
-    except Exception as exc:
-        return _penalty_result(genome, STRUCTURAL_VIOLATION,
-                               f"{type(exc).__name__}: {exc}")
 
 
 # --- integer variation operators ---
@@ -536,7 +531,7 @@ class AlgoParams:
     weights: dict[str, float] = field(default_factory=lambda: {"energy": 1.0})
 
     def validate(self) -> None:
-        if self.algo not in ("ga", "nsga2", "pso"):
+        if self.algo not in ALGOS:
             raise OptimizeError(f"unknown algorithm {self.algo!r}")
         if self.population < 1 or self.generations < 0:
             raise OptimizeError("population >= 1 and generations >= 0 required")
@@ -545,32 +540,17 @@ class AlgoParams:
 
 
 def load_algo_params(path) -> AlgoParams:
+    """AlgoParams from the first [algorithm] section; absent keys keep the
+    dataclass defaults, weight_<objective> keys fill the weights."""
     blocks = parse_blocks_file(path)
-    fields_ = None
-    for section, f in blocks:
-        if section == "algorithm":
-            fields_ = f
-            break
+    fields_ = next((f for section, f in blocks if section == "algorithm"), None)
     if fields_ is None:
         raise OptimizeError(f"{path}: missing [algorithm] section")
-    weights = {}
-    for key, raw in fields_.items():
-        if key.startswith("weight_"):
-            weights[key.removeprefix("weight_")] = float(raw)
-    kwargs = dict(
-        algo=fields_.get("algo", "nsga2"),
-        population=get_int(fields_, "population", default=40, source=str(path)),
-        generations=get_int(fields_, "generations", default=30, source=str(path)),
-        offspring=get_int(fields_, "offspring", default=10, source=str(path)),
-        eta_crossover=get_float(fields_, "eta_crossover", default=3.0, source=str(path)),
-        eta_mutation=get_float(fields_, "eta_mutation", default=3.0, source=str(path)),
-        p_crossover=get_float(fields_, "p_crossover", default=0.9, source=str(path)),
-        omega=get_float(fields_, "omega", default=0.7, source=str(path)),
-        c1=get_float(fields_, "c1", default=1.5, source=str(path)),
-        c2=get_float(fields_, "c2", default=1.5, source=str(path)),
-    )
-    if "p_mutation" in fields_:
-        kwargs["p_mutation"] = get_float(fields_, "p_mutation", source=str(path))
+    kwargs = get_numbers(fields_, AlgoParams(), str(path))
+    if "algo" in fields_:
+        kwargs["algo"] = fields_["algo"]
+    weights = {key.removeprefix("weight_"): float(raw)
+               for key, raw in fields_.items() if key.startswith("weight_")}
     if weights:
         kwargs["weights"] = weights
     params = AlgoParams(**kwargs)
@@ -586,38 +566,50 @@ def _tournament(rng, pop_results, names, weights) -> EvalResult:
     return a if rank_key(a, names, weights) <= rank_key(b, names, weights) else b
 
 
+def _initial_population(ctx: EvalContext, params: AlgoParams, seed: int,
+                        workers: int):
+    """Validated params, the seeded RNG and the evaluated first population."""
+    params.validate()
+    rng = np.random.default_rng(seed)
+    pop = [ctx.space.sample(rng) for _ in range(params.population)]
+    return rng, evaluate_batch(pop, ctx, workers)
+
+
+def _breed(rng, results, n_children: int, lo, hi, params: AlgoParams,
+           names) -> list[tuple[int, ...]]:
+    """Tournament -> SBX -> polynomial mutation until n_children exist."""
+    children: list[tuple[int, ...]] = []
+    while len(children) < n_children:
+        p1 = _tournament(rng, results, names, params.weights)
+        p2 = _tournament(rng, results, names, params.weights)
+        if rng.random() < params.p_crossover:
+            c1, c2 = sbx_crossover(p1.genome, p2.genome, lo, hi,
+                                   params.eta_crossover, rng)
+        else:
+            c1, c2 = p1.genome, p2.genome
+        for child in (c1, c2):
+            if len(children) < n_children:
+                children.append(polynomial_mutation(
+                    child, lo, hi, params.eta_mutation, rng, params.p_mutation))
+    return children
+
+
 def run_ga(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
            on_generation=None) -> tuple[EvalResult, list[float]]:
     """Elitist generational GA on the scalarized objective.
 
     Returns (best result, best-so-far history per generation).
     """
-    params.validate()
-    rng = np.random.default_rng(seed)
+    rng, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names, weights = ctx.objective_names, params.weights
-    pop = [ctx.space.sample(rng) for _ in range(params.population)]
-    results = evaluate_batch(pop, ctx, workers)
     best = min(results, key=lambda r: rank_key(r, names, weights))
     history = [scalarize(best, names, weights)]
     if on_generation:
         on_generation(0, results, best)
     for gen in range(1, params.generations + 1):
-        offspring = []
-        while len(offspring) < params.population:
-            p1 = _tournament(rng, results, names, weights)
-            p2 = _tournament(rng, results, names, weights)
-            if rng.random() < params.p_crossover:
-                c1, c2 = sbx_crossover(p1.genome, p2.genome, lo, hi,
-                                       params.eta_crossover, rng)
-            else:
-                c1, c2 = p1.genome, p2.genome
-            offspring.append(polynomial_mutation(c1, lo, hi, params.eta_mutation,
-                                                 rng, params.p_mutation))
-            if len(offspring) < params.population:
-                offspring.append(polynomial_mutation(c2, lo, hi,
-                                                     params.eta_mutation, rng,
-                                                     params.p_mutation))
+        offspring = _breed(rng, results, params.population, lo, hi, params,
+                           names)
         child_results = evaluate_batch(offspring, ctx, workers)
         merged = results + child_results
         merged.sort(key=lambda r: rank_key(r, names, weights))
@@ -639,15 +631,11 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
     fixed from the first generation's worst feasible corner, so the
     elitist archive makes the history non-decreasing.
     """
-    params.validate()
     if len(ctx.objective_names) < 2:
         raise OptimizeError("nsga2 needs at least 2 objectives")
-    rng = np.random.default_rng(seed)
+    rng, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names = ctx.objective_names
-    weights = params.weights
-    pop = [ctx.space.sample(rng) for _ in range(params.population)]
-    results = evaluate_batch(pop, ctx, workers)
     archive = ParetoArchive(names)
     archive.update(r for r in results if r.feasible)
     feas = [r.objectives.as_tuple(names)[:2] for r in results if r.feasible]
@@ -676,21 +664,8 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
         return keep
 
     for gen in range(1, params.generations + 1):
-        offspring = []
-        while len(offspring) < params.offspring:
-            p1 = _tournament(rng, results, names, weights)
-            p2 = _tournament(rng, results, names, weights)
-            if rng.random() < params.p_crossover:
-                c1, c2 = sbx_crossover(p1.genome, p2.genome, lo, hi,
-                                       params.eta_crossover, rng)
-            else:
-                c1, c2 = p1.genome, p2.genome
-            offspring.append(polynomial_mutation(c1, lo, hi, params.eta_mutation,
-                                                 rng, params.p_mutation))
-            if len(offspring) < params.offspring:
-                offspring.append(polynomial_mutation(c2, lo, hi,
-                                                     params.eta_mutation, rng,
-                                                     params.p_mutation))
+        offspring = _breed(rng, results, params.offspring, lo, hi, params,
+                           names)
         child_results = evaluate_batch(offspring, ctx, workers)
         archive.update(r for r in child_results if r.feasible)
         archive.check_invariant()
@@ -705,15 +680,13 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
 def run_pso(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
             on_generation=None) -> tuple[EvalResult, list[float]]:
     """Integer PSO: real-valued velocities, positions rounded and reflected."""
-    params.validate()
-    rng = np.random.default_rng(seed)
+    rng, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names, weights = ctx.objective_names, params.weights
     n = params.population
     dim = ctx.space.n_genes
-    pos = np.stack([np.array(ctx.space.sample(rng)) for _ in range(n)])
+    pos = np.array([r.genome for r in results], dtype=np.int64)
     vel = np.zeros((n, dim), dtype=np.float64)
-    results = evaluate_batch([tuple(int(v) for v in p) for p in pos], ctx, workers)
     pbest = list(results)
     gbest = min(results, key=lambda r: rank_key(r, names, weights))
     history = [scalarize(gbest, names, weights)]

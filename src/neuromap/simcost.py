@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .configio import format_blocks, get_float, get_int, parse_blocks_file
+from .configio import format_blocks, get_numbers, parse_blocks_file
 from .mesh import MeshPlacement
 from .partition import Mapping, flat_slices
 from .workload import EventTrace, NetworkModel, firing_mask
@@ -84,28 +84,21 @@ def load_hw_config(path) -> HardwareConfig:
             break
     if hw_fields is None:
         raise SimError(f"{path}: missing [hardware] section")
-    kwargs = {}
-    defaults = HardwareConfig()
-    for f in fields(HardwareConfig):
-        if f.name not in hw_fields:
-            continue
-        if isinstance(getattr(defaults, f.name), bool):
-            raise AssertionError("no bool fields expected")
-        if isinstance(getattr(defaults, f.name), int):
-            kwargs[f.name] = get_int(hw_fields, f.name, source=str(path))
-        else:
-            kwargs[f.name] = get_float(hw_fields, f.name, source=str(path))
-    hw = HardwareConfig(**kwargs)
+    hw = HardwareConfig(**get_numbers(hw_fields, HardwareConfig(), str(path)))
     hw.validate()
     return hw
 
 
-def save_hw_config(hw: HardwareConfig, path) -> None:
-    body = {f.name: (repr(getattr(hw, f.name)) if isinstance(getattr(hw, f.name), float)
+def hw_block(hw: HardwareConfig) -> dict[str, object]:
+    """Body of a [hardware] section: every field, floats written by repr."""
+    return {f.name: (repr(getattr(hw, f.name)) if isinstance(getattr(hw, f.name), float)
                      else getattr(hw, f.name))
             for f in fields(HardwareConfig)}
+
+
+def save_hw_config(hw: HardwareConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_blocks([("hardware", body)]))
+        fh.write(format_blocks([("hardware", hw_block(hw))]))
 
 
 Link = tuple[tuple[int, int], tuple[int, int]]
@@ -133,10 +126,6 @@ class CostReport:
 # their own copy
 _PLAN_CACHE: dict[tuple, np.ndarray] = {}
 _PLAN_CACHE_CAP = 8192
-
-
-def clear_plan_cache() -> None:
-    _PLAN_CACHE.clear()
 
 
 def _firing_prefix(layer, frame: int) -> np.ndarray:
@@ -221,6 +210,12 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         by_layer.setdefault(a.layer_id, []).append(i)
     for lst in by_layer.values():
         lst.sort(key=lambda i: (assigns[i].range_start, assigns[i].core_id))
+    layer_ids = {l.id for l in model.layers}
+    if by_layer.keys() != layer_ids:
+        raise SimError(f"mapping does not match the model: layers "
+                       f"{sorted(layer_ids - by_layer.keys())} have no core, "
+                       f"assignments name unknown layers "
+                       f"{sorted(by_layer.keys() - layer_ids)}")
 
     downstream: list[list[int]] = [[] for _ in assigns]
     upstream: list[list[int]] = [[] for _ in assigns]
@@ -360,10 +355,6 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         if a.layer_id == 0:
             mult, flits_total = frame_loads[f][idx]
             value = 1.0
-            if a.layer_id == output_lid:
-                end_signal.append((t, mult / layer.neurons if layer.neurons else 0.0))
-                last_output = max(last_output, t)
-                return
         else:
             prefix = _firing_prefix(layer, f)
             mult = int(sum(prefix[e] - prefix[s] for (s, e) in slices[idx]))
@@ -371,10 +362,12 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
             denom = pred_neurons[a.layer_id]
             value = st.acc / denom if denom else 0.0
             st.acc = 0.0
-            if a.layer_id == output_lid:
-                end_signal.append((t, value))
-                last_output = max(last_output, t)
-                return
+        if a.layer_id == output_lid:
+            # an input layer that is also the output reports its event share
+            end_signal.append((t, value if a.layer_id else
+                               (mult / layer.neurons if layer.neurons else 0.0)))
+            last_output = max(last_output, t)
+            return
         emit(idx, a.core_id, t, mult, value, flits_total)
 
     def deliver(t: float, payload) -> None:
@@ -475,20 +468,17 @@ def snapshot(report: CostReport, every: float):
     link_rows = {k: [] for k in link_keys}
     log = sorted(report.cost_log, key=lambda e: e[0])
     pos = 0
-    acc_core = {k: 0.0 for k in core_keys}
-    acc_link = {k: 0.0 for k in link_keys}
+    acc = {"core": dict.fromkeys(core_keys, 0.0),
+           "link": dict.fromkeys(link_keys, 0.0)}
     for t in times:
         while pos < len(log) and log[pos][0] <= t:
             _, kind, key, e = log[pos]
-            if kind == "core":
-                acc_core[key] += e
-            else:
-                acc_link[key] += e
+            acc[kind][key] += e
             pos += 1
         for k in core_keys:
-            core_rows[k].append(acc_core[k] + static_rate * t)
+            core_rows[k].append(acc["core"][k] + static_rate * t)
         for k in link_keys:
-            link_rows[k].append(acc_link[k])
+            link_rows[k].append(acc["link"][k])
     return times, core_rows, link_rows
 
 
@@ -520,20 +510,14 @@ def write_run_files(report: CostReport, outdir, settings: dict | None = None,
         fh.write(f"max_congestion = "
                  f"{max(report.congestion.values(), default=0)}\n")
 
-    core_keys = sorted(report.energy_per_core)
-    with open(os.path.join(outdir, "snapshots_cores.csv"), "w", encoding="utf-8") as fh:
-        fh.write("time," + ",".join(f"core_{k}" for k in core_keys) + "\n")
-        for i, t in enumerate(times):
-            row = ",".join(repr(core_rows[k][i]) for k in core_keys)
-            fh.write(f"{t!r},{row}\n")
-
-    link_keys = sorted(report.energy_interconnect)
-    with open(os.path.join(outdir, "snapshots_interconnects.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("time," + ",".join(link_label(k) for k in link_keys) + "\n")
-        for i, t in enumerate(times):
-            row = ",".join(repr(link_rows[k][i]) for k in link_keys)
-            fh.write(f"{t!r},{row}\n")
+    # snapshot() keys both row tables in sorted order
+    for name, rows, label in (("snapshots_cores.csv", core_rows, "core_{}".format),
+                              ("snapshots_interconnects.csv", link_rows, link_label)):
+        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+            fh.write("time," + ",".join(label(k) for k in rows) + "\n")
+            for i, t in enumerate(times):
+                row = ",".join(repr(rows[k][i]) for k in rows)
+                fh.write(f"{t!r},{row}\n")
 
     with open(os.path.join(outdir, "output_snapshot.csv"), "w", encoding="utf-8") as fh:
         fh.write("timestamp,value\n")

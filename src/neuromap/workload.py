@@ -8,7 +8,6 @@ flat = (channel * height + row) * width + col.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -374,13 +373,6 @@ def firing_mask(layer: Layer, frame: int, salt: int = 0) -> np.ndarray:
     keys = (np.arange(n, dtype=np.uint64) * np.uint64(0x2545F4914F6CDD1D) + np.uint64(base)) & np.uint64(_MASK64)
     u = _splitmix64(keys).astype(np.float64) / float(1 << 64)
     return u < rate
-
-
-def model_digest(model: NetworkModel) -> str:
-    """Stable short digest of a model, for parameter echoes."""
-    h = hashlib.sha256()
-    h.update(repr(model).encode())
-    return h.hexdigest()[:12]
 
 
 def pilotnet_like(rate: float = 0.002, is_snn: bool = True, fps: int = 0,

@@ -331,6 +331,22 @@ def test_finalize_appends_index_and_closes(tmp_path, shared_report):
     assert len(list_runs(root)) == 2
 
 
+def test_finalize_without_feasible_evaluation_indexes_inf(tmp_path):
+    root = tmp_path / "experiments"
+    rec = open_toy_run(tmp_path)
+    record_evaluation(rec, mk_result(1e18, 1e18, violation=512.0))
+    record_generation(rec, 0)
+    finalize_run(rec)
+    assert rec.closed
+    runs = list_runs(root)
+    assert [(r["run_id"], r["n_evaluations"], r["best_energy"],
+             r["best_latency"]) for r in runs] == [
+        (rec.run_dir.name, "1", "inf", "inf")]
+    # no reports without a feasible row; the Opt traces are still there
+    assert not (rec.sum_dir / "pareto.csv").exists()
+    assert rec.energy_opt_path.read_text().splitlines()[1].startswith("0,inf,inf")
+
+
 def test_sweep_report_relative_to_worst(tmp_path, shared_report):
     recs = {}
     for (label, energy) in (("fps30", 60.0), ("fps0", 40.0)):

@@ -108,6 +108,29 @@ def test_simulate_infeasible_names_core_and_budget(net_path, tmp_path, capsys):
     assert "M_pc" in stderr and "M_max = 2000" in stderr
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda rows: rows[:-1], "layers [2] have no core"),
+    (lambda rows: rows[:-1] + [rows[-1].replace(",2,", ",9,", 1)],
+     "unknown layers [9]"),
+], ids=["dropped-layer", "unknown-layer"])
+def test_simulate_mapping_not_matching_model_is_domain_error(net_path, tmp_path,
+                                                             edit, named):
+    model = load_network(net_path)
+    spec = PartitionSpec(tuple(LayerSplit(1, "layer") for _ in model.layers))
+    map_path = tmp_path / "map.csv"
+    save_mapping(build_mapping(model, spec), map_path)
+    header, *rows = map_path.read_text().splitlines()
+    map_path.write_text("\n".join([header] + edit(rows)) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "neuromap.cli", "simulate",
+                           "--workload", str(net_path), "--mapping",
+                           str(map_path), "--frames", "2",
+                           "--out", str(tmp_path / "m")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+
+
 def test_simulate_missing_workload(tmp_path, capsys):
     rc, _, stderr = run_cli(["simulate", "--workload", tmp_path / "no.net",
                              "--out", tmp_path / "y"], capsys)

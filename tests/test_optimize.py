@@ -570,6 +570,41 @@ def test_runs_deterministic_per_seed(small_ctx):
     assert v1 == v2
 
 
+# Every genome each loop evaluates, in order, and its final history at seed
+# 11. The values are frozen: a change to the variation operators, to the
+# order of RNG draws or to the selection schemes moves them.
+PINNED_STREAMS = {
+    "ga": ("1041 3230 2023 3030 4342 2342 4033 2041 1020 2133 2030 2021 3030 "
+           "2041 3010 2021 1031 2041 2041 2031",
+           [4748.0, 3960.0, 3960.0, 3960.0]),
+    "nsga2": ("1041 3230 2023 3030 4342 4112 3030 4122 1042 1010 1333 3330 1132 "
+              "3033 1130 3030 1210 2233 1130 1010 1120",
+              [1734788.8, 1912260.7999999998, 1960341.5999999999, 2004821.6]),
+    "pso": ("1041 3230 2023 3030 2040 3230 2032 3030 3041 3140 2031 2040 3042 "
+            "2240 2020 1030",
+            [4748.0, 4612.0, 4612.0, 4180.0]),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(PINNED_STREAMS))
+def test_search_streams_are_pinned(small_ctx, algo):
+    runner, params = {
+        "ga": (run_ga, AlgoParams(algo="ga", population=5, generations=3,
+                                  weights={"energy": 1.0})),
+        "nsga2": (run_nsga2, AlgoParams(algo="nsga2", population=6,
+                                        generations=3, offspring=5)),
+        "pso": (run_pso, AlgoParams(algo="pso", population=4, generations=3,
+                                    weights={"energy": 1.0})),
+    }[algo]
+    seen = []
+    _, history = runner(small_ctx, params, seed=11,
+                        on_generation=lambda gen, results, best: seen.extend(
+                            r.genome for r in results))
+    genomes, want_history = PINNED_STREAMS[algo]
+    assert " ".join("".join(map(str, g)) for g in seen) == genomes
+    assert history == want_history
+
+
 def test_on_generation_callback_sees_every_generation(small_ctx):
     seen = []
     params = AlgoParams(algo="ga", population=6, generations=4,
