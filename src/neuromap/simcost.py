@@ -20,6 +20,8 @@ independent of hardware timing.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
 import math
 from dataclasses import dataclass, fields, replace
@@ -28,8 +30,8 @@ import numpy as np
 
 from .configio import format_blocks, get_numbers, parse_blocks_file
 from .mesh import MeshPlacement
-from .partition import Mapping, flat_slices
-from .workload import EventTrace, NetworkModel, firing_mask
+from .partition import AXES, Mapping, flat_slices
+from .workload import EventTrace, Layer, NetworkModel, firing_mask
 
 
 class SimError(ValueError):
@@ -121,24 +123,13 @@ class CostReport:
     cost_log: tuple[tuple[float, str, object, float], ...]
 
 
-# firing-plan cache: per (layer, frame) prefix sums of the firing mask,
-# shared across simulations of the same model; worker processes each build
-# their own copy
-_PLAN_CACHE: dict[tuple, np.ndarray] = {}
-_PLAN_CACHE_CAP = 8192
-
-
-def _firing_prefix(layer, frame: int) -> np.ndarray:
-    key = (layer.id, layer.neurons, layer.avg_event_rate, frame)
-    hit = _PLAN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    mask = firing_mask(layer, frame)
+# prefix sums of one frame's firing mask, shared across simulations of the
+# same model; worker processes each build their own copy
+@functools.lru_cache(maxsize=8192)
+def _firing_prefix(layer: Layer, frame: int) -> np.ndarray:
     prefix = np.zeros(layer.neurons + 1, dtype=np.int64)
-    np.cumsum(mask, out=prefix[1:])
-    if len(_PLAN_CACHE) >= _PLAN_CACHE_CAP:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE[key] = prefix
+    np.cumsum(firing_mask(layer, frame), out=prefix[1:])
+    prefix.flags.writeable = False
     return prefix
 
 
@@ -157,6 +148,26 @@ def _route_xy(src: tuple[int, int], dst: tuple[int, int]) -> list[tuple[int, int
     return path
 
 
+def _multicast_tree(src: tuple[int, int], dsts) -> tuple[list, dict]:
+    """XY routes from src to every dst, edges deduplicated in first-visit
+    order, so a branch router feeds all its child edges from one arrival.
+
+    Returns ([(u node, v node, link), ...], router -> node), node 0 being
+    src; each edge's u node is reached by an earlier edge.
+    """
+    node = {src: 0}
+    edges = []
+    seen: set[Link] = set()
+    for dst in dsts:
+        path = _route_xy(src, dst)
+        for u, v in zip(path, path[1:]):
+            if (u, v) not in seen:
+                seen.add((u, v))
+                node.setdefault(v, len(node))
+                edges.append((node[u], node[v], (u, v)))
+    return edges, node
+
+
 class _Port:
     """Serializing resource (link or core inbox) with queue-depth tracking."""
 
@@ -164,29 +175,56 @@ class _Port:
 
     def __init__(self):
         self.busy_until = 0.0
+        # completion times still pending, non-decreasing: each done is at
+        # least the previous one because busy_until only grows
         self.pending_done: list[float] = []
         self.max_depth = 0
 
     def acquire(self, t_in: float, service: float) -> tuple[float, float]:
         """Returns (start, done); records queue depth at admission."""
-        self.pending_done = [d for d in self.pending_done if d > t_in]
-        depth = len(self.pending_done) + 1
+        pending = self.pending_done
+        gone = bisect.bisect_right(pending, t_in)
+        if gone:
+            del pending[:gone]
+        depth = len(pending) + 1
         if depth > self.max_depth:
             self.max_depth = depth
-        start = max(t_in, self.busy_until)
+        busy = self.busy_until
+        start = busy if busy > t_in else t_in
         done = start + service
         self.busy_until = done
-        self.pending_done.append(done)
+        pending.append(done)
         return start, done
 
 
 class _PartState:
-    __slots__ = ("acc", "fire_index", "markers")
+    __slots__ = ("acc", "fire_index", "markers", "missing")
 
-    def __init__(self):
+    def __init__(self, n_upstream: int):
         self.acc = 0.0
         self.fire_index = 0
+        # banked bundles per upstream partition, and how many upstreams
+        # have none banked: the partition fires when that count is 0
         self.markers: dict[int, int] = {}
+        self.missing = n_upstream
+
+
+def _check_tiling(layer: Layer, parts) -> None:
+    """SimError unless parts (sorted by range start) share one axis and
+    tile [0, extent) along it exactly: no overlap, no gap, none empty."""
+    axes = sorted({a.axis for a in parts})
+    if len(axes) != 1:
+        raise SimError(f"layer {layer.id}: partitions mix axes {axes}")
+    axis = axes[0]
+    if axis not in AXES:
+        raise SimError(f"layer {layer.id}: unknown axis {axis!r}")
+    extent = layer.axis_extent(axis)
+    ranges = [(a.range_start, a.range_end) for a in parts]
+    bounds = [0] + [e for (_, e) in ranges]
+    if ([s for (s, _) in ranges] != bounds[:-1] or bounds[-1] != extent
+            or any(s >= e for (s, e) in ranges)):
+        raise SimError(f"layer {layer.id}: {axis} ranges {ranges} do not "
+                       f"tile [0, {extent}) exactly")
 
 
 def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
@@ -216,7 +254,10 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                        f"{sorted(layer_ids - by_layer.keys())} have no core, "
                        f"assignments name unknown layers "
                        f"{sorted(by_layer.keys() - layer_ids)}")
+    for lid, idxs in by_layer.items():
+        _check_tiling(model.layers[lid], [assigns[i] for i in idxs])
 
+    # --- static plan: fixed for the whole call, only looked up in replay ---
     downstream: list[list[int]] = [[] for _ in assigns]
     upstream: list[list[int]] = [[] for _ in assigns]
     for lid, idxs in by_layer.items():
@@ -229,32 +270,43 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                     for l in model.layers]
     slices = [flat_slices(model.layers[a.layer_id], a.axis, a.range_start, a.range_end)
               for a in assigns]
+    slice_starts = [np.array([s for (s, _) in sl], dtype=np.int64) for sl in slices]
+    slice_ends = [np.array([e for (_, e) in sl], dtype=np.int64) for sl in slices]
     work_ops = [math.ceil(a.n_npc / hw.npes_per_core) for a in assigns]
     output_lid = model.output_layer.id
+    coords = placement.coords
 
-    # frame slot -> per input partition (event multiplicity, flit total);
+    # frame slot -> per input partition (event multiplicity, flit total),
+    # indexed by the partition's position in input_parts. The layer-0
+    # partitions tile its neurons, so each input neuron has one owner.
     # fps > 0 assigns bursts to their nearest grid slot so empty frames
     # keep later ones aligned, fps == 0 numbers bursts in order
     input_parts = by_layer[0]
+    input_pos = {i: k for k, i in enumerate(input_parts)}
+    n_in = len(input_parts)
+    owner = np.empty(n_inputs, dtype=np.int64)
+    for k, i in enumerate(input_parts):
+        for (s, e) in slices[i]:
+            owner[s:e] = k
+    bursts = trace.frames()
+    n_events = len(trace.events)
+    nids = np.fromiter((nid for (_, nid, _) in trace.events), np.int64, n_events)
+    bits = np.fromiter((b for (_, _, b) in trace.events), np.int64, n_events)
+    cell = (np.repeat(np.arange(len(bursts), dtype=np.int64),
+                      [len(b) for b in bursts]) * n_in + owner[nids])
+    n_cells = len(bursts) * n_in
+    burst_mult = np.bincount(cell, minlength=n_cells)
+    burst_flits = np.zeros(n_cells, dtype=np.int64)
+    np.add.at(burst_flits, cell, -(-bits // hw.flit_bits))
+    burst_loads = [list(zip(m, fl)) for m, fl in
+                   zip(burst_mult.reshape(len(bursts), n_in).tolist(),
+                       burst_flits.reshape(len(bursts), n_in).tolist())]
 
-    def burst_load(burst) -> dict[int, tuple[int, int]]:
-        load: dict[int, tuple[int, int]] = {}
-        for i in input_parts:
-            mult = 0
-            flits = 0
-            spans = slices[i]
-            for (_, nid, bits) in burst:
-                if any(s <= nid < e for (s, e) in spans):
-                    mult += 1
-                    flits += math.ceil(bits / hw.flit_bits)
-            load[i] = (mult, flits)
-        return load
-
-    empty_load = {i: (0, 0) for i in input_parts}
-    frame_loads: list[dict[int, tuple[int, int]]] = [empty_load] * trace.n_frames
+    empty_load = [(0, 0)] * n_in
+    frame_loads: list[list[tuple[int, int]]] = [empty_load] * trace.n_frames
     frame_times: list[float] = [(f / trace.fps if trace.fps > 0 else float(f))
                                 for f in range(trace.n_frames)]
-    for pos, burst in enumerate(trace.frames()):
+    for pos, burst in enumerate(bursts):
         t = burst[0][0]
         slot = round(t * trace.fps) if trace.fps > 0 else pos
         if not (0 <= slot < trace.n_frames):
@@ -262,14 +314,18 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                            f"{trace.n_frames}-frame grid")
         if frame_loads[slot] is not empty_load:
             raise SimError(f"two trace bursts map to frame slot {slot}")
-        frame_loads[slot] = burst_load(burst)
+        frame_loads[slot] = burst_loads[pos]
         frame_times[slot] = t
 
     flits_per_event = math.ceil(model.bitwidths.outputs / hw.flit_bits)
 
+    # --- replay: only the ports, the partition states and the heap change ---
     links: dict[Link, _Port] = {}
     cores: dict[int, _Port] = {c: _Port() for c in mapping.layers_per_core}
-    states = [_PartState() for _ in assigns]
+    states = [_PartState(len(up)) for up in upstream]
+    # per source partition, built at its first bundle: (local destinations,
+    # remote multicast route or None)
+    routes: list[tuple | None] = [None] * len(assigns)
 
     energy_core: dict[int, float] = {c: 0.0 for c in cores}
     energy_link: dict[Link, float] = {}
@@ -298,52 +354,61 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         energy_link[link] = energy_link.get(link, 0.0) + e
         cost_log.append((t, "link", link, e))
 
+    def plan_route(src_idx: int) -> tuple:
+        # ports are resolved here, at the source's first bundle, in the
+        # order that bundle meets them: links keeps first-use order
+        src_core = assigns[src_idx].core_id
+        local = [j for j in downstream[src_idx] if assigns[j].core_id == src_core]
+        remote = [j for j in downstream[src_idx] if assigns[j].core_id != src_core]
+        if not remote:
+            return local, None
+        src_xy = coords[src_core]
+        inj: Link = (src_xy, src_xy)
+        inj_port = port(inj)
+        by_position = sorted(remote, key=lambda j: (assigns[j].layer_id,
+                                                   assigns[j].range_start,
+                                                   assigns[j].core_id))
+        edges, node = _multicast_tree(src_xy, [coords[assigns[j].core_id]
+                                               for j in by_position])
+        edges = [(u, v, link, port(link)) for (u, v, link) in edges]
+        dests = [(node[coords[assigns[j].core_id]], j) for j in remote]
+        return local, (src_xy, inj, inj_port, edges, len(node), dests)
+
     def emit(src_idx: int, src_core: int, t_emit: float, mult: int,
              value: float, flits_total: int) -> None:
         """Send one bundle from src_core to every downstream partition."""
         nonlocal sim_now
-        dst_idxs = downstream[src_idx]
-        local = [j for j in dst_idxs if assigns[j].core_id == src_core]
-        remote = [j for j in dst_idxs if assigns[j].core_id != src_core]
+        route = routes[src_idx]
+        if route is None:
+            route = routes[src_idx] = plan_route(src_idx)
+        local, remote = route
         for j in local:
             push(t_emit, src_core, "deliver", (src_idx, j, mult, value))
-        if not remote:
+        if remote is None:
             return
-        src_xy = placement.coords[src_core]
+        src_xy, inj, inj_port, edges, n_nodes, dests = remote
         # one injection serializes the whole multicast bundle
-        inj: Link = (src_xy, src_xy)
-        p = port(inj)
-        _, done = p.acquire(t_emit, max(1, mult) * hw.t_inject)
-        if p.max_depth > hw.queue_depth:
+        _, done = inj_port.acquire(t_emit, max(1, mult) * hw.t_inject)
+        if inj_port.max_depth > hw.queue_depth:
             raise CongestionError(f"injection port {src_xy} exceeded depth "
                                   f"{hw.queue_depth}")
         if mult > 0:
             charge_link(done, inj, mult * hw.e_inject)
-        # multicast tree: XY routes to every remote core, edges deduplicated,
-        # so a branch router feeds all its child edges from one arrival
-        arrival: dict[tuple[int, int], float] = {src_xy: done}
-        edges_seen: set[Link] = set()
-        ordered_edges: list[Link] = []
-        for j in sorted(remote, key=lambda j: (assigns[j].layer_id,
-                                               assigns[j].range_start,
-                                               assigns[j].core_id)):
-            path = _route_xy(src_xy, placement.coords[assigns[j].core_id])
-            for u, v in zip(path, path[1:]):
-                if (u, v) not in edges_seen:
-                    edges_seen.add((u, v))
-                    ordered_edges.append((u, v))
-        for (u, v) in ordered_edges:
-            p = port((u, v))
-            _, done_edge = p.acquire(arrival[u], max(1, mult) * hw.t_hop)
+        arrival = [done] * n_nodes
+        service = max(1, mult) * hw.t_hop
+        e_hop = flits_total * hw.e_hop_per_flit
+        for (u, v, link, p) in edges:
+            _, done_edge = p.acquire(arrival[u], service)
             if p.max_depth > hw.queue_depth:
-                raise CongestionError(f"link {u}->{v} exceeded depth {hw.queue_depth}")
+                raise CongestionError(f"link {link[0]}->{link[1]} exceeded "
+                                      f"depth {hw.queue_depth}")
             if mult > 0:
-                charge_link(done_edge, (u, v), flits_total * hw.e_hop_per_flit)
+                charge_link(done_edge, link, e_hop)
             arrival[v] = done_edge
-            sim_now = max(sim_now, done_edge)
-        for j in remote:
-            xy = placement.coords[assigns[j].core_id]
-            push(arrival[xy], src_core, "deliver", (src_idx, j, mult, value))
+            if done_edge > sim_now:
+                sim_now = done_edge
+        for (v, j) in dests:
+            push(arrival[v], src_core, "deliver", (src_idx, j, mult, value))
 
     def fire(idx: int, t: float) -> None:
         nonlocal last_output
@@ -353,11 +418,11 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         f = st.fire_index
         st.fire_index += 1
         if a.layer_id == 0:
-            mult, flits_total = frame_loads[f][idx]
+            mult, flits_total = frame_loads[f][input_pos[idx]]
             value = 1.0
         else:
             prefix = _firing_prefix(layer, f)
-            mult = int(sum(prefix[e] - prefix[s] for (s, e) in slices[idx]))
+            mult = int((prefix[slice_ends[idx]] - prefix[slice_starts[idx]]).sum())
             flits_total = mult * flits_per_event
             denom = pred_neurons[a.layer_id]
             value = st.acc / denom if denom else 0.0
@@ -387,13 +452,20 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
             cost_log.append((done, "core", a.core_id, e))
             st.acc += value * mult
             events_processed += mult
-        sim_now = max(sim_now, done)
-        st.markers[src_idx] = st.markers.get(src_idx, 0) + 1
+        if done > sim_now:
+            sim_now = done
+        markers = st.markers
+        banked = markers.get(src_idx, 0) + 1
+        markers[src_idx] = banked
+        if banked == 1:
+            st.missing -= 1
         # fire once per complete marker set: one bundle from every upstream
         # partition; skewed fast senders bank extra markers without firing
-        while all(st.markers.get(u, 0) >= 1 for u in upstream[idx]):
+        while st.missing == 0:
             for u in upstream[idx]:
-                st.markers[u] -= 1
+                markers[u] -= 1
+                if markers[u] == 0:
+                    st.missing += 1
             fire(idx, done)
 
     next_frame = 0

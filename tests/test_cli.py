@@ -108,11 +108,19 @@ def test_simulate_infeasible_names_core_and_budget(net_path, tmp_path, capsys):
     assert "M_pc" in stderr and "M_max = 2000" in stderr
 
 
+def _with_range_start(row, start):
+    f = row.split(",")
+    f[3] = str(start)
+    return ",".join(f)
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda rows: rows[:-1], "layers [2] have no core"),
     (lambda rows: rows[:-1] + [rows[-1].replace(",2,", ",9,", 1)],
      "unknown layers [9]"),
-], ids=["dropped-layer", "unknown-layer"])
+    (lambda rows: rows[:-1] + [_with_range_start(rows[-1], 1)],
+     "layer 2: layer ranges [(1, 5)] do not tile [0, 5) exactly"),
+], ids=["dropped-layer", "unknown-layer", "gap-in-layer"])
 def test_simulate_mapping_not_matching_model_is_domain_error(net_path, tmp_path,
                                                              edit, named):
     model = load_network(net_path)

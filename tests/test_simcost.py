@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -16,6 +17,7 @@ from neuromap.simcost import (
     CongestionError,
     HardwareConfig,
     SimError,
+    _Port,
     _route_xy,
     link_label,
     load_hw_config,
@@ -116,6 +118,28 @@ def test_route_length_is_manhattan(r0, c0, r1, c1):
     # column dimension routes first
     if c0 != c1 and r0 != r1:
         assert path[1][0] == r0
+
+
+# --- port queue ---
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)),
+                      max_size=40))
+def test_port_matches_brute_force_queue(steps):
+    # small integer gaps and services make a pending done == t_in common
+    port = _Port()
+    t_in = 0.0
+    busy = 0.0
+    dones = []
+    max_depth = 0
+    for gap, service in steps:
+        t_in += gap
+        max_depth = max(max_depth, 1 + sum(d > t_in for d in dones))
+        start = max(t_in, busy)
+        busy = start + service
+        dones.append(busy)
+        assert port.acquire(t_in, float(service)) == (start, busy)
+        assert port.max_depth == max_depth
 
 
 # --- pipelined chain latency against a hand-built schedule ---
@@ -281,6 +305,39 @@ def test_placement_too_small_rejected():
     placement = place(1, (1, 1))
     with pytest.raises(SimError):
         simulate(model, mapping, placement, HW, full_trace(model, 1, 0))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({}, None),
+    ({1: {"range_start": 1}},
+     "layer 0: channel ranges [(0, 2), (1, 4)] do not tile"),
+    ({1: {"range_start": 3}},
+     "layer 0: channel ranges [(0, 2), (3, 4)] do not tile"),
+    ({1: {"range_end": 3}},
+     "layer 0: channel ranges [(0, 2), (2, 3)] do not tile"),
+    ({1: {"axis": "width", "range_start": 1, "range_end": 3}},
+     "layer 0: partitions mix axes ['channel', 'width']"),
+    ({0: {"axis": "diagonal"}, 1: {"axis": "diagonal"}},
+     "layer 0: unknown axis 'diagonal'"),
+], ids=["tiled", "overlap", "gap", "short", "mixed-axes", "unknown-axis"])
+def test_layer_partitions_must_tile_their_axis(changes, message):
+    model = NetworkModel(name="toy2", layers=(conv(4, 2, 3, 0, 0.6),
+                                              conv(4, 2, 3, 1, 0.6)),
+                         edges=((0, 1),))
+    mapping = build_mapping(model, uniform_spec(model, 2, axis="channel"))
+    assigns = list(mapping.assignments)
+    for pos, change in changes.items():
+        assigns[pos] = dataclasses.replace(assigns[pos], **change)
+    mapping = dataclasses.replace(mapping, assignments=tuple(assigns))
+    trace = synth_trace(model, 2, fps=0, seed=3)
+    placement = place(4, compress(4, "strict-area"))
+    if message is None:
+        report = simulate(model, mapping, placement, HardwareConfig(), trace)
+        assert report.events_processed == 54
+        return
+    with pytest.raises(SimError) as exc:
+        simulate(model, mapping, placement, HardwareConfig(), trace)
+    assert str(exc.value).startswith(message)
 
 
 def test_congestion_overflow_reported():
