@@ -32,7 +32,6 @@ from .optimize import (
     EvalContext,
     GenomeSpace,
     load_algo_params,
-    retime_trace,
     run_ga,
     run_nsga2,
     run_pso,
@@ -46,7 +45,7 @@ from .partition import (
     load_mapping,
 )
 from .simcost import HardwareConfig, load_hw_config, simulate, write_run_files
-from .workload import load_network, load_trace, synth_trace
+from .workload import load_network, load_trace, retime_trace, synth_trace
 
 
 class CliError(ValueError):

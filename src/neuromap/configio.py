@@ -59,6 +59,15 @@ def format_blocks(blocks: list[tuple[str, dict[str, object]]]) -> str:
     return "\n".join(out)
 
 
+def check_keys(fields: dict[str, str], allowed, source: str = "") -> None:
+    """ConfigFormatError naming the first key of fields that allowed lacks,
+    so a misspelt key is not silently ignored."""
+    for key in fields:
+        if key not in allowed:
+            raise ConfigFormatError(f"{source}: unknown key {key!r}, expected "
+                                    f"one of {sorted(allowed)}")
+
+
 def get_bool(fields: dict[str, str], key: str, default: bool | None = None, source: str = "") -> bool:
     raw = fields.get(key)
     if raw is None:

@@ -31,13 +31,13 @@ def mesh_strict_area(n_cores: int) -> tuple[int, int]:
     raise AssertionError("unreachable: 1 divides everything")
 
 
-def mesh_loose_area(n_cores: int, max_strip: int = MAX_STRIP_DEFAULT) -> tuple[int, int]:
+def mesh_loose_area(n_cores: int) -> tuple[int, int]:
     """strict-area, but pad the core count upward while the result is a
-    1 x n strip longer than max_strip."""
+    1 x n strip longer than MAX_STRIP_DEFAULT."""
     n = n_cores
     while True:
         rows, cols = mesh_strict_area(n)
-        if rows > 1 or cols <= max_strip:
+        if rows > 1 or cols <= MAX_STRIP_DEFAULT:
             return (rows, cols)
         n += 1
 
@@ -52,12 +52,11 @@ def mesh_strict_square(n_cores: int) -> tuple[int, int]:
     return (min(rows, cols), max(rows, cols))
 
 
-def compress(n_cores: int, scheme: str,
-             max_strip: int = MAX_STRIP_DEFAULT) -> tuple[int, int]:
+def compress(n_cores: int, scheme: str) -> tuple[int, int]:
     if scheme == "strict-area":
         return mesh_strict_area(n_cores)
     if scheme == "loose-area":
-        return mesh_loose_area(n_cores, max_strip)
+        return mesh_loose_area(n_cores)
     if scheme == "strict-square":
         return mesh_strict_square(n_cores)
     raise MeshError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")

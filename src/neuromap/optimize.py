@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .configio import get_numbers, parse_blocks_file
+from .configio import check_keys, get_float, get_numbers, parse_blocks_file
 from .fidelity import FidelityError, from_values, xcorr_score
-from .mesh import MAX_STRIP_DEFAULT, compress, place
+from .mesh import SCHEMES, compress, place
 from .partition import (
     AXES,
     LayerSplit,
@@ -31,12 +31,15 @@ from .partition import (
     build_mapping,
 )
 from .simcost import CostReport, HardwareConfig, SimError, simulate
-from .workload import EventTrace, NetworkModel
+from .workload import EventTrace, NetworkModel, retime_trace
 
 PENALTY_BASE = 1e18
 STRUCTURAL_VIOLATION = 1e12
 
 OBJECTIVE_NAMES = ("energy", "latency", "area", "fidelity_penalty")
+
+# fidelity penalty per ms of end-signal shift, on top of 1 - peak
+SHIFT_WEIGHT = 1e-3
 
 ALGOS = ("ga", "nsga2", "pso")
 
@@ -93,6 +96,8 @@ class GenomeSpace:
             menu = getattr(self, name)
             if menu is not None and len(set(menu)) != len(menu):
                 raise OptimizeError(f"{name} entries must be unique")
+        if any(s not in SCHEMES for s in self.scheme_menu or ()):
+            raise OptimizeError(f"scheme_menu entries must be among {SCHEMES}")
 
     def _menus(self) -> list[tuple[str, tuple]]:
         return [(name, getattr(self, name)) for name in MENU_GENES
@@ -186,16 +191,6 @@ def encode(spec: PartitionSpec, hw: HardwareConfig, scheme: str,
     return tuple(genes)
 
 
-def retime_trace(trace: EventTrace, fps: float) -> EventTrace:
-    """Same event content on a new frame grid (fps == 0 -> ordinals)."""
-    events = []
-    for k, burst in enumerate(trace.frames()):
-        t = k / fps if fps > 0 else float(k)
-        for (_, nid, bits) in burst:
-            events.append((t, nid, bits))
-    return EventTrace(events=tuple(events), fps=fps, n_frames=trace.n_frames)
-
-
 @dataclass(frozen=True)
 class Objectives:
     energy: float
@@ -214,11 +209,9 @@ class EvalContext:
     base_hw: HardwareConfig
     space: GenomeSpace
     scheme: str = "strict-area"
-    max_strip: int = MAX_STRIP_DEFAULT
     objective_names: tuple[str, ...] = ("energy", "latency")
     reference: tuple[float, ...] | None = None
     signal_dt: float = 1.0
-    shift_weight: float = 1e-3
 
     def __post_init__(self):
         for n in self.objective_names:
@@ -257,7 +250,7 @@ def fidelity_penalty_of(end_signal, ctx: EvalContext) -> float:
                                      from_values(ctx.reference, ctx.signal_dt))
     except FidelityError:
         return 1.0
-    return (1.0 - peak) + ctx.shift_weight * abs(shift_ms)
+    return (1.0 - peak) + SHIFT_WEIGHT * abs(shift_ms)
 
 
 # a decoded, mapped and placed genome, in simulate()'s argument order
@@ -281,7 +274,7 @@ def _realize(genome, ctx: EvalContext) -> tuple[float, _Design | None]:
     if fps_override is not None and fps_override != trace.fps:
         trace = retime_trace(trace, fps_override)
     n = mapping.n_cores_total
-    placement = place(n, compress(n, scheme, ctx.max_strip))
+    placement = place(n, compress(n, scheme))
     return 0.0, _Design(model, mapping, placement, hw, trace)
 
 
@@ -328,13 +321,8 @@ def _init_worker(ctx: EvalContext) -> None:
 
 def _eval_in_worker(genome, ctx: EvalContext | None = None) -> EvalResult:
     """evaluate() for one batch entry; pool workers use the initializer's
-    context. Any exception becomes a "TypeName: message" penalty, so a
-    buggy candidate cannot kill the batch."""
-    try:
-        return evaluate(genome, _WORKER_CTX if ctx is None else ctx)
-    except Exception as exc:
-        return _penalty_result(genome, STRUCTURAL_VIOLATION,
-                               f"{type(exc).__name__}: {exc}")
+    context."""
+    return evaluate(genome, _WORKER_CTX if ctx is None else ctx)
 
 
 def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1) -> list[EvalResult]:
@@ -546,11 +534,14 @@ def load_algo_params(path) -> AlgoParams:
     fields_ = next((f for section, f in blocks if section == "algorithm"), None)
     if fields_ is None:
         raise OptimizeError(f"{path}: missing [algorithm] section")
+    weight_keys = {f"weight_{name}" for name in OBJECTIVE_NAMES}
+    check_keys(fields_, {f.name for f in fields(AlgoParams)} - {"weights"}
+               | weight_keys, str(path))
     kwargs = get_numbers(fields_, AlgoParams(), str(path))
     if "algo" in fields_:
         kwargs["algo"] = fields_["algo"]
-    weights = {key.removeprefix("weight_"): float(raw)
-               for key, raw in fields_.items() if key.startswith("weight_")}
+    weights = {key.removeprefix("weight_"): get_float(fields_, key, source=str(path))
+               for key in fields_ if key in weight_keys}
     if weights:
         kwargs["weights"] = weights
     params = AlgoParams(**kwargs)

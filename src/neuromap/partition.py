@@ -310,11 +310,14 @@ def load_mapping(path) -> Mapping:
         header = fh.readline().strip()
         if header != _CSV_HEADER:
             raise PartitionError(f"{path}: unexpected mapping header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             f = line.split(",")
+            if len(f) != 10:
+                raise PartitionError(f"{path}:{lineno}: expected 10 fields, "
+                                     f"got {len(f)}")
             assignments.append(CoreAssignment(
                 int(f[0]), int(f[1]), f[2], int(f[3]), int(f[4]),
                 int(f[5]), int(f[6]), int(f[7]), int(f[8]), int(f[9])))

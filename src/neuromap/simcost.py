@@ -25,13 +25,14 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 
 import numpy as np
 
-from .configio import format_blocks, get_numbers, parse_blocks_file
+from .configio import check_keys, format_blocks, get_numbers, parse_blocks_file
 from .mesh import MeshPlacement
-from .partition import AXES, Mapping, flat_slices
-from .workload import EventTrace, Layer, NetworkModel, firing_mask
+from .partition import AXES, Mapping, _range_counts, flat_slices
+from .workload import EventTrace, Layer, NetworkModel, firing_mask, frame_time
 
 
 class SimError(ValueError):
@@ -86,6 +87,7 @@ def load_hw_config(path) -> HardwareConfig:
             break
     if hw_fields is None:
         raise SimError(f"{path}: missing [hardware] section")
+    check_keys(hw_fields, {f.name for f in fields(HardwareConfig)}, str(path))
     hw = HardwareConfig(**get_numbers(hw_fields, HardwareConfig(), str(path)))
     hw.validate()
     return hw
@@ -210,8 +212,9 @@ class _PartState:
 
 
 def _check_tiling(layer: Layer, parts) -> None:
-    """SimError unless parts (sorted by range start) share one axis and
-    tile [0, extent) along it exactly: no overlap, no gap, none empty."""
+    """SimError unless parts (sorted by range start) share one axis, tile
+    [0, extent) along it exactly (no overlap, no gap, none empty) and
+    carry the resource counts of their ranges."""
     axes = sorted({a.axis for a in parts})
     if len(axes) != 1:
         raise SimError(f"layer {layer.id}: partitions mix axes {axes}")
@@ -225,6 +228,13 @@ def _check_tiling(layer: Layer, parts) -> None:
             or any(s >= e for (s, e) in ranges)):
         raise SimError(f"layer {layer.id}: {axis} ranges {ranges} do not "
                        f"tile [0, {extent}) exactly")
+    for a in parts:
+        counts = _range_counts(layer, axis, a.range_start, a.range_end)
+        if (a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc) != counts:
+            raise SimError(f"layer {layer.id} core {a.core_id}: counts "
+                           f"{(a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc)} differ from "
+                           f"{counts} for {axis} range [{a.range_start}, "
+                           f"{a.range_end})")
 
 
 def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
@@ -235,12 +245,6 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     for core_id, bits in mapping.memory_by_core().items():
         if bits > hw.mem_per_core:
             raise SimError(f"core {core_id} needs {bits} bits, cap is {hw.mem_per_core}")
-
-    n_inputs = model.input_layer.neurons
-    for (_, nid, _) in trace.events:
-        if not (0 <= nid < n_inputs):
-            raise SimError(f"trace event references input neuron {nid}, "
-                           f"layer 0 has {n_inputs}")
 
     assigns = mapping.assignments
     by_layer: dict[int, list[int]] = {}
@@ -256,6 +260,11 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                        f"{sorted(by_layer.keys() - layer_ids)}")
     for lid, idxs in by_layer.items():
         _check_tiling(model.layers[lid], [assigns[i] for i in idxs])
+    core_ids = sorted(mapping.layers_per_core)
+    for k, c in enumerate(core_ids):
+        if c != k:
+            raise SimError(f"mapping core ids must run 0..{len(core_ids) - 1}, "
+                           f"found {c} in place of {k}")
 
     # --- static plan: fixed for the whole call, only looked up in replay ---
     downstream: list[list[int]] = [[] for _ in assigns]
@@ -276,46 +285,39 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     output_lid = model.output_layer.id
     coords = placement.coords
 
-    # frame slot -> per input partition (event multiplicity, flit total),
-    # indexed by the partition's position in input_parts. The layer-0
-    # partitions tile its neurons, so each input neuron has one owner.
-    # fps > 0 assigns bursts to their nearest grid slot so empty frames
-    # keep later ones aligned, fps == 0 numbers bursts in order
+    # frame slot x input partition -> (event multiplicity, flit total),
+    # the partition indexed by its position in input_parts. The layer-0
+    # partitions tile its neurons, so each input neuron has one owner. A
+    # frame starts at its burst's own timestamp, a silent one on the grid
     input_parts = by_layer[0]
     input_pos = {i: k for k, i in enumerate(input_parts)}
     n_in = len(input_parts)
+    n_inputs = model.input_layer.neurons
     owner = np.empty(n_inputs, dtype=np.int64)
     for k, i in enumerate(input_parts):
         for (s, e) in slices[i]:
             owner[s:e] = k
-    bursts = trace.frames()
+    n_frames = trace.n_frames
+    frames = trace.frames()
+    frame_times = [b[0][0] if b else frame_time(f, trace.fps)
+                   for f, b in enumerate(frames)]
     n_events = len(trace.events)
-    nids = np.fromiter((nid for (_, nid, _) in trace.events), np.int64, n_events)
-    bits = np.fromiter((b for (_, _, b) in trace.events), np.int64, n_events)
-    cell = (np.repeat(np.arange(len(bursts), dtype=np.int64),
-                      [len(b) for b in bursts]) * n_in + owner[nids])
-    n_cells = len(bursts) * n_in
-    burst_mult = np.bincount(cell, minlength=n_cells)
-    burst_flits = np.zeros(n_cells, dtype=np.int64)
-    np.add.at(burst_flits, cell, -(-bits // hw.flit_bits))
-    burst_loads = [list(zip(m, fl)) for m, fl in
-                   zip(burst_mult.reshape(len(bursts), n_in).tolist(),
-                       burst_flits.reshape(len(bursts), n_in).tolist())]
-
-    empty_load = [(0, 0)] * n_in
-    frame_loads: list[list[tuple[int, int]]] = [empty_load] * trace.n_frames
-    frame_times: list[float] = [(f / trace.fps if trace.fps > 0 else float(f))
-                                for f in range(trace.n_frames)]
-    for pos, burst in enumerate(bursts):
-        t = burst[0][0]
-        slot = round(t * trace.fps) if trace.fps > 0 else pos
-        if not (0 <= slot < trace.n_frames):
-            raise SimError(f"trace burst at t={t} falls outside the "
-                           f"{trace.n_frames}-frame grid")
-        if frame_loads[slot] is not empty_load:
-            raise SimError(f"two trace bursts map to frame slot {slot}")
-        frame_loads[slot] = burst_loads[pos]
-        frame_times[slot] = t
+    # ids are range-checked as floats, which an id past int64 cannot overflow
+    ids = np.fromiter(map(itemgetter(1), trace.events), np.float64, n_events)
+    bad = (ids < 0) | (ids >= n_inputs)
+    if bad.any():
+        raise SimError(f"trace event references input neuron "
+                       f"{trace.events[bad.argmax()][1]}, layer 0 has {n_inputs}")
+    nids = ids.astype(np.int64)
+    bits = np.fromiter(map(itemgetter(2), trace.events), np.int64, n_events)
+    cell = (np.repeat(np.arange(n_frames, dtype=np.int64),
+                      [len(b) for b in frames]) * n_in + owner[nids])
+    frame_mult = np.bincount(cell, minlength=n_frames * n_in)
+    frame_flits = np.zeros(n_frames * n_in, dtype=np.int64)
+    np.add.at(frame_flits, cell, -(-bits // hw.flit_bits))
+    frame_loads = [list(zip(m, fl)) for m, fl in
+                   zip(frame_mult.reshape(n_frames, n_in).tolist(),
+                       frame_flits.reshape(n_frames, n_in).tolist())]
 
     flits_per_event = math.ceil(model.bitwidths.outputs / hw.flit_bits)
 
@@ -468,8 +470,6 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                     st.missing += 1
             fire(idx, done)
 
-    next_frame = 0
-    n_frames = trace.n_frames
     fps = trace.fps
 
     if fps > 0:

@@ -8,12 +8,16 @@ flat = (channel * height + row) * width + col.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .configio import (
     ConfigFormatError,
+    check_keys,
     format_blocks,
     get_bool,
     get_float,
@@ -146,12 +150,20 @@ class NetworkModel:
                 raise WorkloadError(f"exactly one output layer required, found sinks {sinks}")
 
 
+def frame_time(slot: int, fps: float) -> float:
+    """Grid time of a frame slot: slot / fps, or the ordinal itself when
+    fps == 0."""
+    return slot / fps if fps > 0 else float(slot)
+
+
 @dataclass(frozen=True)
 class EventTrace:
     """Time-ordered input events. Equal timestamps form one frame burst.
 
-    fps == 0 marks event-driven mode: timestamps are frame ordinals and the
-    simulator injects each frame only once the pipeline has drained.
+    A burst at time t fills frame slot round(t * fps); fps == 0 marks
+    event-driven mode, where timestamps are frame ordinals (slot round(t))
+    and the simulator injects each frame only once the pipeline has
+    drained. A slot without a burst is a silent frame and keeps its place.
     """
 
     events: tuple[tuple[float, int, int], ...]  # (timestamp, neuron_id, payload_bits)
@@ -159,29 +171,56 @@ class EventTrace:
     n_frames: int
 
     def __post_init__(self):
-        last = None
-        for (t, _, _) in self.events:
-            if last is not None and t < last:
-                raise WorkloadError("trace timestamps must be non-decreasing")
-            last = t
+        if not self.fps >= 0:
+            raise WorkloadError(f"trace fps must be >= 0, got {self.fps}")
+        if self.n_frames < 1:
+            raise WorkloadError(f"trace needs n_frames >= 1, got {self.n_frames}")
+        last_t, last_slot = -math.inf, None
+        for t, _ in groupby(self.events, key=itemgetter(0)):
+            # t * fps is finite exactly when t has a slot, fps == 0 included
+            if not (math.isfinite(t * self.fps) and t >= last_t):
+                raise WorkloadError("trace timestamps must be finite and "
+                                    "non-decreasing")
+            slot = self.slot(t)
+            if not 0 <= slot < self.n_frames:
+                raise WorkloadError(f"trace burst at t={t} falls outside the "
+                                    f"{self.n_frames}-frame grid")
+            if slot == last_slot:
+                raise WorkloadError(f"two trace bursts map to frame slot {slot}")
+            last_t, last_slot = t, slot
+
+    def slot(self, t: float) -> int:
+        """Frame slot of a burst at time t."""
+        return round(t * self.fps) if self.fps > 0 else round(t)
 
     def frames(self) -> list[list[tuple[float, int, int]]]:
-        """Group events into frame bursts by equal timestamp."""
-        out: list[list[tuple[float, int, int]]] = []
-        current_t = None
-        for ev in self.events:
-            if current_t is None or ev[0] != current_t:
-                out.append([])
-                current_t = ev[0]
-            out[-1].append(ev)
+        """n_frames event lists indexed by slot, empty for a silent frame."""
+        out: list[list[tuple[float, int, int]]] = [[] for _ in range(self.n_frames)]
+        for t, burst in groupby(self.events, key=itemgetter(0)):
+            out[self.slot(t)] = list(burst)
         return out
+
+
+def retime_trace(trace: EventTrace, fps: float) -> EventTrace:
+    """Same frames on a new grid (fps == 0 -> ordinals): every burst keeps
+    its slot, so silent frames keep theirs too."""
+    return EventTrace(events=tuple((frame_time(slot, fps), nid, bits)
+                                   for slot, burst in enumerate(trace.frames())
+                                   for (_, nid, bits) in burst),
+                      fps=fps, n_frames=trace.n_frames)
 
 
 def _chain_edges(n_layers: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(n_layers - 1))
 
 
+_NETWORK_KEYS = ("name", "fps", "bw_states", "bw_outputs", "bw_weights", "edges")
+_LAYER_KEYS = ("kind", "neurons", "channels", "height", "width", "weights",
+              "biases", "rate", "snn")
+
+
 def _layer_from_block(idx: int, fields: dict[str, str], source: str) -> Layer:
+    check_keys(fields, _LAYER_KEYS, source)
     kind = fields.get("kind", "dense").lower()
     if kind == "dense":
         neurons = get_int(fields, "neurons", source=source)
@@ -231,6 +270,7 @@ def load_network(path) -> NetworkModel:
         if section == "network":
             if net_fields is not None:
                 raise ConfigFormatError(f"{path}: multiple [network] sections")
+            check_keys(fields, _NETWORK_KEYS, str(path))
             net_fields = fields
         elif section == "layer":
             layers.append(_layer_from_block(len(layers), fields, source=str(path)))
@@ -299,7 +339,7 @@ def synth_trace(model: NetworkModel, n_frames: int, fps: float, seed: int) -> Ev
     rng = np.random.default_rng(seed)
     events: list[tuple[float, int, int]] = []
     for f in range(n_frames):
-        t = f / fps if fps > 0 else float(f)
+        t = frame_time(f, fps)
         draws = rng.random(layer.neurons)
         for nid in np.flatnonzero(draws < rate):
             events.append((t, int(nid), payload))
@@ -315,13 +355,15 @@ def save_trace(trace: EventTrace, path) -> None:
 
 
 def load_trace(path) -> EventTrace:
+    """Read a trace written by save_trace; its '# fps=<f> frames=<n>' line
+    is required, since the timestamps alone cannot tell the grid."""
     fps = None
     n_frames = None
     events: list[tuple[float, int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line:
+            if not line or line.startswith("timestamp"):
                 continue
             if line.startswith("#"):
                 for token in line[1:].split():
@@ -330,20 +372,10 @@ def load_trace(path) -> EventTrace:
                     elif token.startswith("frames="):
                         n_frames = int(token[7:])
                 continue
-            if line.startswith("timestamp"):
-                continue
             t, nid, bits = line.split(",")
             events.append((float(t), int(nid), int(bits)))
-    if fps is None:
-        # infer: distinct timestamps spaced 1/fps apart, or slot-stamped (fps=0)
-        stamps = sorted({t for (t, _, _) in events})
-        if len(stamps) >= 2:
-            spacing = stamps[1] - stamps[0]
-            fps = 0.0 if spacing == 1.0 else 1.0 / spacing
-        else:
-            fps = 0.0
-    if n_frames is None:
-        n_frames = len({t for (t, _, _) in events})
+    if fps is None or n_frames is None:
+        raise WorkloadError(f"{path}: missing the '# fps=<f> frames=<n>' line")
     return EventTrace(events=tuple(events), fps=fps, n_frames=n_frames)
 
 
@@ -361,7 +393,7 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> 31)
 
 
-def firing_mask(layer: Layer, frame: int, salt: int = 0) -> np.ndarray:
+def firing_mask(layer: Layer, frame: int) -> np.ndarray:
     """Boolean mask over the layer's flat neuron index: fires this frame?"""
     rate = layer.avg_event_rate
     n = layer.neurons
@@ -369,7 +401,7 @@ def firing_mask(layer: Layer, frame: int, salt: int = 0) -> np.ndarray:
         return np.zeros(n, dtype=bool)
     if rate >= 1:
         return np.ones(n, dtype=bool)
-    base = (salt * 0x1000003 + layer.id * 0x10001 + frame) & _MASK64
+    base = (layer.id * 0x10001 + frame) & _MASK64
     keys = (np.arange(n, dtype=np.uint64) * np.uint64(0x2545F4914F6CDD1D) + np.uint64(base)) & np.uint64(_MASK64)
     u = _splitmix64(keys).astype(np.float64) / float(1 << 64)
     return u < rate

@@ -108,9 +108,10 @@ def test_simulate_infeasible_names_core_and_budget(net_path, tmp_path, capsys):
     assert "M_pc" in stderr and "M_max = 2000" in stderr
 
 
-def _with_range_start(row, start):
+def _with_fields(row, pos, *values):
+    """row with the fields from position pos on replaced by values."""
     f = row.split(",")
-    f[3] = str(start)
+    f[pos:pos + len(values)] = [str(v) for v in values]
     return ",".join(f)
 
 
@@ -118,9 +119,15 @@ def _with_range_start(row, start):
     (lambda rows: rows[:-1], "layers [2] have no core"),
     (lambda rows: rows[:-1] + [rows[-1].replace(",2,", ",9,", 1)],
      "unknown layers [9]"),
-    (lambda rows: rows[:-1] + [_with_range_start(rows[-1], 1)],
+    (lambda rows: rows[:-1] + [_with_fields(rows[-1], 3, 1)],
      "layer 2: layer ranges [(1, 5)] do not tile [0, 5) exactly"),
-], ids=["dropped-layer", "unknown-layer", "gap-in-layer"])
+    (lambda rows: rows + ["0,0,layer,0,5"], "map.csv:5: expected 10 fields"),
+    (lambda rows: rows[:-1] + [_with_fields(rows[-1], 0, 32)],
+     "core ids must run 0..2, found 32 in place of 2"),
+    (lambda rows: rows[:-1] + [_with_fields(rows[-1], 5, 1, 0, 0, 0, 0)],
+     "layer 2 core 2: counts (1, 0, 0, 0) differ from (5, 120, 5, 5)"),
+], ids=["dropped-layer", "unknown-layer", "gap-in-layer", "short-row",
+        "core-id-hole", "wrong-counts"])
 def test_simulate_mapping_not_matching_model_is_domain_error(net_path, tmp_path,
                                                              edit, named):
     model = load_network(net_path)
@@ -345,6 +352,19 @@ def test_shipped_default_hw_parses():
     assert hw.npes_per_core == 1
     assert hw.mem_per_core == 16 * 2**20
     assert hw.p_static_core > 0
+
+
+def test_run_echoes_load_back(net_path, tmp_path, capsys):
+    rc, _, _ = run_cli(
+        ["optimize", "--workload", net_path, "--algo", "nsga2",
+         "--frames", 2, "--population", 4, "--generations", 1,
+         "--c-max", 2, "--npes-menu", "1,2", "--out", tmp_path / "e"], capsys)
+    assert rc == 0
+    run_dir = next((tmp_path / "e" / "toychain_app").iterdir())
+    sum_dir = next(p for p in run_dir.iterdir() if "_sum_" in p.name)
+    assert load_algo_params(sum_dir / "algo.prm").algo == "nsga2"
+    assert load_hw_config(sum_dir / "sim.prm") == load_hw_config(
+        packaged_config("default_hw.prm"))
 
 
 def test_shipped_pilotnet_workload_parses():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuromap import optimize
+from neuromap.configio import ConfigFormatError
 from neuromap.mesh import compress, place
 from neuromap.optimize import (
     PENALTY_BASE,
@@ -110,6 +112,11 @@ def test_space_rejects_duplicate_menu_entries():
 def test_space_rejects_unknown_axis():
     with pytest.raises(OptimizeError):
         GenomeSpace(n_layers=1, axes_menu=("layer", "depth"))
+
+
+def test_unknown_scheme_is_rejected_at_construction():
+    with pytest.raises(OptimizeError, match="scheme_menu"):
+        GenomeSpace(n_layers=1, scheme_menu=("strict-area", "bogus"))
 
 
 def test_validate_genome_rejects_bad_length_and_range():
@@ -355,6 +362,16 @@ def test_retime_trace_preserves_content():
 def test_batch_empty(ctx):
     assert evaluate_batch([], ctx, workers=1) == []
     assert evaluate_batch([], ctx, workers=4) == []
+
+
+def test_batch_lets_a_bug_propagate(ctx, monkeypatch):
+    """Only domain errors become penalties; anything else is a bug and
+    stops the batch."""
+    def broken(*_):
+        raise RuntimeError("simulator bug")
+    monkeypatch.setattr(optimize, "simulate", broken)
+    with pytest.raises(RuntimeError, match="simulator bug"):
+        evaluate_batch([(1, 0, 1, 0, 1, 0)], ctx, workers=1)
 
 
 def test_batch_order_preserving(ctx):
@@ -643,6 +660,16 @@ def test_load_algo_params_missing_section(tmp_path):
     p = tmp_path / "bad.prm"
     p.write_text("[hardware]\nnpes_per_core = 4\n")
     with pytest.raises(OptimizeError):
+        load_algo_params(p)
+
+
+@pytest.mark.parametrize("line", ["populaton = 3", "weight_enrgy = 1.0",
+                                  "weights = 1.0"])
+def test_load_algo_params_rejects_unknown_key(tmp_path, line):
+    p = tmp_path / "typo.prm"
+    p.write_text(f"[algorithm]\nalgo = ga\n{line}\n")
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigFormatError, match=f"typo.prm: unknown key '{key}'"):
         load_algo_params(p)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuromap.configio import ConfigFormatError
 from neuromap.mesh import compress, place
 from neuromap.partition import (
     LayerSplit,
@@ -279,6 +280,21 @@ def test_fast_frames_interleave_and_distort():
     assert v_fast != pytest.approx(v_slow, abs=1e-12)
 
 
+def test_silent_frame_keeps_its_place_in_both_modes():
+    """Frame 1 has no input events: paced and drain admission both keep
+    it between frames 0 and 2 instead of moving it to the end."""
+    model = NetworkModel(name="two", layers=(conv(2, 2, 2, 0, rate=0.5),
+                                            conv(2, 2, 2, 1, rate=0.5)),
+                         edges=((0, 1),))
+    for fps, t2 in ((10.0, 0.2), (0.0, 2.0)):
+        trace = EventTrace(events=tuple([(0.0, n, 16) for n in range(2)]
+                                        + [(t2, n, 16) for n in range(5)]),
+                           fps=fps, n_frames=3)
+        report = run(model, uniform_spec(model), trace,
+                     hw=HardwareConfig())
+        assert [v for (_, v) in report.end_signal] == [0.25, 0.0, 0.625]
+
+
 # --- errors ---
 
 def test_unmapped_neuron_rejected():
@@ -288,6 +304,14 @@ def test_unmapped_neuron_rejected():
     placement = place(2, (1, 2))
     with pytest.raises(SimError):
         simulate(model, mapping, placement, HW, trace)
+
+
+@pytest.mark.parametrize("nid", [-1, 2**70])
+def test_neuron_id_out_of_range_is_named(nid):
+    model = chain_model([3, 2])
+    trace = EventTrace(events=((0.0, 0, 16), (0.0, nid, 16)), fps=30, n_frames=1)
+    with pytest.raises(SimError, match=f"input neuron {nid}, layer 0 has 3"):
+        run(model, uniform_spec(model), trace)
 
 
 def test_memory_overflow_rejected():
@@ -415,6 +439,14 @@ def test_hw_config_roundtrip(tmp_path):
     p = tmp_path / "hw.prm"
     save_hw_config(HW, p)
     assert load_hw_config(p) == HW
+
+
+def test_hw_key_that_names_nothing_is_rejected(tmp_path):
+    p = tmp_path / "hw.prm"
+    p.write_text("[hardware]\nnpes_per_cor = 64\n")
+    with pytest.raises(ConfigFormatError,
+                       match="hw.prm: unknown key 'npes_per_cor'"):
+        load_hw_config(p)
 
 
 def test_link_label():

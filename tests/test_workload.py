@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuromap.configio import ConfigFormatError
 from neuromap.workload import (
     Bitwidths,
     EventTrace,
@@ -13,6 +14,7 @@ from neuromap.workload import (
     load_network,
     load_trace,
     pilotnet_like,
+    retime_trace,
     save_network,
     save_trace,
     synth_trace,
@@ -190,6 +192,63 @@ def test_trace_roundtrip_fps_zero(tmp_path):
     assert load_trace(p) == tr
 
 
+# --- the frame grid ---
+
+def silent_middle(fps):
+    """Frame 0 with 2 events, frame 1 silent, frame 2 with 5 events."""
+    t2 = 2 / fps if fps > 0 else 2.0
+    return EventTrace(events=tuple([(0.0, n, 16) for n in range(2)]
+                                   + [(t2, n, 16) for n in range(5)]),
+                      fps=fps, n_frames=3)
+
+
+@pytest.mark.parametrize("fps", [10.0, 0.0])
+def test_silent_frame_keeps_its_slot(fps):
+    assert [len(f) for f in silent_middle(fps).frames()] == [2, 0, 5]
+
+
+def test_retiming_keeps_every_burst_in_its_slot():
+    tr = silent_middle(10.0)
+    for fps, stamps in ((20.0, [0.0, 0.1]), (0.0, [0.0, 2.0]),
+                        (10.0, [0.0, 0.2])):
+        moved = retime_trace(tr, fps)
+        assert moved.fps == fps
+        assert sorted({t for (t, _, _) in moved.events}) == stamps
+        assert [len(f) for f in moved.frames()] == [2, 0, 5]
+    assert retime_trace(retime_trace(tr, 20.0), 10.0) == tr
+    assert retime_trace(retime_trace(tr, 0.0), 10.0) == tr
+
+
+@pytest.mark.parametrize("events, fps, message", [
+    (((0.0, 0, 16), (0.3, 1, 16)), 10.0, "outside the 3-frame grid"),
+    (((0.0, 0, 16), (3.0, 1, 16)), 0.0, "outside the 3-frame grid"),
+    (((0.1, 0, 16), (0.11, 1, 16)), 10.0, "two trace bursts map to frame slot 1"),
+    (((1.0, 0, 16), (1.2, 1, 16)), 0.0, "two trace bursts map to frame slot 1"),
+    (((float("nan"), 0, 16),), 0.0, "finite"),
+    (((0.0, 0, 16), (float("inf"), 1, 16)), 0.0, "finite"),
+    (((0.0, 0, 16), (1e308, 1, 16)), 10.0, "finite"),
+    ((), -1.0, "fps must be >= 0"),
+], ids=["past-end", "past-end-drain", "shared-slot",
+        "shared-slot-drain", "nan", "inf", "overflow", "negative-fps"])
+def test_trace_off_the_grid_is_rejected_when_built(events, fps, message):
+    with pytest.raises(WorkloadError, match=message):
+        EventTrace(events=events, fps=fps, n_frames=3)
+
+
+def test_headerless_trace_is_rejected(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("timestamp,neuron_id,payload_bits\n0.0,0,16\n1.0,1,16\n")
+    with pytest.raises(WorkloadError, match="fps=<f> frames=<n>"):
+        load_trace(p)
+
+
+def test_trace_roundtrip_keeps_a_silent_frame(tmp_path):
+    tr = silent_middle(10.0)
+    p = tmp_path / "t.csv"
+    save_trace(tr, p)
+    assert load_trace(p) == tr
+
+
 def test_trace_rejects_unsorted_timestamps():
     with pytest.raises(WorkloadError):
         EventTrace(events=((1.0, 0, 16), (0.5, 1, 16)), fps=30, n_frames=2)
@@ -231,3 +290,16 @@ def test_firing_mask_extremes():
 def test_with_rate_replaces_all_layers():
     m = with_rate(pilotnet_like(rate=0.5), 0.01)
     assert all(l.avg_event_rate == 0.01 for l in m.layers)
+
+
+@pytest.mark.parametrize("section, key, typo", [
+    ("network", "fps", "fsp"), ("network", "bw_weights", "bw_weight"),
+    ("layer", "rate", "rat"), ("layer", "snn", "spiking"),
+])
+def test_network_key_that_names_nothing_is_rejected(tmp_path, section, key, typo):
+    p = tmp_path / "m.net"
+    save_network(chain([4, 2], rate=0.5), p)
+    head, sep, tail = p.read_text().partition(f"[{section}]\n")
+    p.write_text(head + sep + tail.replace(f"{key} = ", f"{typo} = ", 1))
+    with pytest.raises(ConfigFormatError, match=f"m.net: unknown key '{typo}'"):
+        load_network(p)
