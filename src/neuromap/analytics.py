@@ -26,7 +26,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .configio import format_blocks
-from .optimize import AlgoParams, EvalResult, simulate_genome
+from .optimize import AlgoParams, EvalResult, dominance, simulate_genome
 from .simcost import CostReport, HardwareConfig, hw_block, write_run_files
 
 SNAPSHOT_POLICIES = ("all", "bests", "sampled")
@@ -63,7 +63,6 @@ class ExperimentRecord:
     gene_names: tuple[str, ...]
     policy: str = "bests"
     sample_every: int = 10
-    snapshot_every: float | None = None
     eval_index: int = 0
     generation: int = 0
     best_energy: EvalResult | None = None
@@ -88,7 +87,6 @@ class ExperimentRecord:
 def open_run(root, app: str, algo: str, seed: int, params: AlgoParams,
              hw: HardwareConfig, run_settings: dict | None = None,
              gene_names=(), policy: str = "bests", sample_every: int = 10,
-             snapshot_every: float | None = None,
              when: datetime | None = None) -> ExperimentRecord:
     """Create the run directory tree and write the parameter echoes."""
     if policy not in SNAPSHOT_POLICIES:
@@ -132,8 +130,7 @@ def open_run(root, app: str, algo: str, seed: int, params: AlgoParams,
     record = ExperimentRecord(app=app, algo=algo, seed=seed, root=root,
                               run_dir=run_dir, sum_dir=sum_dir,
                               gene_names=tuple(gene_names), policy=policy,
-                              sample_every=sample_every,
-                              snapshot_every=snapshot_every)
+                              sample_every=sample_every)
     with open(record.evaluations_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(list(EVAL_FIXED_COLUMNS) + list(record.gene_names))
     return record
@@ -198,8 +195,7 @@ def record_evaluation(record: ExperimentRecord, result: EvalResult,
                 "genome": " ".join(str(g) for g in result.genome)}
     for channel in channels:
         outdir = record.run_dir / channel / f"{stamp}_{idx}"
-        write_run_files(report, outdir, settings=settings,
-                        snapshot_every=record.snapshot_every)
+        write_run_files(report, outdir, settings=settings)
 
 
 def record_generation(record: ExperimentRecord, generation: int) -> None:
@@ -355,26 +351,17 @@ def report_run(run_dir, group_key: str = "n_cores") -> dict[str, Path]:
             w.writerow([key, _fmt(energy), _fmt(rel)])
 
     out["pareto"] = sum_dir / "pareto.csv"
-    pts = []
-    for r in feasible:
-        pts.append((float(r["energy"]), float(r["latency"]), r))
-    front = []
-    for (e, l, r) in pts:
-        if not any((e2 <= e and l2 <= l and (e2 < e or l2 < l))
-                   for (e2, l2, _) in pts):
-            front.append((e, l, r))
-    front.sort(key=lambda p: (p[0], p[1]))
-    seen = set()
     gene_cols = [c for c in rows[0] if c not in EVAL_FIXED_COLUMNS]
+    # each distinct row once: repeated genomes would only grow the matrix
+    keys = list(dict.fromkeys((float(r["energy"]), float(r["latency"]),
+                               tuple(r[c] for c in gene_cols)) for r in feasible))
+    beaten = dominance([0.0] * len(keys), [k[:2] for k in keys]).any(axis=0)
+    front = sorted((k for k, b in zip(keys, beaten) if not b), key=lambda k: k[:2])
     with open(out["pareto"], "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["energy", "latency"] + gene_cols)
-        for (e, l, r) in front:
-            key = (e, l, tuple(r[c] for c in gene_cols))
-            if key in seen:
-                continue
-            seen.add(key)
-            w.writerow([_fmt(e), _fmt(l)] + [r[c] for c in gene_cols])
+        for (e, l, genes) in front:
+            w.writerow([_fmt(e), _fmt(l), *genes])
     return out
 
 

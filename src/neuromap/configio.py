@@ -1,4 +1,5 @@
-"""Block-structured plain-text config files.
+"""Block-structured plain-text config files, and the row parser of the
+CSV data files (traces, mappings, end signals).
 
 Format: `[section]` headers followed by `key = value` lines. Unlike
 configparser, section names may repeat (workload files carry one
@@ -117,3 +118,20 @@ def get_numbers(fields: dict[str, str], defaults, source: str = "") -> dict:
             getter = get_int if isinstance(default, int) else get_float
             out[f.name] = getter(fields, f.name, source=source)
     return out
+
+
+def parse_row(line: str, columns, where: str, error=ConfigFormatError) -> tuple:
+    """The comma-separated fields of one CSV data row, each read by the
+    type of its (name, type) entry in columns. A wrong field count or an
+    unreadable field raises error('<where>: ...'); where is '<path>:<line>'."""
+    raw = line.split(",")
+    if len(raw) != len(columns):
+        raise error(f"{where}: expected {len(columns)} fields, got {len(raw)}")
+    out = []
+    for (name, kind), text in zip(columns, raw):
+        try:
+            out.append(kind(text))
+        except ValueError:
+            raise error(f"{where}: {name} = {text!r} is not "
+                        f"{'an integer' if kind is int else 'a number'}") from None
+    return tuple(out)

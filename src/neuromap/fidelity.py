@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configio import parse_row
+
 
 class FidelityError(ValueError):
     """Raised for signals the correlation score is undefined on."""
@@ -124,6 +126,9 @@ def distortion_flag(peak: float, t_shift_ms: float, *, min_peak: float,
     return peak < min_peak or abs(t_shift_ms) > max_shift_ms
 
 
+_SIGNAL_COLUMNS = (("timestamp", float), ("value", float))
+
+
 def load_end_signal(path, dt: float) -> EndSignal:
     """Read an output_snapshot.csv (timestamp,value) and ZOH-resample."""
     samples = []
@@ -131,12 +136,11 @@ def load_end_signal(path, dt: float) -> EndSignal:
         header = fh.readline().strip()
         if header != "timestamp,value":
             raise FidelityError(f"{path}: unexpected header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if not line:
-                continue
-            t, v = line.split(",")
-            samples.append((float(t), float(v)))
+            if line:
+                samples.append(parse_row(line, _SIGNAL_COLUMNS,
+                                         f"{path}:{lineno}", FidelityError))
     return resample(samples, dt)
 
 

@@ -403,16 +403,31 @@ def rank_key(res: EvalResult, names, weights) -> tuple[float, float]:
     return (res.violation, scalarize(res, names, weights))
 
 
+def dominance(violation, objectives) -> np.ndarray:
+    """dom[i, j]: candidate i dominates candidate j, for n candidates given
+    as n violations and an n x k objective matrix. Feasibility-first: a
+    feasible candidate (violation 0) dominates every infeasible one, the
+    smaller of two violations wins, and two feasible candidates compare by
+    Pareto dominance (no objective worse, one better)."""
+    v = np.asarray(violation, dtype=np.float64)
+    bad = v > 0.0
+    no_worse = np.ones((len(v), len(v)), dtype=bool)
+    better = np.zeros_like(no_worse)
+    for col in np.asarray(objectives, dtype=np.float64).T:
+        no_worse &= col[:, None] <= col[None, :]
+        better |= col[:, None] < col[None, :]
+    pareto = no_worse & better & ~bad[:, None] & ~bad[None, :]
+    return pareto | (bad[None, :] & (~bad[:, None] | (v[:, None] < v[None, :])))
+
+
+def _dominance_of(results, names) -> np.ndarray:
+    return dominance([r.violation for r in results],
+                     [r.objectives.as_tuple(names) for r in results])
+
+
 def dominates(a: EvalResult, b: EvalResult, names) -> bool:
-    """Feasibility-first Pareto dominance."""
-    if a.violation == 0.0 and b.violation > 0.0:
-        return True
-    if a.violation > 0.0:
-        return b.violation > 0.0 and a.violation < b.violation
-    va = a.objectives.as_tuple(names)
-    vb = b.objectives.as_tuple(names)
-    return all(x <= y for x, y in zip(va, vb)) and any(
-        x < y for x, y in zip(va, vb))
+    """Feasibility-first Pareto dominance of a over b."""
+    return bool(_dominance_of((a, b), names)[0, 1])
 
 
 class ParetoArchive:
@@ -423,24 +438,26 @@ class ParetoArchive:
         self.members: list[EvalResult] = []
 
     def add(self, res: EvalResult) -> bool:
+        """Offer one result; True when it joins the archive."""
         if any(m.genome == res.genome for m in self.members):
             return False
-        if any(dominates(m, res, self.names) for m in self.members):
-            return False
-        self.members = [m for m in self.members
-                        if not dominates(res, m, self.names)]
-        self.members.append(res)
-        return True
+        self.update([res])
+        return self.members[-1] is res
 
     def update(self, results) -> None:
-        for r in results:
-            self.add(r)
+        """Keep the non-dominated of members + results, the first of each
+        genome, in arrival order. That equals adding them one at a time
+        because a genome always evaluates to the same result."""
+        first = {}
+        for r in (*self.members, *results):
+            first.setdefault(r.genome, r)
+        pool = list(first.values())
+        beaten = _dominance_of(pool, self.names).any(axis=0)
+        self.members = [r for r, b in zip(pool, beaten) if not b]
 
     def check_invariant(self) -> None:
-        for i, a in enumerate(self.members):
-            for b in self.members[i + 1:]:
-                if dominates(a, b, self.names) or dominates(b, a, self.names):
-                    raise AssertionError("archive holds a dominated member")
+        if _dominance_of(self.members, self.names).any():
+            raise AssertionError("archive holds a dominated member")
 
     def front(self) -> list[EvalResult]:
         return sorted(self.members,
@@ -461,25 +478,14 @@ def hypervolume_2d(points, ref: tuple[float, float]) -> float:
 
 def non_dominated_sort(results, names) -> list[list[int]]:
     """Indices grouped into fronts, best first."""
-    n = len(results)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(results[i], results[j], names):
-                dominated_by[i].append(j)
-                count[j] += 1
-            elif dominates(results[j], results[i], names):
-                dominated_by[j].append(i)
-                count[i] += 1
-    fronts = [[i for i in range(n) if count[i] == 0]]
+    dom = _dominance_of(results, names)
+    count = dom.sum(axis=0)
+    fronts = [np.flatnonzero(count == 0).tolist()]
     while fronts[-1]:
         nxt = []
         for i in fronts[-1]:
-            for j in dominated_by[i]:
-                count[j] -= 1
-                if count[j] == 0:
-                    nxt.append(j)
+            count -= dom[i]
+            nxt += np.flatnonzero(dom[i] & (count == 0)).tolist()
         fronts.append(nxt)
     fronts.pop()
     return fronts

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .configio import parse_row
 from .workload import Bitwidths, Layer, NetworkModel
 
 AXES = ("layer", "channel", "height", "width")
@@ -294,6 +295,7 @@ def cluster_layers(mapping: Mapping, groups: list[set[int]],
 
 
 _CSV_HEADER = "core_id,layer_id,axis,range_start,range_end,N_npc,N_wpc,N_bpc,N_tpc,M_pc_bits"
+_CSV_COLUMNS = tuple(zip(_CSV_HEADER.split(","), (int, int, str) + (int,) * 7))
 
 
 def save_mapping(mapping: Mapping, path) -> None:
@@ -314,13 +316,8 @@ def load_mapping(path) -> Mapping:
             line = line.strip()
             if not line:
                 continue
-            f = line.split(",")
-            if len(f) != 10:
-                raise PartitionError(f"{path}:{lineno}: expected 10 fields, "
-                                     f"got {len(f)}")
-            assignments.append(CoreAssignment(
-                int(f[0]), int(f[1]), f[2], int(f[3]), int(f[4]),
-                int(f[5]), int(f[6]), int(f[7]), int(f[8]), int(f[9])))
+            assignments.append(CoreAssignment(*parse_row(
+                line, _CSV_COLUMNS, f"{path}:{lineno}", PartitionError)))
     mapping = Mapping(tuple(assignments))
     layer_sets = mapping.layers_per_core.values()
     return replace(mapping, clustered=any(len(ls) > 1 for ls in layer_sets))

@@ -23,6 +23,7 @@ from .configio import (
     get_float,
     get_int,
     parse_blocks_file,
+    parse_row,
 )
 
 ALLOWED_BITWIDTHS = (4, 8, 16)
@@ -164,6 +165,7 @@ class EventTrace:
     event-driven mode, where timestamps are frame ordinals (slot round(t))
     and the simulator injects each frame only once the pipeline has
     drained. A slot without a burst is a silent frame and keeps its place.
+    Payload bits lie in [0, 2**63), so they fit the simulator's int64.
     """
 
     events: tuple[tuple[float, int, int], ...]  # (timestamp, neuron_id, payload_bits)
@@ -188,6 +190,11 @@ class EventTrace:
             if slot == last_slot:
                 raise WorkloadError(f"two trace bursts map to frame slot {slot}")
             last_t, last_slot = t, slot
+        for bits in (min(map(itemgetter(2), self.events), default=0),
+                     max(map(itemgetter(2), self.events), default=0)):
+            if not 0 <= bits < 2**63:
+                raise WorkloadError(f"trace payload_bits must be in "
+                                    f"[0, 2**63), got {bits}")
 
     def slot(self, t: float) -> int:
         """Frame slot of a burst at time t."""
@@ -354,6 +361,9 @@ def save_trace(trace: EventTrace, path) -> None:
             fh.write(f"{t!r},{nid},{bits}\n")
 
 
+_TRACE_COLUMNS = (("timestamp", float), ("neuron_id", int), ("payload_bits", int))
+
+
 def load_trace(path) -> EventTrace:
     """Read a trace written by save_trace; its '# fps=<f> frames=<n>' line
     is required, since the timestamps alone cannot tell the grid."""
@@ -361,22 +371,25 @@ def load_trace(path) -> EventTrace:
     n_frames = None
     events: list[tuple[float, int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("timestamp"):
                 continue
+            where = f"{path}:{lineno}"
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("fps="):
-                        fps = float(token[4:])
-                    elif token.startswith("frames="):
-                        n_frames = int(token[7:])
+                grid = dict(token.partition("=")[::2] for token in line[1:].split())
+                if "fps" in grid:
+                    fps = get_float(grid, "fps", source=where)
+                if "frames" in grid:
+                    n_frames = get_int(grid, "frames", source=where)
                 continue
-            t, nid, bits = line.split(",")
-            events.append((float(t), int(nid), int(bits)))
+            events.append(parse_row(line, _TRACE_COLUMNS, where, WorkloadError))
     if fps is None or n_frames is None:
         raise WorkloadError(f"{path}: missing the '# fps=<f> frames=<n>' line")
-    return EventTrace(events=tuple(events), fps=fps, n_frames=n_frames)
+    try:
+        return EventTrace(events=tuple(events), fps=fps, n_frames=n_frames)
+    except WorkloadError as exc:
+        raise WorkloadError(f"{path}: {exc}") from None
 
 
 # Deterministic per-(layer, frame, neuron) firing draws shared by every

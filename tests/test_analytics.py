@@ -306,6 +306,25 @@ def test_pareto_csv_holds_non_dominated_rows(tmp_path, shared_report):
     got = [tuple(l.split(",")[:2]) for l in lines[1:]]
     assert got == [("1.0", "4.0"), ("2.0", "2.0"), ("4.0", "1.0")]
 
+    # against a brute-force front: ties, a point shared by two genomes, a
+    # repeated genome and an infeasible row that beats every feasible one
+    more = [(2.0, 3.0, (1, 0, 1, 4)), (1.0, 4.0, (1, 1, 1, 1)),
+            (0.5, 9.0, (1, 1, 1, 2)), (4.0, 1.0, (1, 0, 1, 0))]
+    for (e, l, g) in more:
+        record_evaluation(rec, mk_result(e, l, genome=g),
+                          report=shared_report)
+    record_evaluation(rec, mk_result(0.1, 0.1, violation=3.0,
+                                     genome=(2, 0, 1, 0)))
+    rows = pts + more
+    brute = {(e, l, g) for (e, l, g) in rows
+             if not any(e2 <= e and l2 <= l and (e2, l2) != (e, l)
+                        for (e2, l2, _) in rows)}
+    lines = report_run(rec.run_dir)["pareto"].read_text().splitlines()[1:]
+    got = [(float(f[0]), float(f[1]), tuple(int(v) for v in f[2:]))
+           for f in (l.split(",") for l in lines)]
+    assert len(got) == len(set(got)) and set(got) == brute
+    assert [p[:2] for p in got] == sorted(p[:2] for p in got)
+
 
 def test_finalize_appends_index_and_closes(tmp_path, shared_report):
     root = tmp_path / "experiments"

@@ -126,8 +126,10 @@ def _with_fields(row, pos, *values):
      "core ids must run 0..2, found 32 in place of 2"),
     (lambda rows: rows[:-1] + [_with_fields(rows[-1], 5, 1, 0, 0, 0, 0)],
      "layer 2 core 2: counts (1, 0, 0, 0) differ from (5, 120, 5, 5)"),
+    (lambda rows: rows[:-1] + [_with_fields(rows[-1], 5, "x")],
+     "map.csv:4: N_npc = 'x' is not an integer"),
 ], ids=["dropped-layer", "unknown-layer", "gap-in-layer", "short-row",
-        "core-id-hole", "wrong-counts"])
+        "core-id-hole", "wrong-counts", "non-integer-field"])
 def test_simulate_mapping_not_matching_model_is_domain_error(net_path, tmp_path,
                                                              edit, named):
     model = load_network(net_path)
@@ -136,14 +138,50 @@ def test_simulate_mapping_not_matching_model_is_domain_error(net_path, tmp_path,
     save_mapping(build_mapping(model, spec), map_path)
     header, *rows = map_path.read_text().splitlines()
     map_path.write_text("\n".join([header] + edit(rows)) + "\n")
-    proc = subprocess.run([sys.executable, "-m", "neuromap.cli", "simulate",
-                           "--workload", str(net_path), "--mapping",
-                           str(map_path), "--frames", "2",
-                           "--out", str(tmp_path / "m")],
+    _assert_domain_error(["simulate", "--workload", net_path, "--mapping",
+                          map_path, "--frames", 2, "--out", tmp_path / "m"],
+                         named)
+
+
+def _assert_domain_error(args, named):
+    """`python -m neuromap.cli <args>` exits 1 with a message containing
+    named and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "neuromap.cli",
+                           *(str(a) for a in args)],
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert named in proc.stderr
+
+
+TRACE_HEAD = "# fps=0.0 frames=1\ntimestamp,neuron_id,payload_bits\n"
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("simulate", TRACE_HEAD + "0.0,1\n", "in.csv:3: expected 3 fields, got 2"),
+    ("simulate", TRACE_HEAD + "0.0,x,64\n",
+     "in.csv:3: neuron_id = 'x' is not an integer"),
+    ("simulate", TRACE_HEAD + "0.0,1,99999999999999999999\n",
+     "in.csv: trace payload_bits must be in [0, 2**63), "
+     "got 99999999999999999999"),
+    ("simulate", TRACE_HEAD + "0.0,1,-64\n",
+     "in.csv: trace payload_bits must be in [0, 2**63), got -64"),
+    ("simulate", "# fps=abc frames=1\n0.0,1,64\n",
+     "in.csv:1: fps = 'abc' is not a number"),
+    ("compare", "timestamp,value\n0.0,0.5\n1.0\n",
+     "in.csv:3: expected 2 fields, got 1"),
+], ids=["trace-short-row", "trace-non-integer-id", "payload-past-int64",
+        "negative-payload", "trace-bad-grid", "signal-short-row"])
+def test_malformed_trace_or_signal_is_domain_error(net_path, tmp_path,
+                                                   command, text, named):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    if command == "simulate":
+        args = ["simulate", "--workload", net_path, "--trace", path,
+                "--out", tmp_path / "m"]
+    else:
+        args = ["compare", "--a", path, "--b", path]
+    _assert_domain_error(args, named)
 
 
 def test_simulate_missing_workload(tmp_path, capsys):

@@ -487,6 +487,111 @@ def test_crowding_distance_boundaries_infinite():
     assert 0 < dist[1] < np.inf and 0 < dist[2] < np.inf
 
 
+# --- the one dominance matrix against the pairwise reference ---
+
+def _pairwise_dominates(a, b, names):
+    """Reference: the feasibility-first rule, one pair at a time."""
+    if a.violation == 0.0 and b.violation > 0.0:
+        return True
+    if a.violation > 0.0:
+        return b.violation > 0.0 and a.violation < b.violation
+    va = a.objectives.as_tuple(names)
+    vb = b.objectives.as_tuple(names)
+    return all(x <= y for x, y in zip(va, vb)) and any(
+        x < y for x, y in zip(va, vb))
+
+
+def _pairwise_sort(results, names):
+    """Reference: fronts from a Python walk over every pair."""
+    n = len(results)
+    dominated_by = [[] for _ in range(n)]
+    count = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _pairwise_dominates(results[i], results[j], names):
+                dominated_by[i].append(j)
+                count[j] += 1
+            elif _pairwise_dominates(results[j], results[i], names):
+                dominated_by[j].append(i)
+                count[i] += 1
+    fronts = [[i for i in range(n) if count[i] == 0]]
+    while fronts[-1]:
+        nxt = []
+        for i in fronts[-1]:
+            for j in dominated_by[i]:
+                count[j] -= 1
+                if count[j] == 0:
+                    nxt.append(j)
+        fronts.append(nxt)
+    fronts.pop()
+    return fronts
+
+
+def _pairwise_archive(results, names):
+    """Reference: members after adding results one by one."""
+    members = []
+    for res in results:
+        if any(m.genome == res.genome for m in members):
+            continue
+        if any(_pairwise_dominates(m, res, names) for m in members):
+            continue
+        members = [m for m in members
+                   if not _pairwise_dominates(res, m, names)]
+        members.append(res)
+    return members
+
+
+@st.composite
+def _result_streams(draw):
+    """0-90 results drawn from a few genomes. A genome always maps to the
+    same violation and objectives (small integers, so ties are common),
+    as evaluate guarantees; each occurrence is a fresh object."""
+    kinds = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                    st.sampled_from((0.0, 0.0, 1.0, 3.0))),
+                          min_size=1, max_size=40))
+    picks = draw(st.lists(st.integers(0, len(kinds) - 1), max_size=90))
+    return [_mk(float(kinds[k][0]), float(kinds[k][1]),
+                violation=kinds[k][2], genome=(k,)) for k in picks]
+
+
+@given(results=_result_streams())
+@settings(max_examples=150, deadline=None)
+def test_dominance_and_sort_match_pairwise_reference(results):
+    dom = optimize.dominance([r.violation for r in results],
+                             [r.objectives.as_tuple(NAMES) for r in results])
+    assert dom.tolist() == [[_pairwise_dominates(a, b, NAMES) for b in results]
+                            for a in results]
+    fronts = non_dominated_sort(results, NAMES)
+    assert fronts == _pairwise_sort(results, NAMES)
+    assert all(type(i) is int for front in fronts for i in front)
+
+
+@given(results=_result_streams(), cuts=st.lists(st.integers(0, 90), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_archive_update_in_chunks_matches_sequential_add(results, cuts):
+    bounds = sorted({0, len(results), *(c for c in cuts if c < len(results))})
+    chunked = ParetoArchive(NAMES)
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunked.update(results[lo:hi])
+        chunked.check_invariant()
+    one_by_one = ParetoArchive(NAMES)
+    for r in results:
+        one_by_one.add(r)
+    expected = _pairwise_archive(results, NAMES)
+    assert [id(m) for m in chunked.members] == [id(m) for m in expected]
+    assert [id(m) for m in one_by_one.members] == [id(m) for m in expected]
+
+
+def test_ranking_accepts_empty_input():
+    assert non_dominated_sort([], NAMES) == []
+    assert optimize.dominance([], []).shape == (0, 0)
+    arch = ParetoArchive(NAMES)
+    arch.update([])
+    arch.update(r for r in [_mk(1.0, 1.0, violation=2.0)] if r.feasible)
+    assert arch.members == []
+    arch.check_invariant()
+
+
 # --- search loops against exhaustive enumeration ---
 
 @pytest.fixture(scope="module")

@@ -235,6 +235,15 @@ def test_trace_off_the_grid_is_rejected_when_built(events, fps, message):
         EventTrace(events=events, fps=fps, n_frames=3)
 
 
+def test_trace_payload_bits_must_fit_int64():
+    for bits in (0, 2**63 - 1):
+        EventTrace(events=((0.0, 0, 16), (0.0, 1, bits)), fps=0.0, n_frames=1)
+    for bits in (-1, 2**63):
+        with pytest.raises(WorkloadError, match=f"got {bits}$"):
+            EventTrace(events=((0.0, 0, 16), (0.0, 1, bits)), fps=0.0,
+                       n_frames=1)
+
+
 def test_headerless_trace_is_rejected(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("timestamp,neuron_id,payload_bits\n0.0,0,16\n1.0,1,16\n")
