@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime
-from importlib import resources
 from pathlib import Path
 
 from .analytics import (
@@ -45,15 +44,11 @@ from .partition import (
     load_mapping,
 )
 from .simcost import HardwareConfig, load_hw_config, simulate, write_run_files
-from .workload import load_network, load_trace, retime_trace, synth_trace
+from .workload import load_network, load_trace, packaged_config, retime_trace, synth_trace
 
 
 class CliError(ValueError):
     pass
-
-
-def packaged_config(name: str) -> Path:
-    return Path(resources.files("neuromap") / "configs" / name)
 
 
 def _out_root(args, default_leaf: str) -> Path:

@@ -109,28 +109,3 @@ def place(n_cores: int, shape: tuple[int, int]) -> MeshPlacement:
         coords.append((r, c))
     return MeshPlacement(rows=rows, cols=cols, coords=tuple(coords))
 
-
-def save_placement(placement: MeshPlacement, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("core_id,row,col\n")
-        for core_id, (r, c) in enumerate(placement.coords):
-            fh.write(f"{core_id},{r},{c}\n")
-
-
-def load_placement(path) -> MeshPlacement:
-    coords: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "core_id,row,col":
-            raise MeshError(f"{path}: unexpected placement header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cid, r, c = (int(x) for x in line.split(","))
-            if cid != len(coords):
-                raise MeshError(f"{path}: core ids must be dense and ordered")
-            coords.append((r, c))
-    rows = max((r for (r, _) in coords), default=0) + 1
-    cols = max((c for (_, c) in coords), default=0) + 1
-    return MeshPlacement(rows=rows, cols=cols, coords=tuple(coords))

@@ -26,6 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass, fields, replace
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,12 +126,13 @@ class CostReport:
     cost_log: tuple[tuple[float, str, object, float], ...]
 
 
-# prefix sums of one frame's firing mask, shared across simulations of the
-# same model; worker processes each build their own copy
-@functools.lru_cache(maxsize=8192)
-def _firing_prefix(layer: Layer, frame: int) -> np.ndarray:
-    prefix = np.zeros(layer.neurons + 1, dtype=np.int64)
-    np.cumsum(firing_mask(layer, frame), out=prefix[1:])
+# per frame, prefix sums of the layer's firing mask, shared across
+# simulations of the same model; worker processes each build their own copy
+@functools.lru_cache(maxsize=256)
+def _firing_prefix(layer: Layer, n_frames: int) -> np.ndarray:
+    prefix = np.zeros((n_frames, layer.neurons + 1), dtype=np.int64)
+    for f in range(n_frames):
+        np.cumsum(firing_mask(layer, f), out=prefix[f, 1:])
     prefix.flags.writeable = False
     return prefix
 
@@ -171,16 +173,19 @@ def _multicast_tree(src: tuple[int, int], dsts) -> tuple[list, dict]:
 
 
 class _Port:
-    """Serializing resource (link or core inbox) with queue-depth tracking."""
+    """Serializing resource (link or core inbox) with queue-depth tracking;
+    admitting a bundle past depth raises CongestionError naming the port."""
 
-    __slots__ = ("busy_until", "pending_done", "max_depth")
+    __slots__ = ("busy_until", "pending_done", "max_depth", "name", "depth")
 
-    def __init__(self):
+    def __init__(self, name: str = "", depth: float = math.inf):
         self.busy_until = 0.0
         # completion times still pending, non-decreasing: each done is at
         # least the previous one because busy_until only grows
         self.pending_done: list[float] = []
         self.max_depth = 0
+        self.name = name
+        self.depth = depth
 
     def acquire(self, t_in: float, service: float) -> tuple[float, float]:
         """Returns (start, done); records queue depth at admission."""
@@ -190,6 +195,8 @@ class _Port:
             del pending[:gone]
         depth = len(pending) + 1
         if depth > self.max_depth:
+            if depth > self.depth:
+                raise CongestionError(f"{self.name} exceeded depth {self.depth}")
             self.max_depth = depth
         busy = self.busy_until
         start = busy if busy > t_in else t_in
@@ -197,18 +204,6 @@ class _Port:
         self.busy_until = done
         pending.append(done)
         return start, done
-
-
-class _PartState:
-    __slots__ = ("acc", "fire_index", "markers", "missing")
-
-    def __init__(self, n_upstream: int):
-        self.acc = 0.0
-        self.fire_index = 0
-        # banked bundles per upstream partition, and how many upstreams
-        # have none banked: the partition fires when that count is 0
-        self.markers: dict[int, int] = {}
-        self.missing = n_upstream
 
 
 def _check_tiling(layer: Layer, parts) -> None:
@@ -237,8 +232,30 @@ def _check_tiling(layer: Layer, parts) -> None:
                            f"{a.range_end})")
 
 
-def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
-             hw: HardwareConfig, trace: EventTrace) -> CostReport:
+class SimPlan(NamedTuple):
+    """Everything in a simulation that timing cannot change. Per-partition
+    lists are indexed like mapping.assignments."""
+
+    core: list[int]                     # core of each partition
+    upstream: list[list[int]]           # partitions whose bundles a firing waits on
+    loads: list[list[tuple[int, int]]]  # (events, flits) of each firing, one per frame
+    local: list[list[int]]              # destinations on the partition's own core
+    # XY multicast to the other destinations, or None: (injection link,
+    # [(u node, v node, link)], node count, [(node, destination)])
+    trees: list[tuple | None]
+    work: list[int]                     # core ops per consumed event
+    fan_in: list[int]                   # neurons a firing value averages over, 0 on layer 0
+    # on the output layer its neuron count, which an input layer that is
+    # also the output divides its event share by; elsewhere 0
+    output: list[int]
+    inputs: list[int]                   # layer-0 partitions, fired by every frame
+    frame_times: list[float]            # a burst's own timestamp, a silent frame's grid time
+    fps: float
+
+
+def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
+               hw: HardwareConfig, trace: EventTrace) -> SimPlan:
+    """Check the simulation inputs and fix everything timing cannot change."""
     hw.validate()
     if placement.n_cores < mapping.n_cores_total:
         raise SimError("placement has fewer slots than mapped cores")
@@ -266,41 +283,51 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
             raise SimError(f"mapping core ids must run 0..{len(core_ids) - 1}, "
                            f"found {c} in place of {k}")
 
-    # --- static plan: fixed for the whole call, only looked up in replay ---
-    downstream: list[list[int]] = [[] for _ in assigns]
+    n_frames = trace.n_frames
+    frames = trace.frames()
+    coords = placement.coords
+    slices = [flat_slices(model.layers[a.layer_id], a.axis, a.range_start, a.range_end)
+              for a in assigns]
     upstream: list[list[int]] = [[] for _ in assigns]
+    local: list[list[int]] = [[] for _ in assigns]
+    trees: list[tuple | None] = [None] * len(assigns)
+    loads: list = [None] * len(assigns)
+    per_event = math.ceil(model.bitwidths.outputs / hw.flit_bits)
     for lid, idxs in by_layer.items():
         succ_parts = [j for s in model.successors(lid) for j in by_layer[s]]
         pred_parts = [j for p in model.predecessors(lid) for j in by_layer[p]]
+        if lid:
+            # each firing's events: its slices of that frame's firing mask
+            prefix = _firing_prefix(model.layers[lid], n_frames)
         for i in idxs:
-            downstream[i] = succ_parts
             upstream[i] = pred_parts
-    pred_neurons = [sum(model.layers[p].neurons for p in model.predecessors(l.id))
-                    for l in model.layers]
-    slices = [flat_slices(model.layers[a.layer_id], a.axis, a.range_start, a.range_end)
-              for a in assigns]
-    slice_starts = [np.array([s for (s, _) in sl], dtype=np.int64) for sl in slices]
-    slice_ends = [np.array([e for (_, e) in sl], dtype=np.int64) for sl in slices]
-    work_ops = [math.ceil(a.n_npc / hw.npes_per_core) for a in assigns]
-    output_lid = model.output_layer.id
-    coords = placement.coords
+            if lid:
+                mult = (prefix[:, [e for (_, e) in slices[i]]]
+                        - prefix[:, [s for (s, _) in slices[i]]]).sum(axis=1)
+                loads[i] = [(m, m * per_event) for m in mult.tolist()]
+            src_core = assigns[i].core_id
+            local[i] = [j for j in succ_parts if assigns[j].core_id == src_core]
+            remote = [j for j in succ_parts if assigns[j].core_id != src_core]
+            if remote:
+                src_xy = coords[src_core]
+                by_position = sorted(remote, key=lambda j: (assigns[j].layer_id,
+                                                           assigns[j].range_start,
+                                                           assigns[j].core_id))
+                edges, node = _multicast_tree(src_xy, [coords[assigns[j].core_id]
+                                                       for j in by_position])
+                trees[i] = ((src_xy, src_xy), edges, len(node),
+                            [(node[coords[assigns[j].core_id]], j) for j in remote])
 
-    # frame slot x input partition -> (event multiplicity, flit total),
-    # the partition indexed by its position in input_parts. The layer-0
-    # partitions tile its neurons, so each input neuron has one owner. A
-    # frame starts at its burst's own timestamp, a silent one on the grid
+    # input partitions: (event multiplicity, flit total) of the trace burst
+    # in each frame slot. The layer-0 partitions tile its neurons, so each
+    # input neuron has one owner
     input_parts = by_layer[0]
-    input_pos = {i: k for k, i in enumerate(input_parts)}
     n_in = len(input_parts)
     n_inputs = model.input_layer.neurons
     owner = np.empty(n_inputs, dtype=np.int64)
     for k, i in enumerate(input_parts):
         for (s, e) in slices[i]:
             owner[s:e] = k
-    n_frames = trace.n_frames
-    frames = trace.frames()
-    frame_times = [b[0][0] if b else frame_time(f, trace.fps)
-                   for f, b in enumerate(frames)]
     n_events = len(trace.events)
     # ids are range-checked as floats, which an id past int64 cannot overflow
     ids = np.fromiter(map(itemgetter(1), trace.events), np.float64, n_events)
@@ -308,33 +335,60 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     if bad.any():
         raise SimError(f"trace event references input neuron "
                        f"{trace.events[bad.argmax()][1]}, layer 0 has {n_inputs}")
-    nids = ids.astype(np.int64)
     bits = np.fromiter(map(itemgetter(2), trace.events), np.int64, n_events)
-    cell = (np.repeat(np.arange(n_frames, dtype=np.int64),
-                      [len(b) for b in frames]) * n_in + owner[nids])
-    frame_mult = np.bincount(cell, minlength=n_frames * n_in)
-    frame_flits = np.zeros(n_frames * n_in, dtype=np.int64)
+    cell = (owner[ids.astype(np.int64)] * n_frames
+            + np.repeat(np.arange(n_frames, dtype=np.int64), [len(b) for b in frames]))
+    frame_mult = np.bincount(cell, minlength=n_in * n_frames)
+    frame_flits = np.zeros(n_in * n_frames, dtype=np.int64)
     np.add.at(frame_flits, cell, -(-bits // hw.flit_bits))
-    frame_loads = [list(zip(m, fl)) for m, fl in
-                   zip(frame_mult.reshape(n_frames, n_in).tolist(),
-                       frame_flits.reshape(n_frames, n_in).tolist())]
+    for i, m, fl in zip(input_parts, frame_mult.reshape(n_in, n_frames).tolist(),
+                        frame_flits.reshape(n_in, n_frames).tolist()):
+        loads[i] = list(zip(m, fl))
 
-    flits_per_event = math.ceil(model.bitwidths.outputs / hw.flit_bits)
+    pred_neurons = [sum(model.layers[p].neurons for p in model.predecessors(l.id))
+                    for l in model.layers]
+    out = model.output_layer
+    return SimPlan(
+        core=[a.core_id for a in assigns],
+        upstream=upstream, loads=loads, local=local, trees=trees,
+        work=[math.ceil(a.n_npc / hw.npes_per_core) for a in assigns],
+        fan_in=[pred_neurons[a.layer_id] for a in assigns],
+        output=[out.neurons if a.layer_id == out.id else 0 for a in assigns],
+        inputs=input_parts,
+        frame_times=[b[0][0] if b else frame_time(f, trace.fps)
+                     for f, b in enumerate(frames)],
+        fps=trace.fps,
+    )
+
+
+def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
+             hw: HardwareConfig, trace: EventTrace) -> CostReport:
+    plan = build_plan(model, mapping, placement, hw, trace)
 
     # --- replay: only the ports, the partition states and the heap change ---
+    (core, upstream, loads, local, trees, work, fan_in, output, inputs,
+     frame_times, fps) = plan
+    depth = hw.queue_depth
     links: dict[Link, _Port] = {}
-    cores: dict[int, _Port] = {c: _Port() for c in mapping.layers_per_core}
-    states = [_PartState(len(up)) for up in upstream]
-    # per source partition, built at its first bundle: (local destinations,
-    # remote multicast route or None)
-    routes: list[tuple | None] = [None] * len(assigns)
+    # core order as in mapping.layers_per_core: first appearance
+    cores = {c: _Port(f"core {c} inbox", depth) for c in dict.fromkeys(core)}
+    inbox = [cores[c] for c in core]
+    # per source partition, its (injection port, [(u, v, link, port)]),
+    # created at its first bundle in the order that bundle meets them, so
+    # links keeps first-use order
+    tree_ports: list[tuple | None] = [None] * len(core)
+    acc = [0.0] * len(core)
+    firings = [iter(l) for l in loads]
+    # banked bundles per upstream partition, and how many upstreams have
+    # none banked: a partition fires when that count is 0
+    banked: list[dict[int, int]] = [{} for _ in core]
+    missing = [len(up) for up in upstream]
 
     energy_core: dict[int, float] = {c: 0.0 for c in cores}
     energy_link: dict[Link, float] = {}
     cost_log: list[tuple[float, str, object, float]] = []
     end_signal: list[tuple[float, float]] = []
     events_processed = 0
-    last_output = 0.0
     sim_now = 0.0
 
     heap: list = []
@@ -345,138 +399,89 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         heapq.heappush(heap, (t, src_core, seq, kind, payload))
         seq += 1
 
-    def port(link: Link) -> _Port:
-        p = links.get(link)
-        if p is None:
-            p = _Port()
-            links[link] = p
-        return p
-
     def charge_link(t: float, link: Link, e: float) -> None:
         energy_link[link] = energy_link.get(link, 0.0) + e
         cost_log.append((t, "link", link, e))
 
-    def plan_route(src_idx: int) -> tuple:
-        # ports are resolved here, at the source's first bundle, in the
-        # order that bundle meets them: links keeps first-use order
-        src_core = assigns[src_idx].core_id
-        local = [j for j in downstream[src_idx] if assigns[j].core_id == src_core]
-        remote = [j for j in downstream[src_idx] if assigns[j].core_id != src_core]
-        if not remote:
-            return local, None
-        src_xy = coords[src_core]
-        inj: Link = (src_xy, src_xy)
-        inj_port = port(inj)
-        by_position = sorted(remote, key=lambda j: (assigns[j].layer_id,
-                                                   assigns[j].range_start,
-                                                   assigns[j].core_id))
-        edges, node = _multicast_tree(src_xy, [coords[assigns[j].core_id]
-                                               for j in by_position])
-        edges = [(u, v, link, port(link)) for (u, v, link) in edges]
-        dests = [(node[coords[assigns[j].core_id]], j) for j in remote]
-        return local, (src_xy, inj, inj_port, edges, len(node), dests)
-
-    def emit(src_idx: int, src_core: int, t_emit: float, mult: int,
-             value: float, flits_total: int) -> None:
-        """Send one bundle from src_core to every downstream partition."""
+    def emit(src: int, t_emit: float, mult: int, value: float, flits: int) -> None:
+        """Send one bundle from partition src to every destination."""
         nonlocal sim_now
-        route = routes[src_idx]
-        if route is None:
-            route = routes[src_idx] = plan_route(src_idx)
-        local, remote = route
-        for j in local:
-            push(t_emit, src_core, "deliver", (src_idx, j, mult, value))
-        if remote is None:
+        src_core = core[src]
+        for j in local[src]:
+            push(t_emit, src_core, "deliver", (src, j, mult, value))
+        tree = trees[src]
+        if tree is None:
             return
-        src_xy, inj, inj_port, edges, n_nodes, dests = remote
+        inj, edges, n_nodes, dests = tree
+        ports = tree_ports[src]
+        if ports is None:
+            ports = tree_ports[src] = (
+                links.setdefault(inj, _Port(f"injection port {inj[0]}", depth)),
+                [(u, v, lk, links.setdefault(lk, _Port(f"link {lk[0]}->{lk[1]}", depth)))
+                 for (u, v, lk) in edges])
+        inj_port, hops = ports
         # one injection serializes the whole multicast bundle
         _, done = inj_port.acquire(t_emit, max(1, mult) * hw.t_inject)
-        if inj_port.max_depth > hw.queue_depth:
-            raise CongestionError(f"injection port {src_xy} exceeded depth "
-                                  f"{hw.queue_depth}")
         if mult > 0:
             charge_link(done, inj, mult * hw.e_inject)
         arrival = [done] * n_nodes
         service = max(1, mult) * hw.t_hop
-        e_hop = flits_total * hw.e_hop_per_flit
-        for (u, v, link, p) in edges:
+        e_hop = flits * hw.e_hop_per_flit
+        for (u, v, link, p) in hops:
             _, done_edge = p.acquire(arrival[u], service)
-            if p.max_depth > hw.queue_depth:
-                raise CongestionError(f"link {link[0]}->{link[1]} exceeded "
-                                      f"depth {hw.queue_depth}")
             if mult > 0:
                 charge_link(done_edge, link, e_hop)
             arrival[v] = done_edge
             if done_edge > sim_now:
                 sim_now = done_edge
         for (v, j) in dests:
-            push(arrival[v], src_core, "deliver", (src_idx, j, mult, value))
+            push(arrival[v], src_core, "deliver", (src, j, mult, value))
 
     def fire(idx: int, t: float) -> None:
-        nonlocal last_output
-        a = assigns[idx]
-        st = states[idx]
-        layer = model.layers[a.layer_id]
-        f = st.fire_index
-        st.fire_index += 1
-        if a.layer_id == 0:
-            mult, flits_total = frame_loads[f][input_pos[idx]]
-            value = 1.0
-        else:
-            prefix = _firing_prefix(layer, f)
-            mult = int((prefix[slice_ends[idx]] - prefix[slice_starts[idx]]).sum())
-            flits_total = mult * flits_per_event
-            denom = pred_neurons[a.layer_id]
-            value = st.acc / denom if denom else 0.0
-            st.acc = 0.0
-        if a.layer_id == output_lid:
+        mult, flits = next(firings[idx])
+        denom = fan_in[idx]
+        value = acc[idx] / denom if denom else 1.0
+        acc[idx] = 0.0
+        if output[idx]:
             # an input layer that is also the output reports its event share
-            end_signal.append((t, value if a.layer_id else
-                               (mult / layer.neurons if layer.neurons else 0.0)))
-            last_output = max(last_output, t)
+            end_signal.append((t, value if denom else mult / output[idx]))
             return
-        emit(idx, a.core_id, t, mult, value, flits_total)
+        emit(idx, t, mult, value, flits)
 
     def deliver(t: float, payload) -> None:
         nonlocal sim_now, events_processed
-        src_idx, idx, mult, value = payload
-        a = assigns[idx]
-        st = states[idx]
-        core = cores[a.core_id]
-        service = mult * work_ops[idx] * hw.t_npe_op
-        _, done = core.acquire(t, service)
-        if core.max_depth > hw.queue_depth:
-            raise CongestionError(f"core {a.core_id} inbox exceeded depth "
-                                  f"{hw.queue_depth}")
+        src, idx, mult, value = payload
+        _, done = inbox[idx].acquire(t, mult * work[idx] * hw.t_npe_op)
         if mult > 0:
-            e = mult * (hw.e_ctrl_event + work_ops[idx] * hw.e_npe_op)
-            energy_core[a.core_id] += e
-            cost_log.append((done, "core", a.core_id, e))
-            st.acc += value * mult
+            e = mult * (hw.e_ctrl_event + work[idx] * hw.e_npe_op)
+            energy_core[core[idx]] += e
+            cost_log.append((done, "core", core[idx], e))
+            acc[idx] += value * mult
             events_processed += mult
         if done > sim_now:
             sim_now = done
-        markers = st.markers
-        banked = markers.get(src_idx, 0) + 1
-        markers[src_idx] = banked
-        if banked == 1:
-            st.missing -= 1
+        bank = banked[idx]
+        n = bank.get(src, 0) + 1
+        bank[src] = n
+        if n == 1:
+            missing[idx] -= 1
         # fire once per complete marker set: one bundle from every upstream
         # partition; skewed fast senders bank extra markers without firing
-        while st.missing == 0:
+        while missing[idx] == 0:
             for u in upstream[idx]:
-                markers[u] -= 1
-                if markers[u] == 0:
-                    st.missing += 1
+                bank[u] -= 1
+                if bank[u] == 0:
+                    missing[idx] += 1
             fire(idx, done)
 
-    fps = trace.fps
-
+    n_frames = len(frame_times)
     if fps > 0:
         for f in range(n_frames):
             push(frame_times[f], -1, "frame", f)
         next_frame = n_frames
     else:
+        # frame 0 enters at 0.0 even when its burst's timestamp only rounds
+        # to slot 0
         push(0.0, -1, "frame", 0)
         next_frame = 1
 
@@ -488,7 +493,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         t, _, _, kind, payload = heapq.heappop(heap)
         sim_now = max(sim_now, t)
         if kind == "frame":
-            for i in input_parts:
+            for i in inputs:
                 fire(i, t)
         else:
             deliver(t, payload)
@@ -500,6 +505,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         energy_core[c] += static
     total = sum(energy_core.values()) + sum(energy_link.values())
     first_t = frame_times[0] if fps > 0 else 0.0
+    last_output = max([0.0] + [t for (t, _) in end_signal])
     latency = max(0.0, last_output - first_t)
     throughput = n_frames / latency if latency > 0 else 0.0
     congestion = {lk: p.max_depth for lk, p in links.items()}

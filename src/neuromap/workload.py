@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from importlib import resources
 from itertools import groupby
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -255,16 +257,18 @@ def _layer_from_block(idx: int, fields: dict[str, str], source: str) -> Layer:
     )
 
 
-def _parse_edges(raw: str) -> tuple[tuple[int, int], ...]:
+def _parse_edges(raw: str, source: str) -> tuple[tuple[int, int], ...]:
     edges = []
     for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
-        if ">" not in part:
-            raise ConfigFormatError(f"edge {part!r} must look like 'src>dst'")
         s, _, d = part.partition(">")
-        edges.append((int(s), int(d)))
+        try:
+            edges.append((int(s), int(d)))
+        except ValueError:
+            raise ConfigFormatError(f"{source}: edge {part!r} must look like "
+                                    f"'src>dst' with integer layer ids") from None
     return tuple(edges)
 
 
@@ -288,7 +292,7 @@ def load_network(path) -> NetworkModel:
     if not layers:
         raise ConfigFormatError(f"{path}: no [layer] blocks")
     edges_raw = net_fields.get("edges")
-    edges = _parse_edges(edges_raw) if edges_raw else _chain_edges(len(layers))
+    edges = _parse_edges(edges_raw, str(path)) if edges_raw else _chain_edges(len(layers))
     return NetworkModel(
         name=net_fields.get("name", "unnamed"),
         layers=tuple(layers),
@@ -420,37 +424,16 @@ def firing_mask(layer: Layer, frame: int) -> np.ndarray:
     return u < rate
 
 
-def pilotnet_like(rate: float = 0.002, is_snn: bool = True, fps: int = 0,
-                  bitwidths: Bitwidths = Bitwidths()) -> NetworkModel:
-    """Synthetic 10-layer conv+dense chain shaped like the public PilotNet
-    driving network (Bojarski et al. 2016): 66x200x3 input, five conv
-    stages, four dense stages down to a single output neuron.
-    """
-    shapes = [
-        # (kind, channels, height, width, weights, biases)
-        ("conv", 3, 66, 200, 0, 0),            # input planes
-        ("conv", 24, 31, 98, 1800, 24),        # 5x5 stride 2
-        ("conv", 36, 14, 47, 21600, 36),       # 5x5 stride 2
-        ("conv", 48, 5, 22, 43200, 48),        # 5x5 stride 2
-        ("conv", 64, 3, 20, 27648, 64),        # 3x3
-        ("conv", 64, 1, 18, 36864, 64),        # 3x3
-        ("dense", 1, 1, 100, 115200, 100),
-        ("dense", 1, 1, 50, 5000, 50),
-        ("dense", 1, 1, 10, 500, 10),
-        ("dense", 1, 1, 1, 10, 1),
-    ]
-    layers = tuple(
-        Layer(id=i, kind=k, channels=c, height=h, width=w, weights=wt, biases=b,
-              is_snn=is_snn, avg_event_rate=rate)
-        for i, (k, c, h, w, wt, b) in enumerate(shapes)
-    )
-    return NetworkModel(
-        name="pilotnet_synth",
-        layers=layers,
-        edges=_chain_edges(len(layers)),
-        bitwidths=bitwidths,
-        frame_rate_fps=fps,
-    )
+def packaged_config(name: str) -> Path:
+    """Path of a config file shipped in the package's configs directory."""
+    return Path(resources.files("neuromap") / "configs" / name)
+
+
+def pilotnet_like(rate: float = 0.002) -> NetworkModel:
+    """The packaged pilotnet_synth.net, a 10-layer conv+dense chain shaped
+    like the public PilotNet driving network (Bojarski et al. 2016), with
+    every layer's event rate set to rate."""
+    return with_rate(load_network(packaged_config("pilotnet_synth.net")), rate)
 
 
 def with_rate(model: NetworkModel, rate: float) -> NetworkModel:

@@ -184,6 +184,15 @@ def test_malformed_trace_or_signal_is_domain_error(net_path, tmp_path,
     _assert_domain_error(args, named)
 
 
+@pytest.mark.parametrize("edge", ["0>x", "a>1", "0>"])
+def test_malformed_net_edge_is_domain_error(tmp_path, edge):
+    path = tmp_path / "bad.net"
+    path.write_text(TOY_NET.replace("fps = 0\n", f"fps = 0\nedges = 0>1, {edge}\n"))
+    _assert_domain_error(["simulate", "--workload", path, "--frames", 1,
+                          "--out", tmp_path / "m"],
+                         f"bad.net: edge '{edge}' must look like 'src>dst'")
+
+
 def test_simulate_missing_workload(tmp_path, capsys):
     rc, _, stderr = run_cli(["simulate", "--workload", tmp_path / "no.net",
                              "--out", tmp_path / "y"], capsys)

@@ -8,12 +8,10 @@ from neuromap.mesh import (
     MeshError,
     MeshPlacement,
     compress,
-    load_placement,
     mesh_loose_area,
     mesh_strict_area,
     mesh_strict_square,
     place,
-    save_placement,
 )
 
 
@@ -108,15 +106,6 @@ def test_placement_validation():
         MeshPlacement(rows=2, cols=2, coords=((0, 0), (0, 0)))
     with pytest.raises(MeshError):
         MeshPlacement(rows=2, cols=2, coords=((0, 5),))
-
-
-def test_placement_roundtrip(tmp_path):
-    p = place(7, compress(7, "loose-area"))
-    f = tmp_path / "place.csv"
-    save_placement(p, f)
-    back = load_placement(f)
-    assert back.coords == p.coords
-    assert back.hop_count(0, 6) == p.hop_count(0, 6)
 
 
 def test_strict_area_exhaustive_optimal_small():

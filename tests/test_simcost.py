@@ -20,6 +20,7 @@ from neuromap.simcost import (
     SimError,
     _Port,
     _route_xy,
+    build_plan,
     link_label,
     load_hw_config,
     save_hw_config,
@@ -125,10 +126,12 @@ def test_route_length_is_manhattan(r0, c0, r1, c1):
 
 @settings(max_examples=300, deadline=None)
 @given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)),
-                      max_size=40))
-def test_port_matches_brute_force_queue(steps):
+                      max_size=40),
+       depth=st.integers(1, 6))
+def test_port_matches_brute_force_queue(steps, depth):
     # small integer gaps and services make a pending done == t_in common
     port = _Port()
+    bounded = _Port("link (0, 0)->(0, 1)", depth)
     t_in = 0.0
     busy = 0.0
     dones = []
@@ -141,6 +144,115 @@ def test_port_matches_brute_force_queue(steps):
         dones.append(busy)
         assert port.acquire(t_in, float(service)) == (start, busy)
         assert port.max_depth == max_depth
+        if bounded is None:
+            continue
+        if max_depth > depth:
+            # the first admission past the depth raises, naming the port
+            with pytest.raises(CongestionError) as exc:
+                bounded.acquire(t_in, float(service))
+            assert str(exc.value) == f"link (0, 0)->(0, 1) exceeded depth {depth}"
+            bounded = None
+        else:
+            assert bounded.acquire(t_in, float(service)) == (start, busy)
+            assert bounded.max_depth == max_depth
+
+
+# --- dynamic energy against its closed form over the plan ---
+
+def expected_dynamic_energy(plan, hw):
+    """Energy that does not depend on timing: every firing of m > 0 events
+    and f flits pays each destination j m * (e_ctrl_event + work_j *
+    e_npe_op), plus, through a multicast tree, m * e_inject and f *
+    e_hop_per_flit per tree edge. Markers (m == 0) and output firings pay
+    nothing."""
+    total = 0.0
+    for i, loads in enumerate(plan.loads):
+        if plan.output[i]:
+            continue
+        _, edges, _, remote = plan.trees[i] or (None, [], 0, [])
+        dests = plan.local[i] + [j for (_, j) in remote]
+        for m, f in loads:
+            if m == 0:
+                continue
+            total += sum(m * (hw.e_ctrl_event + plan.work[j] * hw.e_npe_op)
+                         for j in dests)
+            if plan.trees[i]:
+                total += m * hw.e_inject + len(edges) * f * hw.e_hop_per_flit
+    return total
+
+
+def assert_energy_matches_plan(model, mapping, placement, hw, trace):
+    plan = build_plan(model, mapping, placement, hw, trace)
+    report = simulate(model, mapping, placement, hw, trace)
+    # subtracting the static share can cancel up to one ulp of the total
+    assert report.total_energy - report.static_energy == pytest.approx(
+        expected_dynamic_energy(plan, hw), rel=1e-9,
+        abs=1e-12 * report.total_energy)
+    # the loads against an independent count of each frame's events
+    frames = trace.frames()
+    for layer in model.layers:
+        parts = [i for i, a in enumerate(mapping.assignments)
+                 if a.layer_id == layer.id]
+        for f in range(trace.n_frames):
+            events = sum(plan.loads[i][f][0] for i in parts)
+            if layer.id == 0:
+                assert events == len(frames[f])
+                assert sum(plan.loads[i][f][1] for i in parts) == sum(
+                    -(-bits // hw.flit_bits) for (_, _, bits) in frames[f])
+            else:
+                assert events == firing_mask(layer, f).sum()
+
+
+@st.composite
+def designs(draw):
+    """A small conv chain (plus an optional skip edge), split along random
+    axes, optionally clustered, on random hardware and a random trace."""
+    n_layers = draw(st.integers(1, 4))
+    layers = tuple(conv(draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                        draw(st.integers(1, 4)), lid,
+                        rate=draw(st.sampled_from([0.0, 0.3, 0.7, 1.0])))
+                   for lid in range(n_layers))
+    edges = [(i, i + 1) for i in range(n_layers - 1)]
+    if n_layers >= 3 and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(
+            [(s, d) for s in range(n_layers) for d in range(s + 2, n_layers)])))
+    model = NetworkModel(name="rand", layers=layers, edges=tuple(sorted(edges)))
+    splits = []
+    for layer in layers:
+        axis = draw(st.sampled_from(["layer", "channel", "height", "width"]))
+        splits.append(LayerSplit(draw(st.integers(1, layer.axis_extent(axis))), axis))
+    hw = HardwareConfig(
+        npes_per_core=draw(st.integers(1, 8)),
+        flit_bits=draw(st.sampled_from([8, 16, 32, 64])),
+        e_npe_op=draw(st.floats(0, 5)), e_ctrl_event=draw(st.floats(0, 5)),
+        e_hop_per_flit=draw(st.floats(0, 5)), e_inject=draw(st.floats(0, 5)),
+        p_static_core=draw(st.floats(0, 2)),
+        t_npe_op=draw(st.floats(0.1, 5)), t_hop=draw(st.floats(0.1, 5)),
+        t_inject=draw(st.floats(0.1, 5)), queue_depth=10**9)
+    mapping = build_mapping(model, PartitionSpec(tuple(splits)))
+    counts = [len(mapping.of_layer(l.id)) for l in layers]
+    pairs = [{a, b} for a in range(n_layers) for b in range(a + 1, n_layers)
+             if counts[a] == counts[b]]
+    if pairs and draw(st.booleans()):
+        mapping = cluster_layers(mapping, [draw(st.sampled_from(pairs))])
+    n = mapping.n_cores_total
+    scheme = draw(st.sampled_from(["strict-area", "strict-square"]))
+    fps = draw(st.sampled_from([0.0, 0.05, 1.0, 30.0]))
+    trace = synth_trace(model, draw(st.integers(1, 4)), fps,
+                        seed=draw(st.integers(0, 2**16)))
+    return model, mapping, place(n, compress(n, scheme)), hw, trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(design=designs())
+def test_dynamic_energy_matches_closed_form(design):
+    assert_energy_matches_plan(*design)
+
+
+def test_dynamic_energy_matches_closed_form_on_pinned_cases():
+    from test_simcost_pinned import CASES
+    for case in CASES.values():
+        assert_energy_matches_plan(*case())
 
 
 # --- pipelined chain latency against a hand-built schedule ---
