@@ -66,8 +66,7 @@ def from_values(values, dt: float) -> EndSignal:
     return EndSignal(samples=tuple(float(v) for v in values), dt=dt)
 
 
-def xcorr_curve(x: EndSignal, y: EndSignal, *, mean_center: bool = True,
-                as_typeset_norm: bool = False):
+def xcorr_curve(x: EndSignal, y: EndSignal, *, mean_center: bool = True):
     """(lags, z) over every lag; z[i] corresponds to lags[i]."""
     if not math.isclose(x.dt, y.dt, rel_tol=1e-9):
         raise FidelityError(f"signals have different dt: {x.dt} vs {y.dt}")
@@ -84,13 +83,7 @@ def xcorr_curve(x: EndSignal, y: EndSignal, *, mean_center: bool = True,
         a = a / ma
     if mb > 0.0:
         b = b / mb
-    ex = float(np.dot(a, a))
-    ey = float(np.dot(b, b))
-    if as_typeset_norm:
-        k = min(len(a), len(b))
-        denom = abs(float(np.dot(a[:k], b[:k])))
-    else:
-        denom = math.sqrt(ex * ey)
+    denom = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
     if denom == 0.0:
         raise FidelityError("zero-energy signal, normalization undefined")
     # np.correlate full mode: c[k] = sum_n a[n + k - (len(b)-1)] * b[n],
@@ -101,14 +94,13 @@ def xcorr_curve(x: EndSignal, y: EndSignal, *, mean_center: bool = True,
     return lags, z
 
 
-def xcorr_score(x: EndSignal, y: EndSignal, *, mean_center: bool = True,
-                as_typeset_norm: bool = False) -> tuple[float, float]:
+def xcorr_score(x: EndSignal, y: EndSignal, *,
+                mean_center: bool = True) -> tuple[float, float]:
     """(peak, shift_ms): max of the normalized cross-correlation and its lag.
 
     Lag ties resolve to the smallest |lag|, then the smaller lag.
     """
-    lags, z = xcorr_curve(x, y, mean_center=mean_center,
-                          as_typeset_norm=as_typeset_norm)
+    lags, z = xcorr_curve(x, y, mean_center=mean_center)
     peak = float(z.max())
     tied = np.flatnonzero(z == z.max())
     best = min(tied, key=lambda i: (abs(int(lags[i])), int(lags[i])))
@@ -142,11 +134,3 @@ def load_end_signal(path, dt: float) -> EndSignal:
                 samples.append(parse_row(line, _SIGNAL_COLUMNS,
                                          f"{path}:{lineno}", FidelityError))
     return resample(samples, dt)
-
-
-def write_correlation_report(rows, path) -> None:
-    """rows: iterable of (pair_label, peak, shift_ms)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pair,peak,shift_ms\n")
-        for (pair, peak, shift_ms) in rows:
-            fh.write(f"{pair},{peak!r},{shift_ms!r}\n")

@@ -26,24 +26,17 @@ class PartitionError(ValueError):
 
 
 def memory_per_core(n_npc: int, n_wpc: int, n_bpc: int, n_tpc: int, f_snn: bool,
-                    bw_states: int, bw_outputs: int, bw_weights: int,
-                    raw_neuron_term: bool = False) -> int:
-    """Memory bits one core needs for the given resource counts.
-
-    Default form keeps units consistent (neuron count times state+output
-    bit-widths). raw_neuron_term=True reproduces the variant where the
-    neuron count is added outside the bit-width product.
-    """
+                    bw_states: int, bw_outputs: int, bw_weights: int) -> int:
+    """Memory bits one core needs for the given resource counts: neuron
+    and threshold counts times the state+output bit-widths, plus weights
+    and biases times the weight bit-width."""
     if min(n_npc, n_wpc, n_bpc, n_tpc) < 0:
         raise PartitionError("resource counts must be >= 0")
     if min(bw_states, bw_outputs, bw_weights) <= 0:
         raise PartitionError("bit-widths must be > 0")
     flag = 1 if f_snn else 0
-    if raw_neuron_term:
-        state_term = 2 * (n_npc + n_tpc * flag * (bw_states + bw_outputs))
-    else:
-        state_term = 2 * (n_npc + n_tpc * flag) * (bw_states + bw_outputs)
-    return state_term + (n_wpc + n_bpc) * bw_weights
+    return (2 * (n_npc + n_tpc * flag) * (bw_states + bw_outputs)
+            + (n_wpc + n_bpc) * bw_weights)
 
 
 def split_homogeneous(extent: int, n_parts: int) -> list[int]:
@@ -71,8 +64,7 @@ def _range_counts(layer: Layer, axis: str, start: int, end: int) -> tuple[int, i
 def partition_layer(layer: Layer, n_parts: int, axis: str,
                     style: str = "homogeneous", *,
                     m_max: int = M_MAX_DEFAULT,
-                    bitwidths: Bitwidths = Bitwidths(),
-                    raw_neuron_term: bool = False) -> list[tuple[int, int]]:
+                    bitwidths: Bitwidths = Bitwidths()) -> list[tuple[int, int]]:
     """Split a layer into contiguous axis ranges [(start, end), ...].
 
     homogeneous: n_parts groups whose sizes differ by at most 1, larger
@@ -106,8 +98,7 @@ def partition_layer(layer: Layer, n_parts: int, axis: str,
     while end < extent:
         counts = _range_counts(layer, axis, start, end + 1)
         m = memory_per_core(*counts, layer.is_snn,
-                            bitwidths.states, bitwidths.outputs, bitwidths.weights,
-                            raw_neuron_term=raw_neuron_term)
+                            bitwidths.states, bitwidths.outputs, bitwidths.weights)
         if m > m_max:
             if end == start:
                 raise PartitionError(
@@ -196,17 +187,14 @@ class Mapping:
 
 
 def _assignments_for_layer(layer: Layer, split: LayerSplit, bitwidths: Bitwidths,
-                           m_max: int, raw_neuron_term: bool,
-                           first_core: int) -> list[CoreAssignment]:
+                           m_max: int, first_core: int) -> list[CoreAssignment]:
     ranges = partition_layer(layer, split.n_cores, split.axis, split.style,
-                             m_max=m_max, bitwidths=bitwidths,
-                             raw_neuron_term=raw_neuron_term)
+                             m_max=m_max, bitwidths=bitwidths)
     out = []
     for i, (a, b) in enumerate(ranges):
         counts = _range_counts(layer, split.axis, a, b)
         m = memory_per_core(*counts, layer.is_snn,
-                            bitwidths.states, bitwidths.outputs, bitwidths.weights,
-                            raw_neuron_term=raw_neuron_term)
+                            bitwidths.states, bitwidths.outputs, bitwidths.weights)
         out.append(CoreAssignment(first_core + i, layer.id, split.axis, a, b,
                                   *counts, m))
     return out
@@ -214,8 +202,7 @@ def _assignments_for_layer(layer: Layer, split: LayerSplit, bitwidths: Bitwidths
 
 def build_mapping(model: NetworkModel, spec: PartitionSpec,
                   m_max: int = M_MAX_DEFAULT, *,
-                  enforce_cap: bool = True,
-                  raw_neuron_term: bool = False) -> Mapping:
+                  enforce_cap: bool = True) -> Mapping:
     """Assign every layer's partitions to fresh cores, in layer order.
 
     enforce_cap=False skips the M_pc <= m_max check so callers can score
@@ -225,8 +212,7 @@ def build_mapping(model: NetworkModel, spec: PartitionSpec,
     assignments: list[CoreAssignment] = []
     core = 0
     for layer, split in zip(model.layers, spec.splits):
-        batch = _assignments_for_layer(layer, split, model.bitwidths, m_max,
-                                       raw_neuron_term, core)
+        batch = _assignments_for_layer(layer, split, model.bitwidths, m_max, core)
         if enforce_cap:
             for a in batch:
                 if a.m_pc > m_max:
@@ -323,21 +309,15 @@ def load_mapping(path) -> Mapping:
     return replace(mapping, clustered=any(len(ls) > 1 for ls in layer_sets))
 
 
-def flat_slices(layer: Layer, axis: str, start: int, end: int) -> list[tuple[int, int]]:
-    """Flat neuron index ranges covered by axis units [start, end).
+def axis_unit(layer: Layer, axis: str, flat):
+    """Axis unit of each flat neuron index (an int or an integer array).
 
-    Flat order is channel-major: flat = (channel*height + row)*width + col.
-    layer/channel axes give one contiguous slice; height gives one per
-    channel; width gives one per (channel, row).
+    Flat order is channel-major: flat = (channel*height + row)*width + col,
+    so the unit is flat // stride % extent, stride being the product of
+    the extents after the axis.
     """
-    c, h, w = layer.channels, layer.height, layer.width
-    if axis == "layer":
-        return [(start, end)]
-    if axis == "channel":
-        return [(start * h * w, end * h * w)]
-    if axis == "height":
-        return [(ci * h * w + start * w, ci * h * w + end * w) for ci in range(c)]
-    if axis == "width":
-        return [((ci * h + y) * w + start, (ci * h + y) * w + end)
-                for ci in range(c) for y in range(h)]
-    raise PartitionError(f"unknown axis {axis!r}")
+    h, w = layer.height, layer.width
+    stride = {"layer": 1, "channel": h * w, "height": w, "width": 1}.get(axis)
+    if stride is None:
+        raise PartitionError(f"unknown axis {axis!r}")
+    return flat // stride % layer.axis_extent(axis)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .configio import check_keys, format_blocks, get_numbers, parse_blocks_file
 from .mesh import MeshPlacement
-from .partition import AXES, Mapping, _range_counts, flat_slices
-from .workload import EventTrace, Layer, NetworkModel, firing_mask, frame_time
+from .partition import AXES, Mapping, _range_counts, axis_unit, memory_per_core
+from .workload import Bitwidths, EventTrace, Layer, NetworkModel, firing_mask, frame_time
 
 
 class SimError(ValueError):
@@ -69,8 +69,9 @@ class HardwareConfig:
             raise SimError("queue_depth must be >= 1")
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, (int, float)) and v < 0:
-                raise SimError(f"{f.name} must be >= 0")
+            # NaN fails both comparisons
+            if not 0 <= v < math.inf:
+                raise SimError(f"{f.name} must be finite and >= 0, got {v!r}")
 
     def scaled_times(self, factor: float) -> "HardwareConfig":
         """Copy with every time constant multiplied by factor."""
@@ -126,15 +127,16 @@ class CostReport:
     cost_log: tuple[tuple[float, str, object, float], ...]
 
 
-# per frame, prefix sums of the layer's firing mask, shared across
-# simulations of the same model; worker processes each build their own copy
+# (frame, flat neuron) of every firing of the layer, shared across
+# simulations of the same model; worker processes each build their own copy.
+# int32 keeps it no larger than a dense table even at rate 1
 @functools.lru_cache(maxsize=256)
-def _firing_prefix(layer: Layer, n_frames: int) -> np.ndarray:
-    prefix = np.zeros((n_frames, layer.neurons + 1), dtype=np.int64)
-    for f in range(n_frames):
-        np.cumsum(firing_mask(layer, f), out=prefix[f, 1:])
-    prefix.flags.writeable = False
-    return prefix
+def _firings(layer: Layer, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    per_frame = [np.flatnonzero(firing_mask(layer, f)) for f in range(n_frames)]
+    frame = np.repeat(np.arange(n_frames, dtype=np.int32), list(map(len, per_frame)))
+    flat = np.concatenate(per_frame).astype(np.int32)
+    frame.flags.writeable = flat.flags.writeable = False
+    return frame, flat
 
 
 def _route_xy(src: tuple[int, int], dst: tuple[int, int]) -> list[tuple[int, int]]:
@@ -206,10 +208,10 @@ class _Port:
         return start, done
 
 
-def _check_tiling(layer: Layer, parts) -> None:
+def _check_tiling(layer: Layer, parts, bw: Bitwidths) -> None:
     """SimError unless parts (sorted by range start) share one axis, tile
     [0, extent) along it exactly (no overlap, no gap, none empty) and
-    carry the resource counts of their ranges."""
+    carry the resource counts and memory bits of their ranges."""
     axes = sorted({a.axis for a in parts})
     if len(axes) != 1:
         raise SimError(f"layer {layer.id}: partitions mix axes {axes}")
@@ -230,6 +232,10 @@ def _check_tiling(layer: Layer, parts) -> None:
                            f"{(a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc)} differ from "
                            f"{counts} for {axis} range [{a.range_start}, "
                            f"{a.range_end})")
+        m_pc = memory_per_core(*counts, layer.is_snn, bw.states, bw.outputs, bw.weights)
+        if a.m_pc != m_pc:
+            raise SimError(f"layer {layer.id} core {a.core_id}: M_pc_bits "
+                           f"{a.m_pc} differs from {m_pc} for its counts")
 
 
 class SimPlan(NamedTuple):
@@ -259,9 +265,6 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     hw.validate()
     if placement.n_cores < mapping.n_cores_total:
         raise SimError("placement has fewer slots than mapped cores")
-    for core_id, bits in mapping.memory_by_core().items():
-        if bits > hw.mem_per_core:
-            raise SimError(f"core {core_id} needs {bits} bits, cap is {hw.mem_per_core}")
 
     assigns = mapping.assignments
     by_layer: dict[int, list[int]] = {}
@@ -276,7 +279,10 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                        f"assignments name unknown layers "
                        f"{sorted(by_layer.keys() - layer_ids)}")
     for lid, idxs in by_layer.items():
-        _check_tiling(model.layers[lid], [assigns[i] for i in idxs])
+        _check_tiling(model.layers[lid], [assigns[i] for i in idxs], model.bitwidths)
+    for core_id, bits in mapping.memory_by_core().items():
+        if bits > hw.mem_per_core:
+            raise SimError(f"core {core_id} needs {bits} bits, cap is {hw.mem_per_core}")
     core_ids = sorted(mapping.layers_per_core)
     for k, c in enumerate(core_ids):
         if c != k:
@@ -285,9 +291,19 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
 
     n_frames = trace.n_frames
     frames = trace.frames()
+    n_inputs = model.input_layer.neurons
+    n_events = len(trace.events)
+    # ids are range-checked as floats, which an id past int64 cannot overflow
+    ids = np.fromiter(map(itemgetter(1), trace.events), np.float64, n_events)
+    bad = (ids < 0) | (ids >= n_inputs)
+    if bad.any():
+        raise SimError(f"trace event references input neuron "
+                       f"{trace.events[bad.argmax()][1]}, layer 0 has {n_inputs}")
+    bits = np.fromiter(map(itemgetter(2), trace.events), np.int64, n_events)
+    # layer 0 fires the trace events, each its own flits
+    input_firings = (np.repeat(np.arange(n_frames), [len(b) for b in frames]),
+                     ids.astype(np.int64), -(-bits // hw.flit_bits))
     coords = placement.coords
-    slices = [flat_slices(model.layers[a.layer_id], a.axis, a.range_start, a.range_end)
-              for a in assigns]
     upstream: list[list[int]] = [[] for _ in assigns]
     local: list[list[int]] = [[] for _ in assigns]
     trees: list[tuple | None] = [None] * len(assigns)
@@ -296,15 +312,22 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     for lid, idxs in by_layer.items():
         succ_parts = [j for s in model.successors(lid) for j in by_layer[s]]
         pred_parts = [j for p in model.predecessors(lid) for j in by_layer[p]]
-        if lid:
-            # each firing's events: its slices of that frame's firing mask
-            prefix = _firing_prefix(model.layers[lid], n_frames)
-        for i in idxs:
+        # bin each firing by the partition that owns its neuron; the
+        # partitions tile the axis in order, so the owner is the number of
+        # range ends at or below the neuron's unit
+        layer = model.layers[lid]
+        frame, flat, flits = input_firings if lid == 0 else (
+            *_firings(layer, n_frames), per_event)
+        unit = axis_unit(layer, assigns[idxs[0]].axis, flat)
+        cell = np.searchsorted([assigns[i].range_end for i in idxs], unit,
+                               side="right") * n_frames + frame
+        events = np.bincount(cell, minlength=len(idxs) * n_frames)
+        flit_sum = np.zeros(len(idxs) * n_frames, dtype=np.int64)
+        np.add.at(flit_sum, cell, flits)
+        for i, m, fl in zip(idxs, events.reshape(-1, n_frames).tolist(),
+                            flit_sum.reshape(-1, n_frames).tolist()):
+            loads[i] = list(zip(m, fl))
             upstream[i] = pred_parts
-            if lid:
-                mult = (prefix[:, [e for (_, e) in slices[i]]]
-                        - prefix[:, [s for (s, _) in slices[i]]]).sum(axis=1)
-                loads[i] = [(m, m * per_event) for m in mult.tolist()]
             src_core = assigns[i].core_id
             local[i] = [j for j in succ_parts if assigns[j].core_id == src_core]
             remote = [j for j in succ_parts if assigns[j].core_id != src_core]
@@ -318,33 +341,6 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                 trees[i] = ((src_xy, src_xy), edges, len(node),
                             [(node[coords[assigns[j].core_id]], j) for j in remote])
 
-    # input partitions: (event multiplicity, flit total) of the trace burst
-    # in each frame slot. The layer-0 partitions tile its neurons, so each
-    # input neuron has one owner
-    input_parts = by_layer[0]
-    n_in = len(input_parts)
-    n_inputs = model.input_layer.neurons
-    owner = np.empty(n_inputs, dtype=np.int64)
-    for k, i in enumerate(input_parts):
-        for (s, e) in slices[i]:
-            owner[s:e] = k
-    n_events = len(trace.events)
-    # ids are range-checked as floats, which an id past int64 cannot overflow
-    ids = np.fromiter(map(itemgetter(1), trace.events), np.float64, n_events)
-    bad = (ids < 0) | (ids >= n_inputs)
-    if bad.any():
-        raise SimError(f"trace event references input neuron "
-                       f"{trace.events[bad.argmax()][1]}, layer 0 has {n_inputs}")
-    bits = np.fromiter(map(itemgetter(2), trace.events), np.int64, n_events)
-    cell = (owner[ids.astype(np.int64)] * n_frames
-            + np.repeat(np.arange(n_frames, dtype=np.int64), [len(b) for b in frames]))
-    frame_mult = np.bincount(cell, minlength=n_in * n_frames)
-    frame_flits = np.zeros(n_in * n_frames, dtype=np.int64)
-    np.add.at(frame_flits, cell, -(-bits // hw.flit_bits))
-    for i, m, fl in zip(input_parts, frame_mult.reshape(n_in, n_frames).tolist(),
-                        frame_flits.reshape(n_in, n_frames).tolist()):
-        loads[i] = list(zip(m, fl))
-
     pred_neurons = [sum(model.layers[p].neurons for p in model.predecessors(l.id))
                     for l in model.layers]
     out = model.output_layer
@@ -354,7 +350,7 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         work=[math.ceil(a.n_npc / hw.npes_per_core) for a in assigns],
         fan_in=[pred_neurons[a.layer_id] for a in assigns],
         output=[out.neurons if a.layer_id == out.id else 0 for a in assigns],
-        inputs=input_parts,
+        inputs=by_layer[0],
         frame_times=[b[0][0] if b else frame_time(f, trace.fps)
                      for f, b in enumerate(frames)],
         fps=trace.fps,

@@ -128,8 +128,10 @@ def _with_fields(row, pos, *values):
      "layer 2 core 2: counts (1, 0, 0, 0) differ from (5, 120, 5, 5)"),
     (lambda rows: rows[:-1] + [_with_fields(rows[-1], 5, "x")],
      "map.csv:4: N_npc = 'x' is not an integer"),
+    (lambda rows: [_with_fields(r, 9, 0) for r in rows],
+     "layer 0 core 0: M_pc_bits 0 differs from 3072 for its counts"),
 ], ids=["dropped-layer", "unknown-layer", "gap-in-layer", "short-row",
-        "core-id-hole", "wrong-counts", "non-integer-field"])
+        "core-id-hole", "wrong-counts", "non-integer-field", "zero-m-pc"])
 def test_simulate_mapping_not_matching_model_is_domain_error(net_path, tmp_path,
                                                              edit, named):
     model = load_network(net_path)
@@ -152,6 +154,16 @@ def _assert_domain_error(args, named):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert named in proc.stderr
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_hop", "nan"), ("e_inject", "nan"), ("t_hop", "inf")])
+def test_non_finite_hardware_value_is_domain_error(net_path, tmp_path, key, value):
+    path = tmp_path / "hw.prm"
+    path.write_text(f"[hardware]\n{key} = {value}\n")
+    _assert_domain_error(["simulate", "--workload", net_path, "--hw", path,
+                          "--frames", 2, "--out", tmp_path / "m"],
+                         f"{key} must be finite and >= 0, got {value}")
 
 
 TRACE_HEAD = "# fps=0.0 frames=1\ntimestamp,neuron_id,payload_bits\n"

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,9 @@ from neuromap.partition import (
     Mapping,
     PartitionError,
     PartitionSpec,
+    axis_unit,
     build_mapping,
     cluster_layers,
-    flat_slices,
     load_mapping,
     memory_per_core,
     partition_layer,
@@ -54,13 +55,6 @@ def test_memory_reference_value_snn():
 def test_memory_reference_value_ann():
     got = memory_per_core(1000, 10000, 100, 0, False, 16, 16, 8)
     assert got == 2 * 1000 * 32 + 10100 * 8 == 144_800
-
-
-def test_memory_raw_neuron_term_variant():
-    # neuron count added outside the bit-width product
-    got = memory_per_core(1000, 10000, 100, 1000, True, 16, 16, 8,
-                          raw_neuron_term=True)
-    assert got == 2 * (1000 + 1000 * 32) + 10100 * 8
 
 
 def test_memory_rejects_negative_and_zero_widths():
@@ -327,7 +321,33 @@ def test_mapping_roundtrip_clustered(tmp_path):
     assert back == mapping
 
 
-# --- flat slices ---
+# --- flat layout: axis_unit against flat slices ---
+
+def flat_slices(layer, axis, start, end):
+    """Reference: flat neuron index ranges covered by axis units [start,
+    end), in channel-major order flat = (channel*height + row)*width + col.
+    layer/channel axes give one contiguous slice; height gives one per
+    channel; width gives one per (channel, row)."""
+    c, h, w = layer.channels, layer.height, layer.width
+    if axis == "layer":
+        return [(start, end)]
+    if axis == "channel":
+        return [(start * h * w, end * h * w)]
+    if axis == "height":
+        return [(ci * h * w + start * w, ci * h * w + end * w) for ci in range(c)]
+    return [((ci * h + y) * w + start, (ci * h + y) * w + end)
+            for ci in range(c) for y in range(h)]
+
+
+def assert_units_match_slices(layer, axis, a, b):
+    """A flat index's unit lies in [a, b) exactly when the index lies in
+    flat_slices(a, b)."""
+    inside = {n for (s, e) in flat_slices(layer, axis, a, b) for n in range(s, e)}
+    units = axis_unit(layer, axis, np.arange(layer.neurons))
+    assert {int(n) for n in np.flatnonzero((a <= units) & (units < b))} == inside
+    for n in range(layer.neurons):
+        assert (a <= axis_unit(layer, axis, n) < b) == (n in inside)
+
 
 def test_flat_slices_shapes():
     layer = conv(3, 4, 5)
@@ -338,6 +358,14 @@ def test_flat_slices_shapes():
     by_width = flat_slices(layer, "width", 0, 2)
     assert len(by_width) == 12
     assert by_width[0] == (0, 2) and by_width[1] == (5, 7)
+    for axis, a, b in [("layer", 2, 9), ("channel", 1, 3), ("height", 1, 3),
+                       ("width", 0, 2), ("width", 4, 5)]:
+        assert_units_match_slices(layer, axis, a, b)
+    assert axis_unit(layer, "channel", 59) == 2
+    assert axis_unit(layer, "height", 59) == 3
+    assert axis_unit(layer, "width", 59) == 4
+    with pytest.raises(PartitionError):
+        axis_unit(layer, "diagonal", 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,6 +383,7 @@ def test_flat_slices_partition_the_layer(c, h, w, axis, k):
         k = extent
     covered = set()
     for (a, b) in partition_layer(layer, k, axis):
+        assert_units_match_slices(layer, axis, a, b)
         for (s, e) in flat_slices(layer, axis, a, b):
             span = set(range(s, e))
             assert not (covered & span)

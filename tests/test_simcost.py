@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +34,10 @@ from neuromap.workload import (
     Layer,
     NetworkModel,
     firing_mask,
+    pilotnet_like,
     synth_trace,
 )
+from test_partition import flat_slices
 
 HW = HardwareConfig(npes_per_core=4, e_npe_op=3.0, e_ctrl_event=7.0,
                     e_hop_per_flit=11.0, e_inject=13.0,
@@ -247,6 +250,50 @@ def designs(draw):
 @given(design=designs())
 def test_dynamic_energy_matches_closed_form(design):
     assert_energy_matches_plan(*design)
+
+
+@settings(max_examples=150, deadline=None)
+@given(design=designs())
+def test_plan_loads_match_flat_slices(design):
+    """Each partition's load per frame is the firings in its own flat
+    slices: the trace events and their flits on layer 0, the firing mask
+    elsewhere."""
+    model, mapping, _, hw, trace = design
+    plan = build_plan(*design)
+    per_event = math.ceil(model.bitwidths.outputs / hw.flit_bits)
+    frames = trace.frames()
+    for i, a in enumerate(mapping.assignments):
+        layer = model.layers[a.layer_id]
+        slices = flat_slices(layer, a.axis, a.range_start, a.range_end)
+        for f in range(trace.n_frames):
+            if layer.id == 0:
+                bits = [b for (_, n, b) in frames[f]
+                        if any(s <= n < e for (s, e) in slices)]
+                expected = (len(bits), sum(-(-b // hw.flit_bits) for b in bits))
+            else:
+                mask = firing_mask(layer, f)
+                m = sum(int(mask[s:e].sum()) for (s, e) in slices)
+                expected = (m, m * per_event)
+            assert plan.loads[i][f] == expected
+
+
+def test_plan_holds_no_dense_firing_tables():
+    # a rate no other test uses, so no firings of these layers are cached;
+    # a frames x neurons table per layer would hold about 26 MB
+    model = pilotnet_like(0.0021)
+    mapping = build_mapping(model, uniform_spec(model, 4, axis="width"))
+    n = mapping.n_cores_total
+    placement = place(n, compress(n, "strict-area"))
+    trace = synth_trace(model, 30, 30.0, seed=7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = build_plan(model, mapping, placement, HardwareConfig(), trace)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(plan.loads) == n
+    assert held < 4_000_000
 
 
 def test_dynamic_energy_matches_closed_form_on_pinned_cases():
