@@ -43,7 +43,13 @@ from .partition import (
     build_mapping,
     load_mapping,
 )
-from .simcost import HardwareConfig, load_hw_config, simulate, write_run_files
+from .simcost import (
+    HardwareConfig,
+    check_mapping,
+    load_hw_config,
+    simulate,
+    write_run_files,
+)
 from .workload import load_network, load_trace, packaged_config, retime_trace, synth_trace
 
 
@@ -108,6 +114,9 @@ def cmd_simulate(args) -> int:
     trace = _build_trace(args, model)
     if args.mapping:
         mapping = load_mapping(args.mapping)
+        # the budget below reads each row's M_pc_bits, so first check
+        # them (and the rest of the mapping) against the model
+        check_mapping(model, mapping)
     else:
         spec = _spec_from_flags(args, model)
         mapping = build_mapping(model, spec, m_max=hw.mem_per_core,

@@ -20,11 +20,11 @@ independent of hardware timing.
 
 from __future__ import annotations
 
-import bisect
 import functools
-import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -33,7 +33,7 @@ import numpy as np
 from .configio import check_keys, format_blocks, get_numbers, parse_blocks_file
 from .mesh import MeshPlacement
 from .partition import AXES, Mapping, _range_counts, axis_unit, memory_per_core
-from .workload import Bitwidths, EventTrace, Layer, NetworkModel, firing_mask, frame_time
+from .workload import EventTrace, Layer, NetworkModel, firing_mask, frame_time
 
 
 class SimError(ValueError):
@@ -81,12 +81,8 @@ class HardwareConfig:
 
 
 def load_hw_config(path) -> HardwareConfig:
-    blocks = parse_blocks_file(path)
-    hw_fields = None
-    for section, f in blocks:
-        if section == "hardware":
-            hw_fields = f
-            break
+    hw_fields = next((f for section, f in parse_blocks_file(path)
+                      if section == "hardware"), None)
     if hw_fields is None:
         raise SimError(f"{path}: missing [hardware] section")
     check_keys(hw_fields, {f.name for f in fields(HardwareConfig)}, str(path))
@@ -174,68 +170,58 @@ def _multicast_tree(src: tuple[int, int], dsts) -> tuple[list, dict]:
     return edges, node
 
 
-class _Port:
-    """Serializing resource (link or core inbox) with queue-depth tracking;
-    admitting a bundle past depth raises CongestionError naming the port."""
+def check_mapping(model: NetworkModel, mapping: Mapping) -> dict[int, list[int]]:
+    """SimError unless the mapping covers exactly the model's layers, each
+    layer's partitions share one axis, tile [0, extent) along it exactly (no
+    overlap, no gap, none empty) and carry the resource counts and memory
+    bits of their ranges, and the core ids run 0..n-1.
 
-    __slots__ = ("busy_until", "pending_done", "max_depth", "name", "depth")
-
-    def __init__(self, name: str = "", depth: float = math.inf):
-        self.busy_until = 0.0
-        # completion times still pending, non-decreasing: each done is at
-        # least the previous one because busy_until only grows
-        self.pending_done: list[float] = []
-        self.max_depth = 0
-        self.name = name
-        self.depth = depth
-
-    def acquire(self, t_in: float, service: float) -> tuple[float, float]:
-        """Returns (start, done); records queue depth at admission."""
-        pending = self.pending_done
-        gone = bisect.bisect_right(pending, t_in)
-        if gone:
-            del pending[:gone]
-        depth = len(pending) + 1
-        if depth > self.max_depth:
-            if depth > self.depth:
-                raise CongestionError(f"{self.name} exceeded depth {self.depth}")
-            self.max_depth = depth
-        busy = self.busy_until
-        start = busy if busy > t_in else t_in
-        done = start + service
-        self.busy_until = done
-        pending.append(done)
-        return start, done
-
-
-def _check_tiling(layer: Layer, parts, bw: Bitwidths) -> None:
-    """SimError unless parts (sorted by range start) share one axis, tile
-    [0, extent) along it exactly (no overlap, no gap, none empty) and
-    carry the resource counts and memory bits of their ranges."""
-    axes = sorted({a.axis for a in parts})
-    if len(axes) != 1:
-        raise SimError(f"layer {layer.id}: partitions mix axes {axes}")
-    axis = axes[0]
-    if axis not in AXES:
-        raise SimError(f"layer {layer.id}: unknown axis {axis!r}")
-    extent = layer.axis_extent(axis)
-    ranges = [(a.range_start, a.range_end) for a in parts]
-    bounds = [0] + [e for (_, e) in ranges]
-    if ([s for (s, _) in ranges] != bounds[:-1] or bounds[-1] != extent
-            or any(s >= e for (s, e) in ranges)):
-        raise SimError(f"layer {layer.id}: {axis} ranges {ranges} do not "
-                       f"tile [0, {extent}) exactly")
-    for a in parts:
-        counts = _range_counts(layer, axis, a.range_start, a.range_end)
-        if (a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc) != counts:
-            raise SimError(f"layer {layer.id} core {a.core_id}: counts "
-                           f"{(a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc)} differ from "
-                           f"{counts} for {axis} range [{a.range_start}, "
-                           f"{a.range_end})")
-        m_pc = memory_per_core(*counts, layer.is_snn, bw.states, bw.outputs, bw.weights)
-        if a.m_pc != m_pc:
-            raise SimError(f"layer {layer.id} core {a.core_id}: M_pc_bits "
-                           f"{a.m_pc} differs from {m_pc} for its counts")
+    Returns layer -> its partitions' indices, sorted by range start.
+    """
+    assigns = mapping.assignments
+    by_layer: dict[int, list[int]] = {}
+    for i, a in enumerate(assigns):
+        by_layer.setdefault(a.layer_id, []).append(i)
+    layer_ids = {l.id for l in model.layers}
+    if by_layer.keys() != layer_ids:
+        raise SimError(f"mapping does not match the model: layers "
+                       f"{sorted(layer_ids - by_layer.keys())} have no core, "
+                       f"assignments name unknown layers "
+                       f"{sorted(by_layer.keys() - layer_ids)}")
+    bw = model.bitwidths
+    for lid, idxs in by_layer.items():
+        idxs.sort(key=lambda i: (assigns[i].range_start, assigns[i].core_id))
+        layer, parts = model.layers[lid], [assigns[i] for i in idxs]
+        axes = sorted({a.axis for a in parts})
+        if len(axes) != 1:
+            raise SimError(f"layer {layer.id}: partitions mix axes {axes}")
+        axis = axes[0]
+        if axis not in AXES:
+            raise SimError(f"layer {layer.id}: unknown axis {axis!r}")
+        extent = layer.axis_extent(axis)
+        ranges = [(a.range_start, a.range_end) for a in parts]
+        bounds = [0] + [e for (_, e) in ranges]
+        if ([s for (s, _) in ranges] != bounds[:-1] or bounds[-1] != extent
+                or any(s >= e for (s, e) in ranges)):
+            raise SimError(f"layer {layer.id}: {axis} ranges {ranges} do not "
+                           f"tile [0, {extent}) exactly")
+        for a in parts:
+            counts = _range_counts(layer, axis, a.range_start, a.range_end)
+            if (a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc) != counts:
+                raise SimError(f"layer {layer.id} core {a.core_id}: counts "
+                               f"{(a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc)} differ from "
+                               f"{counts} for {axis} range [{a.range_start}, "
+                               f"{a.range_end})")
+            m_pc = memory_per_core(*counts, layer.is_snn, bw.states, bw.outputs, bw.weights)
+            if a.m_pc != m_pc:
+                raise SimError(f"layer {layer.id} core {a.core_id}: M_pc_bits "
+                               f"{a.m_pc} differs from {m_pc} for its counts")
+    core_ids = sorted(mapping.layers_per_core)
+    for k, c in enumerate(core_ids):
+        if c != k:
+            raise SimError(f"mapping core ids must run 0..{len(core_ids) - 1}, "
+                           f"found {c} in place of {k}")
+    return by_layer
 
 
 class SimPlan(NamedTuple):
@@ -266,28 +252,11 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     if placement.n_cores < mapping.n_cores_total:
         raise SimError("placement has fewer slots than mapped cores")
 
-    assigns = mapping.assignments
-    by_layer: dict[int, list[int]] = {}
-    for i, a in enumerate(assigns):
-        by_layer.setdefault(a.layer_id, []).append(i)
-    for lst in by_layer.values():
-        lst.sort(key=lambda i: (assigns[i].range_start, assigns[i].core_id))
-    layer_ids = {l.id for l in model.layers}
-    if by_layer.keys() != layer_ids:
-        raise SimError(f"mapping does not match the model: layers "
-                       f"{sorted(layer_ids - by_layer.keys())} have no core, "
-                       f"assignments name unknown layers "
-                       f"{sorted(by_layer.keys() - layer_ids)}")
-    for lid, idxs in by_layer.items():
-        _check_tiling(model.layers[lid], [assigns[i] for i in idxs], model.bitwidths)
+    by_layer = check_mapping(model, mapping)
     for core_id, bits in mapping.memory_by_core().items():
         if bits > hw.mem_per_core:
             raise SimError(f"core {core_id} needs {bits} bits, cap is {hw.mem_per_core}")
-    core_ids = sorted(mapping.layers_per_core)
-    for k, c in enumerate(core_ids):
-        if c != k:
-            raise SimError(f"mapping core ids must run 0..{len(core_ids) - 1}, "
-                           f"found {c} in place of {k}")
+    assigns = mapping.assignments
 
     n_frames = trace.n_frames
     frames = trace.frames()
@@ -361,163 +330,197 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
              hw: HardwareConfig, trace: EventTrace) -> CostReport:
     plan = build_plan(model, mapping, placement, hw, trace)
 
-    # --- replay: only the ports, the partition states and the heap change ---
+    # --- replay: one loop over dense port ids; only the port queues, the
+    # partition states and the heap change ---
     (core, upstream, loads, local, trees, work, fan_in, output, inputs,
      frame_times, fps) = plan
     depth = hw.queue_depth
-    links: dict[Link, _Port] = {}
-    # core order as in mapping.layers_per_core: first appearance
-    cores = {c: _Port(f"core {c} inbox", depth) for c in dict.fromkeys(core)}
-    inbox = [cores[c] for c in core]
-    # per source partition, its (injection port, [(u, v, link, port)]),
-    # created at its first bundle in the order that bundle meets them, so
-    # links keeps first-use order
+    t_npe_op, e_ctrl, e_npe_op = hw.t_npe_op, hw.e_ctrl_event, hw.e_npe_op
+    # port ids: core c's inbox is port c (core ids run 0..n-1), then each
+    # link or injection port at its first use. Per port: when it frees up,
+    # its pending done times (non-decreasing, since busy only grows), its
+    # deepest queue, the energy charged to it and its name
+    n_cores = len(set(core))
+    busy = [0.0] * n_cores
+    pending: list[list[float]] = [[] for _ in range(n_cores)]
+    max_depth = [0] * n_cores
+    energy = [0.0] * n_cores
+    name = [f"core {c} inbox" for c in range(n_cores)]
+    link_id: dict[Link, int] = {}
+    # per source partition, its hops [(u node, v node, link, port, 1 for
+    # the injection port or 0 for a tree edge)], node count, [(node,
+    # destination)] and [(link, port)], made at its first bundle in the
+    # order that bundle meets them, so links keep first-use order. A source
+    # lists its links in charged at its first charge, which keeps
+    # energy_interconnect in first-charge order
     tree_ports: list[tuple | None] = [None] * len(core)
+    unlisted = [True] * len(core)
+    charged: dict[Link, int] = {}
     acc = [0.0] * len(core)
     firings = [iter(l) for l in loads]
     # banked bundles per upstream partition, and how many upstreams have
     # none banked: a partition fires when that count is 0
     banked: list[dict[int, int]] = [{} for _ in core]
     missing = [len(up) for up in upstream]
-
-    energy_core: dict[int, float] = {c: 0.0 for c in cores}
-    energy_link: dict[Link, float] = {}
     cost_log: list[tuple[float, str, object, float]] = []
     end_signal: list[tuple[float, float]] = []
     events_processed = 0
     sim_now = 0.0
 
-    heap: list = []
-    seq = 0
-
-    def push(t: float, src_core: int, kind: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, src_core, seq, kind, payload))
-        seq += 1
-
-    def charge_link(t: float, link: Link, e: float) -> None:
-        energy_link[link] = energy_link.get(link, 0.0) + e
-        cost_log.append((t, "link", link, e))
-
-    def emit(src: int, t_emit: float, mult: int, value: float, flits: int) -> None:
-        """Send one bundle from partition src to every destination."""
-        nonlocal sim_now
-        src_core = core[src]
-        for j in local[src]:
-            push(t_emit, src_core, "deliver", (src, j, mult, value))
-        tree = trees[src]
-        if tree is None:
-            return
-        inj, edges, n_nodes, dests = tree
-        ports = tree_ports[src]
-        if ports is None:
-            ports = tree_ports[src] = (
-                links.setdefault(inj, _Port(f"injection port {inj[0]}", depth)),
-                [(u, v, lk, links.setdefault(lk, _Port(f"link {lk[0]}->{lk[1]}", depth)))
-                 for (u, v, lk) in edges])
-        inj_port, hops = ports
-        # one injection serializes the whole multicast bundle
-        _, done = inj_port.acquire(t_emit, max(1, mult) * hw.t_inject)
-        if mult > 0:
-            charge_link(done, inj, mult * hw.e_inject)
-        arrival = [done] * n_nodes
-        service = max(1, mult) * hw.t_hop
-        e_hop = flits * hw.e_hop_per_flit
-        for (u, v, link, p) in hops:
-            _, done_edge = p.acquire(arrival[u], service)
-            if mult > 0:
-                charge_link(done_edge, link, e_hop)
-            arrival[v] = done_edge
-            if done_edge > sim_now:
-                sim_now = done_edge
-        for (v, j) in dests:
-            push(arrival[v], src_core, "deliver", (src, j, mult, value))
-
-    def fire(idx: int, t: float) -> None:
-        mult, flits = next(firings[idx])
-        denom = fan_in[idx]
-        value = acc[idx] / denom if denom else 1.0
-        acc[idx] = 0.0
-        if output[idx]:
-            # an input layer that is also the output reports its event share
-            end_signal.append((t, value if denom else mult / output[idx]))
-            return
-        emit(idx, t, mult, value, flits)
-
-    def deliver(t: float, payload) -> None:
-        nonlocal sim_now, events_processed
-        src, idx, mult, value = payload
-        _, done = inbox[idx].acquire(t, mult * work[idx] * hw.t_npe_op)
-        if mult > 0:
-            e = mult * (hw.e_ctrl_event + work[idx] * hw.e_npe_op)
-            energy_core[core[idx]] += e
-            cost_log.append((done, "core", core[idx], e))
-            acc[idx] += value * mult
-            events_processed += mult
-        if done > sim_now:
-            sim_now = done
-        bank = banked[idx]
-        n = bank.get(src, 0) + 1
-        bank[src] = n
-        if n == 1:
-            missing[idx] -= 1
-        # fire once per complete marker set: one bundle from every upstream
-        # partition; skewed fast senders bank extra markers without firing
-        while missing[idx] == 0:
-            for u in upstream[idx]:
-                bank[u] -= 1
-                if bank[u] == 0:
-                    missing[idx] += 1
-            fire(idx, done)
-
+    # entries (t, src core, seq, destination, source, events, value),
+    # ordered by (t, src core, seq). Paced frames enter the heap at their
+    # times, with source core -1, their index as seq and destination -1;
+    # in drain mode the next frame fires once the heap has drained, frame
+    # 0 at 0.0 even when its burst's timestamp only rounds to slot 0
     n_frames = len(frame_times)
-    if fps > 0:
-        for f in range(n_frames):
-            push(frame_times[f], -1, "frame", f)
-        next_frame = n_frames
-    else:
-        # frame 0 enters at 0.0 even when its burst's timestamp only rounds
-        # to slot 0
-        push(0.0, -1, "frame", 0)
-        next_frame = 1
-
+    heap = [(frame_times[f], -1, f, -1, 0, 0, 0.0) for f in range(n_frames) if fps > 0]
+    heapify(heap)
+    next_frame = len(heap)
+    seq = 0
     while heap or next_frame < n_frames:
-        if not heap:
-            push(sim_now, -1, "frame", next_frame)
-            next_frame += 1
-            continue
-        t, _, _, kind, payload = heapq.heappop(heap)
-        sim_now = max(sim_now, t)
-        if kind == "frame":
-            for i in inputs:
-                fire(i, t)
+        if heap:
+            t, _, _, idx, src, mult, value = heappop(heap)
         else:
-            deliver(t, payload)
+            t, idx = sim_now, -1
+            next_frame += 1
+        if idx < 0:
+            fired = inputs
+            if t > sim_now:
+                sim_now = t
+        else:
+            # deliver: the inbox serializes the consumed events
+            c = core[idx]
+            pend = pending[c]
+            if pend and pend[0] <= t:
+                del pend[:bisect_right(pend, t)]
+            n = len(pend) + 1
+            if n > max_depth[c]:
+                if n > depth:
+                    raise CongestionError(f"{name[c]} exceeded depth {depth}")
+                max_depth[c] = n
+            b = busy[c]
+            t = (b if b > t else t) + mult * work[idx] * t_npe_op
+            busy[c] = t
+            pend.append(t)
+            if mult > 0:
+                e = mult * (e_ctrl + work[idx] * e_npe_op)
+                energy[c] += e
+                cost_log.append((t, "core", c, e))
+                acc[idx] += value * mult
+                events_processed += mult
+            if t > sim_now:
+                sim_now = t
+            bank = banked[idx]
+            n = bank.get(src, 0) + 1
+            bank[src] = n
+            if n == 1:
+                missing[idx] -= 1
+            # fire once per complete marker set: one bundle from every
+            # upstream partition; skewed fast senders bank extra markers
+            # without firing
+            n = 0
+            while missing[idx] == 0:
+                for u in upstream[idx]:
+                    bank[u] -= 1
+                    if bank[u] == 0:
+                        missing[idx] += 1
+                n += 1
+            fired = (idx,) * n
+        for i in fired:
+            mult, flits = next(firings[i])
+            denom = fan_in[i]
+            value = acc[i] / denom if denom else 1.0
+            acc[i] = 0.0
+            if output[i]:
+                # an input layer that is also the output reports its event share
+                end_signal.append((t, value if denom else mult / output[i]))
+                continue
+            # emit one bundle to every destination
+            src_core = core[i]
+            for j in local[i]:
+                heappush(heap, (t, src_core, seq, j, i, mult, value))
+                seq += 1
+            ports = tree_ports[i]
+            if ports is None:
+                if trees[i] is None:
+                    continue
+                inj, edges, n_nodes, dests = trees[i]
+                links = []
+                for lk, label in [(inj, f"injection port {inj[0]}")] + [
+                        (lk, f"link {lk[0]}->{lk[1]}") for (_, _, lk) in edges]:
+                    if lk not in link_id:
+                        link_id[lk] = len(busy)
+                        busy.append(0.0)
+                        pending.append([])
+                        max_depth.append(0)
+                        energy.append(0.0)
+                        name.append(label)
+                    links.append((lk, link_id[lk]))
+                # the injection port is the hop from the source core, an
+                # extra node past the tree's, to the tree's root
+                ports = tree_ports[i] = (
+                    [(n_nodes, 0, *links[0], 1)] + [(u, v, *link, 0) for (u, v, _), link
+                                                    in zip(edges, links[1:])],
+                    n_nodes, dests, links)
+            hops, n_nodes, dests, links = ports
+            if mult > 0 and unlisted[i]:
+                unlisted[i] = False
+                charged.update(links)
+            # one injection serializes the whole multicast bundle
+            service = (max(1, mult) * hw.t_hop, max(1, mult) * hw.t_inject)
+            charge = (flits * hw.e_hop_per_flit, mult * hw.e_inject)
+            arrival = [t] * (n_nodes + 1)
+            for (u, v, lk, p, k) in hops:
+                t_in = arrival[u]
+                pend = pending[p]
+                if pend and pend[0] <= t_in:
+                    del pend[:bisect_right(pend, t_in)]
+                n = len(pend) + 1
+                if n > max_depth[p]:
+                    if n > depth:
+                        raise CongestionError(f"{name[p]} exceeded depth {depth}")
+                    max_depth[p] = n
+                b = busy[p]
+                done = (b if b > t_in else t_in) + service[k]
+                busy[p] = done
+                pend.append(done)
+                if mult > 0:
+                    energy[p] += charge[k]
+                    cost_log.append((done, "link", lk, charge[k]))
+                arrival[v] = done
+                if done > sim_now:
+                    sim_now = done
+            for (v, j) in dests:
+                heappush(heap, (arrival[v], src_core, seq, j, i, mult, value))
+                seq += 1
 
     duration = sim_now
     static = hw.p_static_core * duration
-    static_total = static * len(cores)
-    for c in energy_core:
-        energy_core[c] += static
+    # core order as in mapping.layers_per_core: first appearance
+    energy_core = {c: energy[c] + static for c in dict.fromkeys(core)}
+    energy_link = {lk: energy[p] for lk, p in charged.items()}
     total = sum(energy_core.values()) + sum(energy_link.values())
     first_t = frame_times[0] if fps > 0 else 0.0
     last_output = max([0.0] + [t for (t, _) in end_signal])
     latency = max(0.0, last_output - first_t)
     throughput = n_frames / latency if latency > 0 else 0.0
-    congestion = {lk: p.max_depth for lk, p in links.items()}
     return CostReport(
         energy_per_core=energy_core,
         energy_interconnect=energy_link,
         total_energy=total,
         latency_end_to_end=latency,
         throughput=throughput,
-        congestion=congestion,
+        congestion={lk: max_depth[p] for lk, p in link_id.items()},
         end_signal=tuple(end_signal),
         events_processed=events_processed,
         duration=duration,
-        static_energy=static_total,
+        static_energy=static * n_cores,
         cost_log=tuple(cost_log),
     )
+
+
+# samples per snapshot grid: each sample holds a row for every core and link
+MAX_SNAPSHOT_SAMPLES = 10**6
 
 
 def snapshot(report: CostReport, every: float):
@@ -526,12 +529,20 @@ def snapshot(report: CostReport, every: float):
     Returns (times, core_rows, link_rows) where rows map key -> list of
     cumulative energies aligned with times. The final sample sits at the
     report duration and matches the report totals (static power accrues
-    linearly between samples).
+    linearly between samples). SimError unless every is finite and > 0 and
+    the grid holds at most MAX_SNAPSHOT_SAMPLES instants.
     """
-    if every <= 0:
-        raise SimError("snapshot interval must be > 0")
     duration = report.duration
-    times = [i * every for i in range(int(duration // every) + 1)]
+    # NaN fails the comparison
+    if not 0 < every < math.inf:
+        raise SimError(f"snapshot interval must be finite and > 0, got {every!r} "
+                       f"(duration {duration!r})")
+    # a float count, which a tiny interval can overflow to inf
+    n = duration // every + 1
+    if n > MAX_SNAPSHOT_SAMPLES:
+        raise SimError(f"snapshot interval {every!r} over duration {duration!r} "
+                       f"needs {n:.0f} samples, more than {MAX_SNAPSHOT_SAMPLES}")
+    times = [i * every for i in range(int(n))]
     if not times or times[-1] < duration:
         times.append(duration)
     core_keys = sorted(report.energy_per_core)
@@ -565,12 +576,12 @@ def write_run_files(report: CostReport, outdir, settings: dict | None = None,
                     snapshot_every: float | None = None) -> None:
     """Write the per-run file set: summary, snapshots, end signal, settings."""
     import os
-    os.makedirs(outdir, exist_ok=True)
     every = snapshot_every
     if every is None:
         every = report.duration / 50 if report.duration > 0 else 1.0
         every = max(every, 1e-12)
     times, core_rows, link_rows = snapshot(report, every)
+    os.makedirs(outdir, exist_ok=True)
 
     with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"total_energy = {report.total_energy!r}\n")

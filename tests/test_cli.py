@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from neuromap import simcost
 from neuromap.cli import build_parser, main, packaged_config
 from neuromap.mesh import compress, place
 from neuromap.optimize import load_algo_params
@@ -130,8 +131,12 @@ def _with_fields(row, pos, *values):
      "map.csv:4: N_npc = 'x' is not an integer"),
     (lambda rows: [_with_fields(r, 9, 0) for r in rows],
      "layer 0 core 0: M_pc_bits 0 differs from 3072 for its counts"),
+    # an inflated M_pc_bits is the mismatch, not a budget overrun
+    (lambda rows: [_with_fields(rows[0], 9, 10**12)] + rows[1:],
+     "layer 0 core 0: M_pc_bits 1000000000000 differs from 3072 for its counts"),
 ], ids=["dropped-layer", "unknown-layer", "gap-in-layer", "short-row",
-        "core-id-hole", "wrong-counts", "non-integer-field", "zero-m-pc"])
+        "core-id-hole", "wrong-counts", "non-integer-field", "zero-m-pc",
+        "inflated-m-pc"])
 def test_simulate_mapping_not_matching_model_is_domain_error(net_path, tmp_path,
                                                              edit, named):
     model = load_network(net_path)
@@ -164,6 +169,26 @@ def test_non_finite_hardware_value_is_domain_error(net_path, tmp_path, key, valu
     _assert_domain_error(["simulate", "--workload", net_path, "--hw", path,
                           "--frames", 2, "--out", tmp_path / "m"],
                          f"{key} must be finite and >= 0, got {value}")
+
+
+def test_snapshot_interval_past_the_grid_bound_is_domain_error(net_path, tmp_path):
+    # 1e-310 asks for more samples than a float holds, so a missing bound
+    # fails on the count instead of building the grid
+    _assert_domain_error(["simulate", "--workload", net_path, "--frames", 2,
+                          "--snapshot-every", "1e-310", "--out", tmp_path / "m"],
+                         "snapshot interval 1e-310 over duration ")
+    assert not (tmp_path / "m").exists()
+
+
+def test_snapshot_interval_bound_in_process(net_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simcost, "MAX_SNAPSHOT_SAMPLES", 10)
+    rc, _, stderr = run_cli(["simulate", "--workload", net_path, "--frames", 2,
+                             "--snapshot-every", "1.0", "--out", tmp_path / "m"],
+                            capsys)
+    assert rc == 1
+    assert "snapshot interval 1.0 over duration " in stderr
+    assert "samples, more than 10\n" in stderr
+    assert not (tmp_path / "m").exists()
 
 
 TRACE_HEAD = "# fps=0.0 frames=1\ntimestamp,neuron_id,payload_bits\n"

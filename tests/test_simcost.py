@@ -1,4 +1,6 @@
+import bisect
 import dataclasses
+import heapq
 import math
 import tracemalloc
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuromap import simcost
 from neuromap.configio import ConfigFormatError
 from neuromap.mesh import compress, place
 from neuromap.partition import (
@@ -17,9 +20,10 @@ from neuromap.partition import (
 )
 from neuromap.simcost import (
     CongestionError,
+    CostReport,
     HardwareConfig,
+    Link,
     SimError,
-    _Port,
     _route_xy,
     build_plan,
     link_label,
@@ -125,41 +129,6 @@ def test_route_length_is_manhattan(r0, c0, r1, c1):
         assert path[1][0] == r0
 
 
-# --- port queue ---
-
-@settings(max_examples=300, deadline=None)
-@given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)),
-                      max_size=40),
-       depth=st.integers(1, 6))
-def test_port_matches_brute_force_queue(steps, depth):
-    # small integer gaps and services make a pending done == t_in common
-    port = _Port()
-    bounded = _Port("link (0, 0)->(0, 1)", depth)
-    t_in = 0.0
-    busy = 0.0
-    dones = []
-    max_depth = 0
-    for gap, service in steps:
-        t_in += gap
-        max_depth = max(max_depth, 1 + sum(d > t_in for d in dones))
-        start = max(t_in, busy)
-        busy = start + service
-        dones.append(busy)
-        assert port.acquire(t_in, float(service)) == (start, busy)
-        assert port.max_depth == max_depth
-        if bounded is None:
-            continue
-        if max_depth > depth:
-            # the first admission past the depth raises, naming the port
-            with pytest.raises(CongestionError) as exc:
-                bounded.acquire(t_in, float(service))
-            assert str(exc.value) == f"link (0, 0)->(0, 1) exceeded depth {depth}"
-            bounded = None
-        else:
-            assert bounded.acquire(t_in, float(service)) == (start, busy)
-            assert bounded.max_depth == max_depth
-
-
 # --- dynamic energy against its closed form over the plan ---
 
 def expected_dynamic_energy(plan, hw):
@@ -250,6 +219,268 @@ def designs(draw):
 @given(design=designs())
 def test_dynamic_energy_matches_closed_form(design):
     assert_energy_matches_plan(*design)
+
+
+# --- the flat kernel against the replay it replaced ---
+
+class _Port:
+    """Serializing resource (link or core inbox) with queue-depth tracking;
+    admitting a bundle past depth raises CongestionError naming the port."""
+
+    __slots__ = ("busy_until", "pending_done", "max_depth", "name", "depth")
+
+    def __init__(self, name: str = "", depth: float = math.inf):
+        self.busy_until = 0.0
+        # completion times still pending, non-decreasing: each done is at
+        # least the previous one because busy_until only grows
+        self.pending_done: list[float] = []
+        self.max_depth = 0
+        self.name = name
+        self.depth = depth
+
+    def acquire(self, t_in: float, service: float) -> tuple[float, float]:
+        """Returns (start, done); records queue depth at admission."""
+        pending = self.pending_done
+        gone = bisect.bisect_right(pending, t_in)
+        if gone:
+            del pending[:gone]
+        depth = len(pending) + 1
+        if depth > self.max_depth:
+            if depth > self.depth:
+                raise CongestionError(f"{self.name} exceeded depth {self.depth}")
+            self.max_depth = depth
+        busy = self.busy_until
+        start = busy if busy > t_in else t_in
+        done = start + service
+        self.busy_until = done
+        pending.append(done)
+        return start, done
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6)),
+                      max_size=40),
+       depth=st.integers(1, 6))
+def test_port_matches_brute_force_queue(steps, depth):
+    # small integer gaps and services make a pending done == t_in common
+    port = _Port()
+    bounded = _Port("link (0, 0)->(0, 1)", depth)
+    t_in = 0.0
+    busy = 0.0
+    dones = []
+    max_depth = 0
+    for gap, service in steps:
+        t_in += gap
+        max_depth = max(max_depth, 1 + sum(d > t_in for d in dones))
+        start = max(t_in, busy)
+        busy = start + service
+        dones.append(busy)
+        assert port.acquire(t_in, float(service)) == (start, busy)
+        assert port.max_depth == max_depth
+        if bounded is None:
+            continue
+        if max_depth > depth:
+            # the first admission past the depth raises, naming the port
+            with pytest.raises(CongestionError) as exc:
+                bounded.acquire(t_in, float(service))
+            assert str(exc.value) == f"link (0, 0)->(0, 1) exceeded depth {depth}"
+            bounded = None
+        else:
+            assert bounded.acquire(t_in, float(service)) == (start, busy)
+            assert bounded.max_depth == max_depth
+
+
+def reference_simulate(plan, hw):
+    """The replay of a plan as simulate ran it before its kernel was
+    flattened: ports as _Port objects, and push, emit, fire and deliver as
+    closures. The kernel must match it bit for bit, down to dict orders and
+    the cost log."""
+    (core, upstream, loads, local, trees, work, fan_in, output, inputs,
+     frame_times, fps) = plan
+    depth = hw.queue_depth
+    links: dict[Link, _Port] = {}
+    # core order as in mapping.layers_per_core: first appearance
+    cores = {c: _Port(f"core {c} inbox", depth) for c in dict.fromkeys(core)}
+    inbox = [cores[c] for c in core]
+    # per source partition, its (injection port, [(u, v, link, port)]),
+    # created at its first bundle in the order that bundle meets them, so
+    # links keeps first-use order
+    tree_ports: list[tuple | None] = [None] * len(core)
+    acc = [0.0] * len(core)
+    firings = [iter(l) for l in loads]
+    # banked bundles per upstream partition, and how many upstreams have
+    # none banked: a partition fires when that count is 0
+    banked: list[dict[int, int]] = [{} for _ in core]
+    missing = [len(up) for up in upstream]
+
+    energy_core: dict[int, float] = {c: 0.0 for c in cores}
+    energy_link: dict[Link, float] = {}
+    cost_log: list[tuple[float, str, object, float]] = []
+    end_signal: list[tuple[float, float]] = []
+    events_processed = 0
+    sim_now = 0.0
+
+    heap: list = []
+    seq = 0
+
+    def push(t: float, src_core: int, kind: str, payload) -> None:
+        nonlocal seq
+        heapq.heappush(heap, (t, src_core, seq, kind, payload))
+        seq += 1
+
+    def charge_link(t: float, link: Link, e: float) -> None:
+        energy_link[link] = energy_link.get(link, 0.0) + e
+        cost_log.append((t, "link", link, e))
+
+    def emit(src: int, t_emit: float, mult: int, value: float, flits: int) -> None:
+        """Send one bundle from partition src to every destination."""
+        nonlocal sim_now
+        src_core = core[src]
+        for j in local[src]:
+            push(t_emit, src_core, "deliver", (src, j, mult, value))
+        tree = trees[src]
+        if tree is None:
+            return
+        inj, edges, n_nodes, dests = tree
+        ports = tree_ports[src]
+        if ports is None:
+            ports = tree_ports[src] = (
+                links.setdefault(inj, _Port(f"injection port {inj[0]}", depth)),
+                [(u, v, lk, links.setdefault(lk, _Port(f"link {lk[0]}->{lk[1]}", depth)))
+                 for (u, v, lk) in edges])
+        inj_port, hops = ports
+        # one injection serializes the whole multicast bundle
+        _, done = inj_port.acquire(t_emit, max(1, mult) * hw.t_inject)
+        if mult > 0:
+            charge_link(done, inj, mult * hw.e_inject)
+        arrival = [done] * n_nodes
+        service = max(1, mult) * hw.t_hop
+        e_hop = flits * hw.e_hop_per_flit
+        for (u, v, link, p) in hops:
+            _, done_edge = p.acquire(arrival[u], service)
+            if mult > 0:
+                charge_link(done_edge, link, e_hop)
+            arrival[v] = done_edge
+            if done_edge > sim_now:
+                sim_now = done_edge
+        for (v, j) in dests:
+            push(arrival[v], src_core, "deliver", (src, j, mult, value))
+
+    def fire(idx: int, t: float) -> None:
+        mult, flits = next(firings[idx])
+        denom = fan_in[idx]
+        value = acc[idx] / denom if denom else 1.0
+        acc[idx] = 0.0
+        if output[idx]:
+            # an input layer that is also the output reports its event share
+            end_signal.append((t, value if denom else mult / output[idx]))
+            return
+        emit(idx, t, mult, value, flits)
+
+    def deliver(t: float, payload) -> None:
+        nonlocal sim_now, events_processed
+        src, idx, mult, value = payload
+        _, done = inbox[idx].acquire(t, mult * work[idx] * hw.t_npe_op)
+        if mult > 0:
+            e = mult * (hw.e_ctrl_event + work[idx] * hw.e_npe_op)
+            energy_core[core[idx]] += e
+            cost_log.append((done, "core", core[idx], e))
+            acc[idx] += value * mult
+            events_processed += mult
+        if done > sim_now:
+            sim_now = done
+        bank = banked[idx]
+        n = bank.get(src, 0) + 1
+        bank[src] = n
+        if n == 1:
+            missing[idx] -= 1
+        # fire once per complete marker set: one bundle from every upstream
+        # partition; skewed fast senders bank extra markers without firing
+        while missing[idx] == 0:
+            for u in upstream[idx]:
+                bank[u] -= 1
+                if bank[u] == 0:
+                    missing[idx] += 1
+            fire(idx, done)
+
+    n_frames = len(frame_times)
+    if fps > 0:
+        for f in range(n_frames):
+            push(frame_times[f], -1, "frame", f)
+        next_frame = n_frames
+    else:
+        # frame 0 enters at 0.0 even when its burst's timestamp only rounds
+        # to slot 0
+        push(0.0, -1, "frame", 0)
+        next_frame = 1
+
+    while heap or next_frame < n_frames:
+        if not heap:
+            push(sim_now, -1, "frame", next_frame)
+            next_frame += 1
+            continue
+        t, _, _, kind, payload = heapq.heappop(heap)
+        sim_now = max(sim_now, t)
+        if kind == "frame":
+            for i in inputs:
+                fire(i, t)
+        else:
+            deliver(t, payload)
+
+    duration = sim_now
+    static = hw.p_static_core * duration
+    static_total = static * len(cores)
+    for c in energy_core:
+        energy_core[c] += static
+    total = sum(energy_core.values()) + sum(energy_link.values())
+    first_t = frame_times[0] if fps > 0 else 0.0
+    last_output = max([0.0] + [t for (t, _) in end_signal])
+    latency = max(0.0, last_output - first_t)
+    throughput = n_frames / latency if latency > 0 else 0.0
+    congestion = {lk: p.max_depth for lk, p in links.items()}
+    return CostReport(
+        energy_per_core=energy_core,
+        energy_interconnect=energy_link,
+        total_energy=total,
+        latency_end_to_end=latency,
+        throughput=throughput,
+        congestion=congestion,
+        end_signal=tuple(end_signal),
+        events_processed=events_processed,
+        duration=duration,
+        static_energy=static_total,
+        cost_log=tuple(cost_log),
+    )
+
+
+def assert_kernel_matches_reference(design):
+    """Same report, compared by the repr of every field, or the same
+    CongestionError message."""
+    hw = design[3]
+    try:
+        expected = reference_simulate(build_plan(*design), hw)
+    except CongestionError as exc:
+        with pytest.raises(CongestionError) as got:
+            simulate(*design)
+        assert str(got.value) == str(exc)
+        return
+    report = simulate(*design)
+    for f in dataclasses.fields(CostReport):
+        assert repr(getattr(report, f.name)) == repr(getattr(expected, f.name)), f.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(design=designs())
+def test_kernel_matches_reference_replay(design):
+    assert_kernel_matches_reference(design)
+
+
+@settings(max_examples=300, deadline=None)
+@given(design=designs(), depth=st.integers(1, 8))
+def test_kernel_matches_reference_replay_at_shallow_queues(design, depth):
+    model, mapping, placement, hw, trace = design
+    assert_kernel_matches_reference(
+        (model, mapping, placement, dataclasses.replace(hw, queue_depth=depth), trace))
 
 
 @settings(max_examples=150, deadline=None)
@@ -562,6 +793,37 @@ def test_snapshot_final_row_matches_totals():
         assert rows[-1] == pytest.approx(report.energy_interconnect[k], rel=1e-9)
     for rows in list(core_rows.values()) + list(link_rows.values()):
         assert all(b >= a - 1e-12 for a, b in zip(rows, rows[1:]))
+
+
+def _toy_report():
+    model = chain_model([8, 6, 4], rate=0.5)
+    return run(model, uniform_spec(model), synth_trace(model, 3, 30, seed=5))
+
+
+@pytest.mark.parametrize("every", [0.0, -1.0, math.nan, math.inf])
+def test_snapshot_interval_must_be_finite_and_positive(every):
+    report = _toy_report()
+    with pytest.raises(SimError) as exc:
+        snapshot(report, every)
+    assert str(exc.value) == (f"snapshot interval must be finite and > 0, got "
+                              f"{every!r} (duration {report.duration!r})")
+
+
+def test_snapshot_grid_is_bounded(monkeypatch):
+    report = _toy_report()
+    # a count past any float: the check must not convert it to an int
+    with pytest.raises(SimError, match=r"^snapshot interval 1e-310 over duration "
+                       r"\S+ needs inf samples, more than 1000000$"):
+        snapshot(report, 1e-310)
+    # the bound itself, on a grid small enough to build if it failed
+    monkeypatch.setattr(simcost, "MAX_SNAPSHOT_SAMPLES", 10)
+    every = report.duration / 20
+    with pytest.raises(SimError) as exc:
+        snapshot(report, every)
+    assert str(exc.value) == (f"snapshot interval {every!r} over duration "
+                              f"{report.duration!r} needs 21 samples, more than 10")
+    times, _, _ = snapshot(report, report.duration / 9)
+    assert len(times) <= 11
 
 
 def test_snapshot_affine_for_constant_rate_single_core():
