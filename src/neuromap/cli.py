@@ -45,7 +45,6 @@ from .partition import (
 )
 from .simcost import (
     HardwareConfig,
-    check_mapping,
     load_hw_config,
     simulate,
     write_run_files,
@@ -103,31 +102,16 @@ def _spec_from_flags(args, model) -> PartitionSpec:
         for c, a in zip(cores, axes)))
 
 
-def _memory_violations(mapping, m_max: int):
-    return [(core, m_pc) for core, m_pc in
-            sorted(mapping.memory_by_core().items()) if m_pc > m_max]
-
-
 def cmd_simulate(args) -> int:
     model = load_network(args.workload)
     hw = _load_hw(args)
     trace = _build_trace(args, model)
     if args.mapping:
         mapping = load_mapping(args.mapping)
-        # the budget below reads each row's M_pc_bits, so first check
-        # them (and the rest of the mapping) against the model
-        check_mapping(model, mapping)
     else:
         spec = _spec_from_flags(args, model)
         mapping = build_mapping(model, spec, m_max=hw.mem_per_core,
                                 enforce_cap=False)
-    violations = _memory_violations(mapping, hw.mem_per_core)
-    if violations:
-        core, m_pc = violations[0]
-        print(f"error: infeasible mapping: core {core} needs M_pc = {m_pc} "
-              f"bits, exceeding M_max = {hw.mem_per_core} bits "
-              f"({len(violations)} core(s) over budget)", file=sys.stderr)
-        return 1
     n = mapping.n_cores_total
     placement = place(n, compress(n, args.scheme))
     report = simulate(model, mapping, placement, hw, trace)

@@ -257,37 +257,35 @@ def fidelity_penalty_of(end_signal, ctx: EvalContext) -> float:
 _Design = namedtuple("_Design", "model mapping placement hw trace")
 
 
-def _realize(genome, ctx: EvalContext) -> tuple[float, _Design | None]:
-    """decode -> map -> retime -> compress -> place: (memory violation in
-    bits, design). A genome that overflows a core's memory is not placed
-    (design None); a split that cannot be built raises PartitionError."""
+def _realize(genome, ctx: EvalContext) -> _Design:
+    """decode -> map -> retime -> compress -> place; a split that cannot be
+    built raises PartitionError. The design may overflow a core's memory."""
     model = decode_model(genome, ctx.model, ctx.space)
     spec, hw, scheme, fps_override = decode(genome, model, ctx.base_hw,
                                             ctx.space, ctx.scheme)
     mapping = build_mapping(model, spec, m_max=hw.mem_per_core,
                             enforce_cap=False)
-    worst = max(mapping.memory_by_core().values())
-    violation = max(0.0, float(worst - hw.mem_per_core))
-    if violation > 0.0:
-        return violation, None
     trace = ctx.trace
     if fps_override is not None and fps_override != trace.fps:
         trace = retime_trace(trace, fps_override)
     n = mapping.n_cores_total
     placement = place(n, compress(n, scheme))
-    return 0.0, _Design(model, mapping, placement, hw, trace)
+    return _Design(model, mapping, placement, hw, trace)
 
 
 def evaluate(genome, ctx: EvalContext) -> EvalResult:
     """decode -> map -> compress -> place -> simulate -> score.
 
     Infeasible or failing candidates come back as penalty objectives with
-    a positive violation; they never raise.
+    a positive violation; they never raise. A memory overflow's violation
+    is the worst core's bits past the cap.
     """
     try:
-        violation, design = _realize(genome, ctx)
-        if design is None:
-            return _penalty_result(genome, violation)
+        design = _realize(genome, ctx)
+        cap = design.hw.mem_per_core
+        over = design.mapping.over_budget(cap)
+        if over:
+            return _penalty_result(genome, float(max(b for _, b in over) - cap))
         report = simulate(*design)
     except (PartitionError, SimError) as exc:
         return _penalty_result(genome, STRUCTURAL_VIOLATION, str(exc))
@@ -304,11 +302,7 @@ def evaluate(genome, ctx: EvalContext) -> EvalResult:
 
 def simulate_genome(genome, ctx: EvalContext) -> CostReport:
     """Full CostReport for one genome (for snapshot materialization)."""
-    violation, design = _realize(genome, ctx)
-    if design is None:
-        raise PartitionError(f"genome overflows a core's memory cap by "
-                             f"{violation:g} bits")
-    return simulate(*design)
+    return simulate(*_realize(genome, ctx))
 
 
 _WORKER_CTX: EvalContext | None = None

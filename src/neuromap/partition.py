@@ -50,15 +50,17 @@ def _share(total: int, lo: int, hi: int, whole: int) -> int:
     return total * hi // whole - total * lo // whole
 
 
-def _range_counts(layer: Layer, axis: str, start: int, end: int) -> tuple[int, int, int, int]:
-    """(N_npc, N_wpc, N_bpc, N_tpc) for axis units [start, end)."""
-    extent = layer.axis_extent(axis)
-    per_unit = layer.neurons // extent
+def range_counts(layer: Layer, axis: str, start: int, end: int,
+                 bitwidths: Bitwidths) -> tuple[int, int, int, int, int]:
+    """(N_npc, N_wpc, N_bpc, N_tpc, M_pc) for axis units [start, end)."""
+    per_unit = layer.neurons // layer.axis_extent(axis)
     n_npc = (end - start) * per_unit
     n_wpc = _share(layer.weights, start * per_unit, end * per_unit, layer.neurons)
     n_bpc = _share(layer.biases, start * per_unit, end * per_unit, layer.neurons)
     n_tpc = n_npc if layer.is_snn else 0
-    return n_npc, n_wpc, n_bpc, n_tpc
+    return n_npc, n_wpc, n_bpc, n_tpc, memory_per_core(
+        n_npc, n_wpc, n_bpc, n_tpc, layer.is_snn,
+        bitwidths.states, bitwidths.outputs, bitwidths.weights)
 
 
 def partition_layer(layer: Layer, n_parts: int, axis: str,
@@ -96,9 +98,7 @@ def partition_layer(layer: Layer, n_parts: int, axis: str,
     start = 0
     end = 0
     while end < extent:
-        counts = _range_counts(layer, axis, start, end + 1)
-        m = memory_per_core(*counts, layer.is_snn,
-                            bitwidths.states, bitwidths.outputs, bitwidths.weights)
+        m = range_counts(layer, axis, start, end + 1, bitwidths)[-1]
         if m > m_max:
             if end == start:
                 raise PartitionError(
@@ -185,19 +185,27 @@ class Mapping:
             out[a.core_id] = out.get(a.core_id, 0) + a.m_pc
         return out
 
+    def over_budget(self, m_max: int) -> list[tuple[int, int]]:
+        """[(core, bits), ...] of every core over m_max, by core id."""
+        return sorted((c, bits) for c, bits in self.memory_by_core().items()
+                      if bits > m_max)
+
+    def check_budget(self, m_max: int, error: type[ValueError] = PartitionError) -> None:
+        """Raise error naming the lowest core over m_max, if any."""
+        over = self.over_budget(m_max)
+        if over:
+            core, bits = over[0]
+            raise error(f"infeasible mapping: core {core} needs M_pc = {bits} bits, "
+                        f"exceeding M_max = {m_max} bits ({len(over)} core(s) over budget)")
+
 
 def _assignments_for_layer(layer: Layer, split: LayerSplit, bitwidths: Bitwidths,
                            m_max: int, first_core: int) -> list[CoreAssignment]:
     ranges = partition_layer(layer, split.n_cores, split.axis, split.style,
                              m_max=m_max, bitwidths=bitwidths)
-    out = []
-    for i, (a, b) in enumerate(ranges):
-        counts = _range_counts(layer, split.axis, a, b)
-        m = memory_per_core(*counts, layer.is_snn,
-                            bitwidths.states, bitwidths.outputs, bitwidths.weights)
-        out.append(CoreAssignment(first_core + i, layer.id, split.axis, a, b,
-                                  *counts, m))
-    return out
+    return [CoreAssignment(first_core + i, layer.id, split.axis, a, b,
+                           *range_counts(layer, split.axis, a, b, bitwidths))
+            for i, (a, b) in enumerate(ranges)]
 
 
 def build_mapping(model: NetworkModel, spec: PartitionSpec,
@@ -213,15 +221,12 @@ def build_mapping(model: NetworkModel, spec: PartitionSpec,
     core = 0
     for layer, split in zip(model.layers, spec.splits):
         batch = _assignments_for_layer(layer, split, model.bitwidths, m_max, core)
-        if enforce_cap:
-            for a in batch:
-                if a.m_pc > m_max:
-                    raise PartitionError(
-                        f"layer {layer.id} part {a.core_id - core}: "
-                        f"M_pc={a.m_pc} exceeds cap {m_max} bits")
         assignments.extend(batch)
         core += len(batch)
-    return Mapping(tuple(assignments))
+    mapping = Mapping(tuple(assignments))
+    if enforce_cap:
+        mapping.check_budget(m_max)
+    return mapping
 
 
 def cluster_layers(mapping: Mapping, groups: list[set[int]],
@@ -273,10 +278,7 @@ def cluster_layers(mapping: Mapping, groups: list[set[int]],
     out = Mapping(tuple(sorted(remapped, key=lambda a: (a.core_id, a.layer_id))),
                   clustered=True)
     if enforce_cap:
-        for core_id, total in out.memory_by_core().items():
-            if total > m_max:
-                raise PartitionError(
-                    f"core {core_id}: clustered M_pc={total} exceeds cap {m_max} bits")
+        out.check_budget(m_max)
     return out
 
 
@@ -304,6 +306,8 @@ def load_mapping(path) -> Mapping:
                 continue
             assignments.append(CoreAssignment(*parse_row(
                 line, _CSV_COLUMNS, f"{path}:{lineno}", PartitionError)))
+    if not assignments:
+        raise PartitionError(f"{path}: no partition rows")
     mapping = Mapping(tuple(assignments))
     layer_sets = mapping.layers_per_core.values()
     return replace(mapping, clustered=any(len(ls) > 1 for ls in layer_sets))

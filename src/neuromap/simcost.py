@@ -32,7 +32,7 @@ import numpy as np
 
 from .configio import check_keys, format_blocks, get_numbers, parse_blocks_file
 from .mesh import MeshPlacement
-from .partition import AXES, Mapping, _range_counts, axis_unit, memory_per_core
+from .partition import AXES, Mapping, axis_unit, range_counts
 from .workload import EventTrace, Layer, NetworkModel, firing_mask, frame_time
 
 
@@ -72,6 +72,9 @@ class HardwareConfig:
             # NaN fails both comparisons
             if not 0 <= v < math.inf:
                 raise SimError(f"{f.name} must be finite and >= 0, got {v!r}")
+            # integer fields feed int64 arithmetic
+            if isinstance(f.default, int) and v >= 2**63:
+                raise SimError(f"{f.name} must be < 2**63, got {v!r}")
 
     def scaled_times(self, factor: float) -> "HardwareConfig":
         """Copy with every time constant multiplied by factor."""
@@ -188,7 +191,6 @@ def check_mapping(model: NetworkModel, mapping: Mapping) -> dict[int, list[int]]
                        f"{sorted(layer_ids - by_layer.keys())} have no core, "
                        f"assignments name unknown layers "
                        f"{sorted(by_layer.keys() - layer_ids)}")
-    bw = model.bitwidths
     for lid, idxs in by_layer.items():
         idxs.sort(key=lambda i: (assigns[i].range_start, assigns[i].core_id))
         layer, parts = model.layers[lid], [assigns[i] for i in idxs]
@@ -206,16 +208,16 @@ def check_mapping(model: NetworkModel, mapping: Mapping) -> dict[int, list[int]]
             raise SimError(f"layer {layer.id}: {axis} ranges {ranges} do not "
                            f"tile [0, {extent}) exactly")
         for a in parts:
-            counts = _range_counts(layer, axis, a.range_start, a.range_end)
-            if (a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc) != counts:
+            want = range_counts(layer, axis, a.range_start, a.range_end,
+                                model.bitwidths)
+            if (a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc) != want[:4]:
                 raise SimError(f"layer {layer.id} core {a.core_id}: counts "
                                f"{(a.n_npc, a.n_wpc, a.n_bpc, a.n_tpc)} differ from "
-                               f"{counts} for {axis} range [{a.range_start}, "
+                               f"{want[:4]} for {axis} range [{a.range_start}, "
                                f"{a.range_end})")
-            m_pc = memory_per_core(*counts, layer.is_snn, bw.states, bw.outputs, bw.weights)
-            if a.m_pc != m_pc:
+            if a.m_pc != want[4]:
                 raise SimError(f"layer {layer.id} core {a.core_id}: M_pc_bits "
-                               f"{a.m_pc} differs from {m_pc} for its counts")
+                               f"{a.m_pc} differs from {want[4]} for its counts")
     core_ids = sorted(mapping.layers_per_core)
     for k, c in enumerate(core_ids):
         if c != k:
@@ -253,9 +255,7 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         raise SimError("placement has fewer slots than mapped cores")
 
     by_layer = check_mapping(model, mapping)
-    for core_id, bits in mapping.memory_by_core().items():
-        if bits > hw.mem_per_core:
-            raise SimError(f"core {core_id} needs {bits} bits, cap is {hw.mem_per_core}")
+    mapping.check_budget(hw.mem_per_core, SimError)
     assigns = mapping.assignments
 
     n_frames = trace.n_frames
@@ -500,6 +500,10 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     energy_core = {c: energy[c] + static for c in dict.fromkeys(core)}
     energy_link = {lk: energy[p] for lk, p in charged.items()}
     total = sum(energy_core.values()) + sum(energy_link.values())
+    # an infinite duration also makes the static energy NaN, so name it first
+    for label, v in (("duration", duration), ("total_energy", total)):
+        if not math.isfinite(v):
+            raise SimError(f"simulated {label} is {v!r}, not a finite number")
     first_t = frame_times[0] if fps > 0 else 0.0
     last_output = max([0.0] + [t for (t, _) in end_signal])
     latency = max(0.0, last_output - first_t)

@@ -75,8 +75,10 @@ class Layer:
             raise WorkloadError(f"layer {self.id}: dense layers must have channels=1, height=1")
         if self.weights < 0 or self.biases < 0:
             raise WorkloadError(f"layer {self.id}: weights/biases must be >= 0")
-        if self.avg_event_rate < 0:
-            raise WorkloadError(f"layer {self.id}: avg_event_rate must be >= 0")
+        # NaN fails both comparisons
+        if not 0 <= self.avg_event_rate < math.inf:
+            raise WorkloadError(f"layer {self.id}: avg_event_rate must be finite "
+                                f"and >= 0, got {self.avg_event_rate!r}")
         if self.is_snn and self.avg_event_rate > 1.0:
             raise WorkloadError(
                 f"layer {self.id}: binary-spike layers need avg_event_rate <= 1, "

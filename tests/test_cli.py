@@ -7,7 +7,14 @@ from neuromap import simcost
 from neuromap.cli import build_parser, main, packaged_config
 from neuromap.mesh import compress, place
 from neuromap.optimize import load_algo_params
-from neuromap.partition import LayerSplit, PartitionSpec, build_mapping, save_mapping
+from neuromap.partition import (
+    LayerSplit,
+    PartitionError,
+    PartitionSpec,
+    build_mapping,
+    cluster_layers,
+    save_mapping,
+)
 from neuromap.simcost import load_hw_config, simulate
 from neuromap.workload import load_network, synth_trace
 
@@ -134,9 +141,10 @@ def _with_fields(row, pos, *values):
     # an inflated M_pc_bits is the mismatch, not a budget overrun
     (lambda rows: [_with_fields(rows[0], 9, 10**12)] + rows[1:],
      "layer 0 core 0: M_pc_bits 1000000000000 differs from 3072 for its counts"),
+    (lambda rows: [], "map.csv: no partition rows"),
 ], ids=["dropped-layer", "unknown-layer", "gap-in-layer", "short-row",
         "core-id-hole", "wrong-counts", "non-integer-field", "zero-m-pc",
-        "inflated-m-pc"])
+        "inflated-m-pc", "header-only"])
 def test_simulate_mapping_not_matching_model_is_domain_error(net_path, tmp_path,
                                                              edit, named):
     model = load_network(net_path)
@@ -169,6 +177,56 @@ def test_non_finite_hardware_value_is_domain_error(net_path, tmp_path, key, valu
     _assert_domain_error(["simulate", "--workload", net_path, "--hw", path,
                           "--frames", 2, "--out", tmp_path / "m"],
                          f"{key} must be finite and >= 0, got {value}")
+
+
+def test_integer_hardware_value_past_int64_is_domain_error(net_path, tmp_path, capsys):
+    path = tmp_path / "hw.prm"
+    path.write_text("[hardware]\nflit_bits = 99999999999999999999\n")
+    rc, _, stderr = run_cli(["simulate", "--workload", net_path, "--hw", path,
+                             "--frames", 2, "--out", tmp_path / "m"], capsys)
+    assert rc == 1
+    assert stderr == "error: flit_bits must be < 2**63, got 99999999999999999999\n"
+
+
+@pytest.mark.parametrize("key, named", [("e_inject", "total_energy is inf"),
+                                        ("t_hop", "duration is inf")])
+def test_non_finite_result_is_domain_error(net_path, tmp_path, capsys, key, named):
+    path = tmp_path / "hw.prm"
+    path.write_text(f"[hardware]\n{key} = 1e308\n")
+    rc, _, stderr = run_cli(["simulate", "--workload", net_path, "--hw", path,
+                             "--frames", 2, "--out", tmp_path / "m"], capsys)
+    assert rc == 1
+    assert stderr == f"error: simulated {named}, not a finite number\n"
+    assert not (tmp_path / "m").exists()
+
+
+def test_over_budget_is_one_message_on_every_path(net_path, tmp_path, capsys):
+    model = load_network(net_path)
+    spec = PartitionSpec(tuple(LayerSplit(1, "layer") for _ in model.layers))
+    cap = 2000
+    mapping = build_mapping(model, spec, m_max=cap, enforce_cap=False)
+    # layers 0 and 1 need 3072 and 3872 bits, layer 2 fits
+    text = ("infeasible mapping: core 0 needs M_pc = 3072 bits, exceeding "
+            "M_max = 2000 bits (2 core(s) over budget)")
+    with pytest.raises(PartitionError) as built:
+        build_mapping(model, spec, m_max=cap)
+    with pytest.raises(PartitionError) as clustered:
+        cluster_layers(mapping, [{0}], m_max=cap)
+    placement = place(mapping.n_cores_total, compress(mapping.n_cores_total,
+                                                      "strict-area"))
+    with pytest.raises(simcost.SimError) as simulated:
+        simulate(model, mapping, placement, simcost.HardwareConfig(mem_per_core=cap),
+                 synth_trace(model, n_frames=2, fps=0, seed=0))
+    assert str(built.value) == str(clustered.value) == str(simulated.value) == text
+    hw_path = tmp_path / "hw.prm"
+    hw_path.write_text(f"[hardware]\nmem_per_core = {cap}\n")
+    map_path = tmp_path / "map.csv"
+    save_mapping(mapping, map_path)
+    for extra in ([], ["--mapping", map_path]):
+        rc, _, stderr = run_cli(["simulate", "--workload", net_path, "--hw", hw_path,
+                                 "--frames", 2, *extra, "--out", tmp_path / "m"],
+                                capsys)
+        assert (rc, stderr) == (1, f"error: {text}\n")
 
 
 def test_snapshot_interval_past_the_grid_bound_is_domain_error(net_path, tmp_path):

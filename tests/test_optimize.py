@@ -39,7 +39,7 @@ from neuromap.optimize import (
     scalarize,
     simulate_genome,
 )
-from neuromap.partition import build_mapping
+from neuromap.partition import PartitionError, build_mapping
 from neuromap.simcost import HardwareConfig, simulate
 from neuromap.workload import EventTrace, Layer, NetworkModel, synth_trace
 
@@ -285,6 +285,36 @@ def test_evaluate_memory_violation(ctx):
                             enforce_cap=False)
     worst = max(mapping.memory_by_core().values())
     assert res.violation == float(worst - 3000)
+
+
+@settings(max_examples=80, deadline=None)
+@given(neurons=st.lists(st.integers(min_value=1, max_value=12), min_size=1,
+                        max_size=4),
+       cap=st.integers(min_value=0, max_value=3000), data=st.data())
+def test_over_budget_is_the_filter_and_evaluate_reads_it(neurons, cap, data):
+    layers = tuple(
+        Layer(id=i, kind="dense", channels=1, height=1, width=n,
+              weights=0 if i == 0 else neurons[i - 1] * n, biases=0 if i == 0 else n,
+              is_snn=True, avg_event_rate=0.5)
+        for i, n in enumerate(neurons))
+    model = NetworkModel(name="chain", layers=layers,
+                         edges=tuple((i, i + 1) for i in range(len(neurons) - 1)))
+    space = GenomeSpace(n_layers=len(neurons), c_max=4)
+    genome = tuple(data.draw(st.integers(min_value=int(a), max_value=int(b)))
+                   for a, b in zip(*space.bounds()))
+    ctx = EvalContext(model=model, trace=synth_trace(model, n_frames=2, fps=0, seed=0),
+                      base_hw=HardwareConfig(mem_per_core=cap), space=space)
+    res = evaluate(genome, ctx)
+    spec, _, _, _ = decode(genome, model, ctx.base_hw, space)
+    try:
+        mapping = build_mapping(model, spec, m_max=cap, enforce_cap=False)
+    except PartitionError:
+        assert res.violation == STRUCTURAL_VIOLATION
+        return
+    bits = mapping.memory_by_core()
+    over = [(c, bits[c]) for c in sorted(bits) if bits[c] > cap]
+    assert mapping.over_budget(cap) == over
+    assert res.violation == (float(max(b for _, b in over) - cap) if over else 0.0)
 
 
 def test_evaluate_structural_failure_is_penalty_not_crash():

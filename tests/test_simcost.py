@@ -872,3 +872,11 @@ def test_hw_key_that_names_nothing_is_rejected(tmp_path):
 
 def test_link_label():
     assert link_label(((0, 1), (0, 2))) == "0.1-0.2"
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(HardwareConfig)
+                                  if isinstance(f.default, int)])
+def test_integer_hardware_field_must_fit_int64(name):
+    HardwareConfig(**{name: 2**63 - 1}).validate()
+    with pytest.raises(SimError, match=rf"^{name} must be < 2\*\*63, got {2**63}$"):
+        HardwareConfig(**{name: 2**63}).validate()

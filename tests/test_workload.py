@@ -312,3 +312,15 @@ def test_network_key_that_names_nothing_is_rejected(tmp_path, section, key, typo
     p.write_text(head + sep + tail.replace(f"{key} = ", f"{typo} = ", 1))
     with pytest.raises(ConfigFormatError, match=f"m.net: unknown key '{typo}'"):
         load_network(p)
+
+
+@pytest.mark.parametrize("is_snn, rate", [(True, "nan"), (False, "nan"), (False, "inf")])
+def test_non_finite_rate_is_rejected(tmp_path, is_snn, rate):
+    # NaN passes both `< 0` and `> 1`, and an ANN layer has no upper bound
+    p = tmp_path / "m.net"
+    save_network(chain([4, 2], rate=0.5, is_snn=is_snn), p)
+    head, sep, tail = p.read_text().partition("rate = 0.5")
+    p.write_text(head + f"rate = {rate}" + tail)
+    with pytest.raises(WorkloadError,
+                       match=f"layer 0: avg_event_rate must be finite and >= 0, got {rate}"):
+        load_network(p)
