@@ -20,6 +20,7 @@ optimization traces. All files are plain CSV (or key = value echoes).
 from __future__ import annotations
 
 import csv
+import shutil
 import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime
@@ -193,9 +194,12 @@ def record_evaluation(record: ExperimentRecord, result: EvalResult,
     stamp = _stamp(datetime.fromtimestamp(now))
     settings = {"eval_index": idx, "generation": record.generation,
                 "genome": " ".join(str(g) for g in result.genome)}
-    for channel in channels:
-        outdir = record.run_dir / channel / f"{stamp}_{idx}"
-        write_run_files(report, outdir, settings=settings)
+    # one snapshot per evaluation: later channels copy the first's files
+    first = record.run_dir / channels[0] / f"{stamp}_{idx}"
+    write_run_files(report, first, settings=settings)
+    for channel in channels[1:]:
+        shutil.copytree(first, record.run_dir / channel / first.name,
+                        dirs_exist_ok=True)
 
 
 def record_generation(record: ExperimentRecord, generation: int) -> None:

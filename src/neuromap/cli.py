@@ -71,6 +71,9 @@ def _load_hw(args) -> HardwareConfig:
 
 
 def _build_trace(args, model):
+    # the seed also seeds the search; numpy's own message names no flag
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     fps = args.fps if args.fps is not None else float(model.frame_rate_fps)
     if args.trace:
         trace = load_trace(args.trace)

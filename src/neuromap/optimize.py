@@ -278,7 +278,8 @@ def evaluate(genome, ctx: EvalContext) -> EvalResult:
 
     Infeasible or failing candidates come back as penalty objectives with
     a positive violation; they never raise. A memory overflow's violation
-    is the worst core's bits past the cap.
+    is the worst core's bits past the cap. The result is a pure function of
+    (genome, ctx), and the simulation keeps no cost_log.
     """
     try:
         design = _realize(genome, ctx)
@@ -286,7 +287,7 @@ def evaluate(genome, ctx: EvalContext) -> EvalResult:
         over = design.mapping.over_budget(cap)
         if over:
             return _penalty_result(genome, float(max(b for _, b in over) - cap))
-        report = simulate(*design)
+        report = simulate(*design, log=False)
     except (PartitionError, SimError) as exc:
         return _penalty_result(genome, STRUCTURAL_VIOLATION, str(exc))
     shape = (design.placement.rows, design.placement.cols)
@@ -319,18 +320,32 @@ def _eval_in_worker(genome, ctx: EvalContext | None = None) -> EvalResult:
     return evaluate(genome, _WORKER_CTX if ctx is None else ctx)
 
 
-def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1) -> list[EvalResult]:
-    """Order-preserving batch evaluation, identical for any worker count."""
+def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1,
+                   memo: dict | None = None) -> list[EvalResult]:
+    """Order-preserving batch evaluation, identical for any worker count.
+
+    With a memo (genome -> EvalResult, one per search run), only the
+    genomes not in it are evaluated, each once and in first-seen order, and
+    their results join it; since evaluate() is pure, a stored result stands
+    for a fresh one.
+    """
     if workers < 1:
         raise OptimizeError("workers must be >= 1")
     genomes = [tuple(g) for g in genomes]
-    if not genomes:
-        return []
-    if workers == 1:
-        return [_eval_in_worker(g, ctx) for g in genomes]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(ctx,)) as pool:
-        return list(pool.map(_eval_in_worker, genomes, chunksize=8))
+    todo = genomes if memo is None else [
+        g for g in dict.fromkeys(genomes) if g not in memo]
+    if not todo:
+        results = []
+    elif workers == 1:
+        results = [_eval_in_worker(g, ctx) for g in todo]
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(ctx,)) as pool:
+            results = list(pool.map(_eval_in_worker, todo, chunksize=8))
+    if memo is None:
+        return results
+    memo.update(zip(todo, results))
+    return [memo[g] for g in genomes]
 
 
 # --- integer variation operators ---
@@ -559,11 +574,13 @@ def _tournament(rng, pop_results, names, weights) -> EvalResult:
 
 def _initial_population(ctx: EvalContext, params: AlgoParams, seed: int,
                         workers: int):
-    """Validated params, the seeded RNG and the evaluated first population."""
+    """Validated params, the seeded RNG, the run's evaluation memo and the
+    evaluated first population."""
     params.validate()
     rng = np.random.default_rng(seed)
     pop = [ctx.space.sample(rng) for _ in range(params.population)]
-    return rng, evaluate_batch(pop, ctx, workers)
+    memo: dict[tuple[int, ...], EvalResult] = {}
+    return rng, memo, evaluate_batch(pop, ctx, workers, memo)
 
 
 def _breed(rng, results, n_children: int, lo, hi, params: AlgoParams,
@@ -591,7 +608,7 @@ def run_ga(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
 
     Returns (best result, best-so-far history per generation).
     """
-    rng, results = _initial_population(ctx, params, seed, workers)
+    rng, memo, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names, weights = ctx.objective_names, params.weights
     best = min(results, key=lambda r: rank_key(r, names, weights))
@@ -601,7 +618,7 @@ def run_ga(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
     for gen in range(1, params.generations + 1):
         offspring = _breed(rng, results, params.population, lo, hi, params,
                            names)
-        child_results = evaluate_batch(offspring, ctx, workers)
+        child_results = evaluate_batch(offspring, ctx, workers, memo)
         merged = results + child_results
         merged.sort(key=lambda r: rank_key(r, names, weights))
         results = merged[:params.population]
@@ -624,7 +641,7 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
     """
     if len(ctx.objective_names) < 2:
         raise OptimizeError("nsga2 needs at least 2 objectives")
-    rng, results = _initial_population(ctx, params, seed, workers)
+    rng, memo, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names = ctx.objective_names
     archive = ParetoArchive(names)
@@ -657,7 +674,7 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
     for gen in range(1, params.generations + 1):
         offspring = _breed(rng, results, params.offspring, lo, hi, params,
                            names)
-        child_results = evaluate_batch(offspring, ctx, workers)
+        child_results = evaluate_batch(offspring, ctx, workers, memo)
         archive.update(r for r in child_results if r.feasible)
         archive.check_invariant()
         results = survival(results + child_results)
@@ -671,7 +688,7 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
 def run_pso(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
             on_generation=None) -> tuple[EvalResult, list[float]]:
     """Integer PSO: real-valued velocities, positions rounded and reflected."""
-    rng, results = _initial_population(ctx, params, seed, workers)
+    rng, memo, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names, weights = ctx.objective_names, params.weights
     n = params.population
@@ -697,7 +714,7 @@ def run_pso(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
                 new_pos[i, d] = _reflect(float(raw[i, d]), int(lo[d]), int(hi[d]))
         pos = new_pos
         results = evaluate_batch([tuple(int(v) for v in p) for p in pos],
-                                 ctx, workers)
+                                 ctx, workers, memo)
         for i, r in enumerate(results):
             if rank_key(r, names, weights) < rank_key(pbest[i], names, weights):
                 pbest[i] = r

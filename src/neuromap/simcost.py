@@ -121,8 +121,9 @@ class CostReport:
     events_processed: int
     duration: float
     static_energy: float
-    # (time, "core"|"link", key, energy) for time-resolved snapshots;
-    # static power is not logged, snapshot() accrues it analytically
+    # (time, "core"|"link", key, energy) for time-resolved snapshots, empty
+    # when simulated with log=False; static power is not logged,
+    # snapshot() accrues it analytically
     cost_log: tuple[tuple[float, str, object, float], ...]
 
 
@@ -327,7 +328,10 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
 
 
 def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
-             hw: HardwareConfig, trace: EventTrace) -> CostReport:
+             hw: HardwareConfig, trace: EventTrace, log: bool = True) -> CostReport:
+    """Replay the trace through the design. With log False the report's
+    cost_log is empty and every other field is unchanged; snapshot() and
+    write_run_files need the log."""
     plan = build_plan(model, mapping, placement, hw, trace)
 
     # --- replay: one loop over dense port ids; only the port queues, the
@@ -405,7 +409,8 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
             if mult > 0:
                 e = mult * (e_ctrl + work[idx] * e_npe_op)
                 energy[c] += e
-                cost_log.append((t, "core", c, e))
+                if log:
+                    cost_log.append((t, "core", c, e))
                 acc[idx] += value * mult
                 events_processed += mult
             if t > sim_now:
@@ -486,7 +491,8 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                 pend.append(done)
                 if mult > 0:
                     energy[p] += charge[k]
-                    cost_log.append((done, "link", lk, charge[k]))
+                    if log:
+                        cost_log.append((done, "link", lk, charge[k]))
                 arrival[v] = done
                 if done > sim_now:
                     sim_now = done

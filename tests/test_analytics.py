@@ -139,6 +139,35 @@ def test_bests_policy_channels(tmp_path, shared_report):
     assert rec.best_latency.objectives.latency == 3.0
 
 
+def test_doubly_flagged_snapshot_is_written_once(tmp_path, monkeypatch):
+    from neuromap import analytics
+    writes = []
+    real = analytics.write_run_files
+
+    def counted(report, outdir, **kw):
+        writes.append(outdir)
+        real(report, outdir, **kw)
+    monkeypatch.setattr(analytics, "write_run_files", counted)
+    rec = open_toy_run(tmp_path)
+    # the first feasible evaluation flags both channels; its snapshot
+    # comes from a re-simulation with the log on
+    record_evaluation(rec, mk_result(10.0, 5.0), ctx=toy_ctx())
+    (energy,) = (rec.run_dir / "Energy").iterdir()
+    (latency,) = (rec.run_dir / "Latency").iterdir()
+    assert len(writes) == 1
+    assert energy.name == latency.name
+    assert {p.name for p in latency.iterdir()} == SNAPSHOT_FILES
+    for name in SNAPSHOT_FILES:
+        assert (latency / name).read_bytes() == (energy / name).read_bytes()
+    # the log was on: the last snapshot row sums to the total energy
+    total = float((energy / "summary.txt").read_text().splitlines()[0]
+                  .split(" = ")[1])
+    last = [float(v) for name in ("snapshots_cores.csv",
+                                  "snapshots_interconnects.csv")
+            for v in (energy / name).read_text().splitlines()[-1].split(",")[1:]]
+    assert sum(last) == pytest.approx(total, rel=1e-9)
+
+
 def test_all_policy_snapshots_everything(tmp_path, shared_report):
     rec = open_toy_run(tmp_path, policy="all")
     for k in range(3):

@@ -295,6 +295,18 @@ def test_simulate_missing_workload(tmp_path, capsys):
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_negative_seed_is_domain_error(net_path, tmp_path, capsys, command):
+    args = [command, "--workload", net_path, "--frames", 2, "--seed", -5,
+            "--out", tmp_path / "s"]
+    if command == "optimize":
+        args += ["--algo", "ga", "--population", 4, "--generations", 1]
+    rc, _, stderr = run_cli(args, capsys)
+    assert rc == 1
+    assert stderr == "error: --seed must be >= 0, got -5\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_unknown_flag_is_hard_error(net_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--workload", str(net_path), "--turbo"])

@@ -397,7 +397,7 @@ def test_batch_empty(ctx):
 def test_batch_lets_a_bug_propagate(ctx, monkeypatch):
     """Only domain errors become penalties; anything else is a bug and
     stops the batch."""
-    def broken(*_):
+    def broken(*_, **__):
         raise RuntimeError("simulator bug")
     monkeypatch.setattr(optimize, "simulate", broken)
     with pytest.raises(RuntimeError, match="simulator bug"):
@@ -423,6 +423,98 @@ def test_batch_workers_1_vs_8_identical(ctx):
 def test_batch_rejects_bad_worker_count(ctx):
     with pytest.raises(OptimizeError):
         evaluate_batch([(1, 0, 1, 0, 1, 0)], ctx, workers=0)
+
+
+def count_evaluations(monkeypatch) -> list:
+    """Genomes passed to optimize.evaluate in this process, in call order."""
+    calls = []
+    real = optimize.evaluate
+
+    def counted(genome, ctx):
+        calls.append(tuple(genome))
+        return real(genome, ctx)
+    monkeypatch.setattr(optimize, "evaluate", counted)
+    return calls
+
+
+def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
+    calls = count_evaluations(monkeypatch)
+    dispatched = []
+
+    class InlinePool:
+        """ProcessPoolExecutor stand-in: maps in this process and records
+        what each batch dispatched."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            dispatched.append(list(items))
+            return map(fn, dispatched[-1])
+    monkeypatch.setattr(optimize, "_WORKER_CTX", None)
+    monkeypatch.setattr(optimize, "ProcessPoolExecutor", InlinePool)
+    a, b, c = (1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 1, 0), (1, 0, 2, 3, 1, 0)
+    memo = {}
+    batches = [[a, b, a], [b, c, c, a], [c, b]]
+    got = [evaluate_batch(batch, ctx, workers=4, memo=memo) for batch in batches]
+    # misses only, deduplicated in first-seen order; no pool once all hit
+    assert dispatched == [[a, b], [c]]
+    assert calls == [a, b, c]
+    assert memo.keys() == {a, b, c}
+    for batch, results in zip(batches, got):
+        assert [r.genome for r in results] == batch
+        assert results == [evaluate(g, ctx) for g in batch]
+
+
+def test_batch_memo_stores_nothing_for_a_bug(ctx, monkeypatch):
+    def broken(*_, **__):
+        raise RuntimeError("simulator bug")
+    monkeypatch.setattr(optimize, "simulate", broken)
+    memo = {}
+    with pytest.raises(RuntimeError, match="simulator bug"):
+        evaluate_batch([(1, 0, 1, 0, 1, 0)], ctx, memo=memo)
+    assert memo == {}
+
+
+@pytest.mark.parametrize("algo", ["ga", "nsga2", "pso"])
+def test_search_evaluates_each_distinct_genome_once(small_ctx, tmp_path,
+                                                    monkeypatch, algo):
+    from neuromap.analytics import attach, open_run, read_evaluations
+    runner, params = {
+        "ga": (run_ga, AlgoParams(algo="ga", population=6, generations=8,
+                                  weights={"energy": 1.0})),
+        "nsga2": (run_nsga2, AlgoParams(algo="nsga2", population=10,
+                                        generations=10, offspring=10)),
+        "pso": (run_pso, AlgoParams(algo="pso", population=6, generations=8,
+                                    weights={"energy": 1.0})),
+    }[algo]
+    calls = count_evaluations(monkeypatch)
+    record = open_run(tmp_path, "toy2", algo, 5, params, HW,
+                      gene_names=small_ctx.space.gene_names())
+    on_gen = attach(record, small_ctx)
+    seen = []
+
+    def on_generation(gen, results, best):
+        seen.extend(results)
+        on_gen(gen, results, best)
+    runner(small_ctx, params, seed=5, on_generation=on_generation)
+    distinct = {r.genome for r in seen}
+    assert len(seen) > len(distinct)  # the run does revisit genomes
+    assert sorted(calls) == sorted(distinct)
+    for r in seen:
+        assert r == evaluate(r.genome, small_ctx)
+    # one row per evaluation, repeats included
+    _, rows = read_evaluations(record.run_dir)
+    assert len(rows) == len(seen)
+    genes = small_ctx.space.gene_names()
+    assert [tuple(int(row[g]) for g in genes) for row in rows] == [
+        r.genome for r in seen]
 
 
 # --- ranking, dominance, archive, hypervolume ---

@@ -483,6 +483,46 @@ def test_kernel_matches_reference_replay_at_shallow_queues(design, depth):
         (model, mapping, placement, dataclasses.replace(hw, queue_depth=depth), trace))
 
 
+# --- the unlogged replay against the logged one ---
+
+def assert_unlogged_matches_logged(design):
+    """simulate(log=False) gives the logged report, compared by the repr of
+    every field, except that its cost_log is empty; or it raises the same
+    CongestionError or SimError message."""
+    try:
+        logged = simulate(*design)
+    except SimError as exc:
+        with pytest.raises(type(exc)) as got:
+            simulate(*design, log=False)
+        assert str(got.value) == str(exc)
+        return
+    unlogged = simulate(*design, log=False)
+    assert unlogged.cost_log == ()
+    for f in dataclasses.fields(CostReport):
+        if f.name != "cost_log":
+            assert repr(getattr(unlogged, f.name)) == repr(getattr(logged, f.name)), f.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(design=designs(), depth=st.integers(1, 8) | st.just(10**9))
+def test_unlogged_report_matches_logged(design, depth):
+    model, mapping, placement, hw, trace = design
+    assert_unlogged_matches_logged(
+        (model, mapping, placement, dataclasses.replace(hw, queue_depth=depth), trace))
+
+
+def test_unlogged_report_matches_logged_on_pinned_cases():
+    from test_simcost_pinned import CASES, PINNED_CONGESTION
+    for case in CASES.values():
+        assert_unlogged_matches_logged(case())
+    for case, depth in PINNED_CONGESTION:
+        model, mapping, placement, hw, trace = CASES[case]()
+        with pytest.raises(CongestionError) as exc:
+            simulate(model, mapping, placement,
+                     dataclasses.replace(hw, queue_depth=depth), trace, log=False)
+        assert str(exc.value) == PINNED_CONGESTION[case, depth]
+
+
 @settings(max_examples=150, deadline=None)
 @given(design=designs())
 def test_plan_loads_match_flat_slices(design):
