@@ -194,12 +194,11 @@ def record_evaluation(record: ExperimentRecord, result: EvalResult,
     stamp = _stamp(datetime.fromtimestamp(now))
     settings = {"eval_index": idx, "generation": record.generation,
                 "genome": " ".join(str(g) for g in result.genome)}
-    # one snapshot per evaluation: later channels copy the first's files
+    # a copy avoids sorting and writing the same cost_log again
     first = record.run_dir / channels[0] / f"{stamp}_{idx}"
     write_run_files(report, first, settings=settings)
     for channel in channels[1:]:
-        shutil.copytree(first, record.run_dir / channel / first.name,
-                        dirs_exist_ok=True)
+        shutil.copytree(first, record.run_dir / channel / first.name)
 
 
 def record_generation(record: ExperimentRecord, generation: int) -> None:

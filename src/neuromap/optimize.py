@@ -324,26 +324,22 @@ def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1,
                    memo: dict | None = None) -> list[EvalResult]:
     """Order-preserving batch evaluation, identical for any worker count.
 
-    With a memo (genome -> EvalResult, one per search run), only the
-    genomes not in it are evaluated, each once and in first-seen order, and
-    their results join it; since evaluate() is pure, a stored result stands
-    for a fresh one.
+    Only the genomes not in the memo (genome -> EvalResult, one per search
+    run; a fresh one when not given) are evaluated, each once and in
+    first-seen order, and their results join it; since evaluate() is pure,
+    a stored result stands for a fresh one.
     """
     if workers < 1:
         raise OptimizeError("workers must be >= 1")
+    memo = {} if memo is None else memo
     genomes = [tuple(g) for g in genomes]
-    todo = genomes if memo is None else [
-        g for g in dict.fromkeys(genomes) if g not in memo]
-    if not todo:
-        results = []
-    elif workers == 1:
+    todo = [g for g in dict.fromkeys(genomes) if g not in memo]
+    if workers == 1 or not todo:
         results = [_eval_in_worker(g, ctx) for g in todo]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:
             results = list(pool.map(_eval_in_worker, todo, chunksize=8))
-    if memo is None:
-        return results
     memo.update(zip(todo, results))
     return [memo[g] for g in genomes]
 

@@ -472,6 +472,15 @@ def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
         assert results == [evaluate(g, ctx) for g in batch]
 
 
+def test_batch_without_memo_evaluates_each_genome_once(ctx, monkeypatch):
+    calls = count_evaluations(monkeypatch)
+    a, b = (1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 1, 0)
+    results = evaluate_batch([a, b, a, a], ctx, workers=1)
+    assert calls == [a, b]
+    assert [r.genome for r in results] == [a, b, a, a]
+    assert results[0] is results[2] is results[3]
+
+
 def test_batch_memo_stores_nothing_for_a_bug(ctx, monkeypatch):
     def broken(*_, **__):
         raise RuntimeError("simulator bug")
