@@ -22,13 +22,13 @@ from __future__ import annotations
 import csv
 import shutil
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
-from .configio import format_blocks
+from .configio import dataclass_block, format_blocks
 from .optimize import AlgoParams, EvalResult, dominance, simulate_genome
-from .simcost import CostReport, HardwareConfig, hw_block, write_run_files
+from .simcost import CostReport, HardwareConfig, write_run_files
 
 SNAPSHOT_POLICIES = ("all", "bests", "sampled")
 
@@ -104,20 +104,8 @@ def open_run(root, app: str, algo: str, seed: int, params: AlgoParams,
     for d in (sum_dir, run_dir / "Energy", run_dir / "Latency"):
         d.mkdir(parents=True)
 
-    algo_body: dict[str, object] = {}
-    for f in fields(AlgoParams):
-        value = getattr(params, f.name)
-        if f.name == "weights":
-            for key in sorted(value):
-                algo_body[f"weight_{key}"] = _fmt(value[key])
-        elif value is None:
-            continue
-        elif isinstance(value, float):
-            algo_body[f.name] = _fmt(value)
-        else:
-            algo_body[f.name] = value
-    (sum_dir / "algo.prm").write_text(format_blocks([("algorithm", algo_body)]),
-                                      encoding="utf-8")
+    (sum_dir / "algo.prm").write_text(
+        format_blocks([("algorithm", dataclass_block(params))]), encoding="utf-8")
 
     run_body: dict[str, object] = {"app": app, "algo": algo, "seed": seed,
                                    "snapshot_policy": policy,
@@ -125,7 +113,7 @@ def open_run(root, app: str, algo: str, seed: int, params: AlgoParams,
     for key in sorted(run_settings or {}):
         run_body[key] = (run_settings or {})[key]
     (sum_dir / "sim.prm").write_text(
-        format_blocks([("run", run_body), ("hardware", hw_block(hw))]),
+        format_blocks([("run", run_body), ("hardware", dataclass_block(hw))]),
         encoding="utf-8")
 
     record = ExperimentRecord(app=app, algo=algo, seed=seed, root=root,

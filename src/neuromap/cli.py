@@ -24,6 +24,7 @@ from .analytics import (
     report_run,
     sweep_report,
 )
+from .configio import convert
 from .fidelity import distortion_flag, load_end_signal, xcorr_score
 from .mesh import SCHEMES, compress, place
 from .optimize import (
@@ -90,7 +91,7 @@ def _parse_per_layer(raw: str, n_layers: int, kind: str, cast):
     if len(parts) != n_layers:
         raise CliError(f"--{kind} needs 1 or {n_layers} comma-separated "
                        f"values, got {len(parts)}")
-    return [cast(p) for p in parts]
+    return [convert(p, cast, "command line", f"--{kind}", CliError) for p in parts]
 
 
 def _spec_from_flags(args, model) -> PartitionSpec:
@@ -137,7 +138,8 @@ def cmd_simulate(args) -> int:
 def _parse_menu(raw: str | None):
     if not raw:
         return None
-    return tuple(int(p) for p in raw.split(",") if p.strip())
+    return tuple(convert(p.strip(), int, "command line", "--npes-menu", CliError)
+                 for p in raw.split(",") if p.strip())
 
 
 def cmd_optimize(args) -> int:

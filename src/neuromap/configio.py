@@ -1,18 +1,40 @@
-"""Block-structured plain-text config files, and the row parser of the
-CSV data files (traces, mappings, end signals).
+"""Block-structured plain-text config files, the row reader of the CSV
+data files (traces, mappings, end signals), and the one rule both use to
+read a typed value.
 
 Format: `[section]` headers followed by `key = value` lines. Unlike
 configparser, section names may repeat (workload files carry one
-``[layer]`` block per layer). `#` and `;` start comments.
+``[layer]`` block per layer), but keys within a block may not. `#` and
+`;` start comments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields as dataclass_fields
+from numbers import Real
+
+# samples in a uniform grid built from input (snapshot instants, trace
+# frames, a resampled end signal, a population): each sample holds at
+# least one row, so the count bounds memory before anything is allocated
+MAX_SNAPSHOT_SAMPLES = 10**6
+
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+_NOUNS = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
 class ConfigFormatError(ValueError):
     """Raised when a config/workload file does not parse."""
+
+
+def convert(text: str, kind, where: str, name: str, error=ConfigFormatError):
+    """text read as kind (int, float, bool or str); error('<where>: <name>
+    = <text> is not an integer' / 'a number' / 'a boolean') otherwise."""
+    try:
+        return _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise error(f"{where}: {name} = {text!r} is not {_NOUNS[kind]}") from None
 
 
 def parse_blocks(text: str, source: str = "<string>") -> list[tuple[str, dict[str, str]]]:
@@ -36,6 +58,8 @@ def parse_blocks(text: str, source: str = "<string>") -> list[tuple[str, dict[st
             key = key.strip().lower()
             if not key:
                 raise ConfigFormatError(f"{source}:{lineno}: empty key")
+            if key in current:
+                raise ConfigFormatError(f"{source}:{lineno}: duplicate key {key!r}")
             current[key] = value.strip()
         else:
             raise ConfigFormatError(f"{source}:{lineno}: expected '[section]' or 'key = value', got {raw!r}")
@@ -45,6 +69,16 @@ def parse_blocks(text: str, source: str = "<string>") -> list[tuple[str, dict[st
 def parse_blocks_file(path) -> list[tuple[str, dict[str, str]]]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_blocks(fh.read(), source=str(path))
+
+
+def read_section(path, name: str, allowed, error) -> dict[str, str]:
+    """Fields of the first [name] section of the block file at path, every
+    key among allowed; error('<path>: missing [name] section') if none."""
+    found = next((f for section, f in parse_blocks_file(path) if section == name), None)
+    if found is None:
+        raise error(f"{path}: missing [{name}] section")
+    check_keys(found, allowed, str(path))
+    return found
 
 
 def format_blocks(blocks: list[tuple[str, dict[str, object]]]) -> str:
@@ -60,6 +94,21 @@ def format_blocks(blocks: list[tuple[str, dict[str, object]]]) -> str:
     return "\n".join(out)
 
 
+def dataclass_block(obj) -> dict[str, object]:
+    """Section body echoing a dataclass instance, in field order: floats
+    written by repr, None fields skipped, and a dict field such as weights
+    written as one weight_<key> entry per key, in key order."""
+    body: dict[str, object] = {}
+    for f in dataclass_fields(obj):
+        value = getattr(obj, f.name)
+        entries = ([(f"{f.name.removesuffix('s')}_{k}", value[k]) for k in sorted(value)]
+                   if isinstance(value, dict) else [(f.name, value)])
+        for key, v in entries:
+            if v is not None:
+                body[key] = repr(float(v)) if isinstance(v, float) else v
+    return body
+
+
 def check_keys(fields: dict[str, str], allowed, source: str = "") -> None:
     """ConfigFormatError naming the first key of fields that allowed lacks,
     so a misspelt key is not silently ignored."""
@@ -69,42 +118,28 @@ def check_keys(fields: dict[str, str], allowed, source: str = "") -> None:
                                     f"one of {sorted(allowed)}")
 
 
-def get_bool(fields: dict[str, str], key: str, default: bool | None = None, source: str = "") -> bool:
+def check_numbers(obj, error) -> None:
+    """error naming the first numeric field of the dataclass instance obj
+    that is not finite and >= 0, or, for a field with an integer default,
+    not below 2**63 (integer fields feed int64 arithmetic)."""
+    for f in dataclass_fields(obj):
+        v = getattr(obj, f.name)
+        # NaN fails both comparisons
+        if isinstance(v, Real) and not 0 <= v < math.inf:
+            raise error(f"{f.name} must be finite and >= 0, got {v!r}")
+        if isinstance(f.default, int) and v >= 2**63:
+            raise error(f"{f.name} must be < 2**63, got {v!r}")
+
+
+def get_value(fields: dict[str, str], key: str, kind, default=None, source: str = ""):
+    """fields[key] read as kind; an absent key gives default, or raises
+    ConfigFormatError when default is None (the key is required)."""
     raw = fields.get(key)
     if raw is None:
         if default is None:
             raise ConfigFormatError(f"{source}: missing required key {key!r}")
         return default
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigFormatError(f"{source}: {key} = {raw!r} is not a boolean")
-
-
-def get_int(fields: dict[str, str], key: str, default: int | None = None, source: str = "") -> int:
-    raw = fields.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigFormatError(f"{source}: missing required key {key!r}")
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigFormatError(f"{source}: {key} = {raw!r} is not an integer") from exc
-
-
-def get_float(fields: dict[str, str], key: str, default: float | None = None, source: str = "") -> float:
-    raw = fields.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigFormatError(f"{source}: missing required key {key!r}")
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigFormatError(f"{source}: {key} = {raw!r} is not a number") from exc
+    return convert(raw, kind, source, key)
 
 
 def get_numbers(fields: dict[str, str], defaults, source: str = "") -> dict:
@@ -115,8 +150,8 @@ def get_numbers(fields: dict[str, str], defaults, source: str = "") -> dict:
     for f in dataclass_fields(defaults):
         default = getattr(defaults, f.name)
         if f.name in fields and isinstance(default, (int, float, type(None))):
-            getter = get_int if isinstance(default, int) else get_float
-            out[f.name] = getter(fields, f.name, source=source)
+            kind = int if isinstance(default, int) else float
+            out[f.name] = convert(fields[f.name], kind, source, f.name)
     return out
 
 
@@ -127,11 +162,18 @@ def parse_row(line: str, columns, where: str, error=ConfigFormatError) -> tuple:
     raw = line.split(",")
     if len(raw) != len(columns):
         raise error(f"{where}: expected {len(columns)} fields, got {len(raw)}")
-    out = []
-    for (name, kind), text in zip(columns, raw):
-        try:
-            out.append(kind(text))
-        except ValueError:
-            raise error(f"{where}: {name} = {text!r} is not "
-                        f"{'an integer' if kind is int else 'a number'}") from None
-    return tuple(out)
+    return tuple(convert(text, kind, where, name, error)
+                 for (name, kind), text in zip(columns, raw))
+
+
+def read_rows(path, columns, error, what: str = "header") -> list[tuple]:
+    """The data rows of a CSV file whose first line must be the header
+    naming columns, each read by parse_row; rows are numbered from line 2
+    and blank lines are skipped. A different first line raises
+    error('<path>: unexpected <what> <line>')."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != ",".join(name for name, _ in columns):
+            raise error(f"{path}: unexpected {what} {header!r}")
+        return [parse_row(line.strip(), columns, f"{path}:{lineno}", error)
+                for lineno, line in enumerate(fh, start=2) if line.strip()]

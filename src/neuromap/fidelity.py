@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configio import parse_row
+from .configio import MAX_SNAPSHOT_SAMPLES, read_rows
 
 
 class FidelityError(ValueError):
@@ -37,16 +37,26 @@ def resample(samples, dt: float) -> EndSignal:
     """Zero-order hold of (timestamp, value) pairs onto a uniform dt grid.
 
     The grid starts at the first timestamp and covers through the last one.
-    Duplicate timestamps keep the later value.
+    Duplicate timestamps keep the later value. FidelityError unless every
+    sample is finite and the grid holds at most MAX_SNAPSHOT_SAMPLES points.
     """
     pts = sorted(samples, key=lambda p: p[0])
     if not pts:
         raise FidelityError("cannot resample an empty signal")
-    if dt <= 0:
+    # NaN fails the comparison
+    if not dt > 0:
         raise FidelityError("dt must be > 0")
+    for t, v in pts:
+        if not math.isfinite(t) or not math.isfinite(v):
+            raise FidelityError(f"end signal sample ({t!r}, {v!r}) is not finite")
     t0 = pts[0][0]
     span = pts[-1][0] - t0
-    n = int(math.floor(span / dt + 1e-9)) + 1
+    # a float count, which a tiny dt can overflow to inf
+    count = span / dt + 1e-9
+    if count >= MAX_SNAPSHOT_SAMPLES:
+        raise FidelityError(f"resampling interval {dt!r} over span {span!r} "
+                            f"needs more than {MAX_SNAPSHOT_SAMPLES} samples")
+    n = int(math.floor(count)) + 1
     if n < 2:
         n = 2
     out = []
@@ -123,14 +133,4 @@ _SIGNAL_COLUMNS = (("timestamp", float), ("value", float))
 
 def load_end_signal(path, dt: float) -> EndSignal:
     """Read an output_snapshot.csv (timestamp,value) and ZOH-resample."""
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "timestamp,value":
-            raise FidelityError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if line:
-                samples.append(parse_row(line, _SIGNAL_COLUMNS,
-                                         f"{path}:{lineno}", FidelityError))
-    return resample(samples, dt)
+    return resample(read_rows(path, _SIGNAL_COLUMNS, FidelityError), dt)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .configio import check_keys, get_float, get_numbers, parse_blocks_file
+from .configio import MAX_SNAPSHOT_SAMPLES, check_numbers, convert, get_numbers, read_section
 from .fidelity import FidelityError, from_values, xcorr_score
 from .mesh import SCHEMES, compress, place
 from .partition import (
@@ -536,22 +536,30 @@ class AlgoParams:
             raise OptimizeError("population >= 1 and generations >= 0 required")
         if self.offspring < 1:
             raise OptimizeError("offspring must be >= 1")
+        check_numbers(self, OptimizeError)
+        # both size a list of genomes bred or sampled up front
+        if max(self.population, self.offspring) > MAX_SNAPSHOT_SAMPLES:
+            raise OptimizeError(f"population and offspring must be <= "
+                                f"{MAX_SNAPSHOT_SAMPLES}")
+        for name in ("p_crossover", "p_mutation"):
+            p = getattr(self, name)
+            if p is not None and p > 1:
+                raise OptimizeError(f"{name} must be in [0, 1], got {p!r}")
+        for key, w in sorted(self.weights.items()):
+            if not math.isfinite(w):
+                raise OptimizeError(f"weight_{key} must be finite, got {w!r}")
 
 
 def load_algo_params(path) -> AlgoParams:
     """AlgoParams from the first [algorithm] section; absent keys keep the
     dataclass defaults, weight_<objective> keys fill the weights."""
-    blocks = parse_blocks_file(path)
-    fields_ = next((f for section, f in blocks if section == "algorithm"), None)
-    if fields_ is None:
-        raise OptimizeError(f"{path}: missing [algorithm] section")
     weight_keys = {f"weight_{name}" for name in OBJECTIVE_NAMES}
-    check_keys(fields_, {f.name for f in fields(AlgoParams)} - {"weights"}
-               | weight_keys, str(path))
+    fields_ = read_section(path, "algorithm", {f.name for f in fields(AlgoParams)}
+                           - {"weights"} | weight_keys, OptimizeError)
     kwargs = get_numbers(fields_, AlgoParams(), str(path))
     if "algo" in fields_:
         kwargs["algo"] = fields_["algo"]
-    weights = {key.removeprefix("weight_"): get_float(fields_, key, source=str(path))
+    weights = {key.removeprefix("weight_"): convert(fields_[key], float, str(path), key)
                for key in fields_ if key in weight_keys}
     if weights:
         kwargs["weights"] = weights

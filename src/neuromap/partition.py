@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .configio import parse_row
+from .configio import read_rows
 from .workload import Bitwidths, Layer, NetworkModel
 
 AXES = ("layer", "channel", "height", "width")
@@ -295,17 +295,8 @@ def save_mapping(mapping: Mapping, path) -> None:
 
 
 def load_mapping(path) -> Mapping:
-    assignments = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != _CSV_HEADER:
-            raise PartitionError(f"{path}: unexpected mapping header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            assignments.append(CoreAssignment(*parse_row(
-                line, _CSV_COLUMNS, f"{path}:{lineno}", PartitionError)))
+    assignments = [CoreAssignment(*row) for row in read_rows(
+        path, _CSV_COLUMNS, PartitionError, "mapping header")]
     if not assignments:
         raise PartitionError(f"{path}: no partition rows")
     mapping = Mapping(tuple(assignments))

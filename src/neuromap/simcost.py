@@ -30,7 +30,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .configio import check_keys, format_blocks, get_numbers, parse_blocks_file
+from .configio import (
+    MAX_SNAPSHOT_SAMPLES,
+    check_numbers,
+    dataclass_block,
+    format_blocks,
+    get_numbers,
+    read_section,
+)
 from .mesh import MeshPlacement
 from .partition import AXES, Mapping, axis_unit, range_counts
 from .workload import EventTrace, Layer, NetworkModel, firing_mask, frame_time
@@ -67,14 +74,7 @@ class HardwareConfig:
             raise SimError("flit_bits must be >= 1")
         if self.queue_depth < 1:
             raise SimError("queue_depth must be >= 1")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            # NaN fails both comparisons
-            if not 0 <= v < math.inf:
-                raise SimError(f"{f.name} must be finite and >= 0, got {v!r}")
-            # integer fields feed int64 arithmetic
-            if isinstance(f.default, int) and v >= 2**63:
-                raise SimError(f"{f.name} must be < 2**63, got {v!r}")
+        check_numbers(self, SimError)
 
     def scaled_times(self, factor: float) -> "HardwareConfig":
         """Copy with every time constant multiplied by factor."""
@@ -84,26 +84,16 @@ class HardwareConfig:
 
 
 def load_hw_config(path) -> HardwareConfig:
-    hw_fields = next((f for section, f in parse_blocks_file(path)
-                      if section == "hardware"), None)
-    if hw_fields is None:
-        raise SimError(f"{path}: missing [hardware] section")
-    check_keys(hw_fields, {f.name for f in fields(HardwareConfig)}, str(path))
+    hw_fields = read_section(path, "hardware",
+                             {f.name for f in fields(HardwareConfig)}, SimError)
     hw = HardwareConfig(**get_numbers(hw_fields, HardwareConfig(), str(path)))
     hw.validate()
     return hw
 
 
-def hw_block(hw: HardwareConfig) -> dict[str, object]:
-    """Body of a [hardware] section: every field, floats written by repr."""
-    return {f.name: (repr(getattr(hw, f.name)) if isinstance(getattr(hw, f.name), float)
-                     else getattr(hw, f.name))
-            for f in fields(HardwareConfig)}
-
-
 def save_hw_config(hw: HardwareConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_blocks([("hardware", hw_block(hw))]))
+        fh.write(format_blocks([("hardware", dataclass_block(hw))]))
 
 
 Link = tuple[tuple[int, int], tuple[int, int]]
@@ -527,10 +517,6 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         static_energy=static * n_cores,
         cost_log=tuple(cost_log),
     )
-
-
-# samples per snapshot grid: each sample holds a row for every core and link
-MAX_SNAPSHOT_SAMPLES = 10**6
 
 
 def snapshot(report: CostReport, every: float):

@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .configio import (
+    MAX_SNAPSHOT_SAMPLES,
     ConfigFormatError,
     check_keys,
+    convert,
     format_blocks,
-    get_bool,
-    get_float,
-    get_int,
+    get_value,
     parse_blocks_file,
     parse_row,
 )
@@ -33,6 +33,11 @@ ALLOWED_BITWIDTHS = (4, 8, 16)
 
 class WorkloadError(ValueError):
     """Raised when a workload description violates a model invariant."""
+
+
+def _check_kind(layer_id: int, kind: str) -> None:
+    if kind not in ("dense", "conv"):
+        raise WorkloadError(f"layer {layer_id}: kind must be dense or conv, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,13 @@ class Layer:
         raise ValueError(f"unknown partition axis {axis!r}")
 
     def validate(self) -> None:
-        if self.kind not in ("dense", "conv"):
-            raise WorkloadError(f"layer {self.id}: kind must be dense or conv, got {self.kind!r}")
+        _check_kind(self.id, self.kind)
         if min(self.channels, self.height, self.width) < 1:
             raise WorkloadError(f"layer {self.id}: channels/height/width must be >= 1")
+        # simcost stores flat neuron ids as int32
+        if self.neurons >= 2**31:
+            raise WorkloadError(f"layer {self.id}: neurons must be < 2**31, "
+                                f"got {self.neurons}")
         if self.kind == "dense" and (self.channels != 1 or self.height != 1):
             raise WorkloadError(f"layer {self.id}: dense layers must have channels=1, height=1")
         if self.weights < 0 or self.biases < 0:
@@ -177,10 +185,14 @@ class EventTrace:
     n_frames: int
 
     def __post_init__(self):
-        if not self.fps >= 0:
-            raise WorkloadError(f"trace fps must be >= 0, got {self.fps}")
+        # NaN fails both comparisons
+        if not 0 <= self.fps < math.inf:
+            raise WorkloadError(f"trace fps must be >= 0 and finite, got {self.fps}")
         if self.n_frames < 1:
             raise WorkloadError(f"trace needs n_frames >= 1, got {self.n_frames}")
+        if self.n_frames > MAX_SNAPSHOT_SAMPLES:
+            raise WorkloadError(f"trace has {self.n_frames} frames, more than "
+                                f"{MAX_SNAPSHOT_SAMPLES}")
         last_t, last_slot = -math.inf, None
         for t, _ in groupby(self.events, key=itemgetter(0)):
             # t * fps is finite exactly when t has a slot, fps == 0 included
@@ -233,14 +245,15 @@ _LAYER_KEYS = ("kind", "neurons", "channels", "height", "width", "weights",
 def _layer_from_block(idx: int, fields: dict[str, str], source: str) -> Layer:
     check_keys(fields, _LAYER_KEYS, source)
     kind = fields.get("kind", "dense").lower()
+    _check_kind(idx, kind)
     if kind == "dense":
-        neurons = get_int(fields, "neurons", source=source)
+        neurons = get_value(fields, "neurons", int, source=source)
         channels, height, width = 1, 1, neurons
     else:
-        channels = get_int(fields, "channels", source=source)
-        height = get_int(fields, "height", source=source)
-        width = get_int(fields, "width", source=source)
-        declared = get_int(fields, "neurons", default=channels * height * width, source=source)
+        channels = get_value(fields, "channels", int, source=source)
+        height = get_value(fields, "height", int, source=source)
+        width = get_value(fields, "width", int, source=source)
+        declared = get_value(fields, "neurons", int, channels * height * width, source)
         if declared != channels * height * width:
             raise WorkloadError(
                 f"layer {idx}: neurons={declared} but channels*height*width="
@@ -252,10 +265,10 @@ def _layer_from_block(idx: int, fields: dict[str, str], source: str) -> Layer:
         channels=channels,
         height=height,
         width=width,
-        weights=get_int(fields, "weights", default=0, source=source),
-        biases=get_int(fields, "biases", default=0, source=source),
-        is_snn=get_bool(fields, "snn", default=True, source=source),
-        avg_event_rate=get_float(fields, "rate", default=0.0, source=source),
+        weights=get_value(fields, "weights", int, 0, source),
+        biases=get_value(fields, "biases", int, 0, source),
+        is_snn=get_value(fields, "snn", bool, True, source),
+        avg_event_rate=get_value(fields, "rate", float, 0.0, source),
     )
 
 
@@ -300,11 +313,11 @@ def load_network(path) -> NetworkModel:
         layers=tuple(layers),
         edges=edges,
         bitwidths=Bitwidths(
-            states=get_int(net_fields, "bw_states", default=16, source=str(path)),
-            outputs=get_int(net_fields, "bw_outputs", default=16, source=str(path)),
-            weights=get_int(net_fields, "bw_weights", default=8, source=str(path)),
+            states=get_value(net_fields, "bw_states", int, 16, str(path)),
+            outputs=get_value(net_fields, "bw_outputs", int, 16, str(path)),
+            weights=get_value(net_fields, "bw_weights", int, 8, str(path)),
         ),
-        frame_rate_fps=get_int(net_fields, "fps", default=0, source=str(path)),
+        frame_rate_fps=get_value(net_fields, "fps", int, 0, str(path)),
     )
 
 
@@ -344,6 +357,8 @@ def synth_trace(model: NetworkModel, n_frames: int, fps: float, seed: int) -> Ev
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
+    if n_frames > MAX_SNAPSHOT_SAMPLES:
+        raise ValueError(f"n_frames must be <= {MAX_SNAPSHOT_SAMPLES}, got {n_frames}")
     if fps < 0:
         raise ValueError("fps must be >= 0")
     layer = model.input_layer
@@ -385,9 +400,9 @@ def load_trace(path) -> EventTrace:
             if line.startswith("#"):
                 grid = dict(token.partition("=")[::2] for token in line[1:].split())
                 if "fps" in grid:
-                    fps = get_float(grid, "fps", source=where)
+                    fps = convert(grid["fps"], float, where, "fps")
                 if "frames" in grid:
-                    n_frames = get_int(grid, "frames", source=where)
+                    n_frames = convert(grid["frames"], int, where, "frames")
                 continue
             events.append(parse_row(line, _TRACE_COLUMNS, where, WorkloadError))
     if fps is None or n_frames is None:

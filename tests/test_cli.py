@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from neuromap import simcost
+from neuromap import fidelity, optimize, simcost, workload
 from neuromap.cli import build_parser, main, packaged_config
 from neuromap.mesh import compress, place
 from neuromap.optimize import load_algo_params
@@ -288,6 +288,65 @@ def test_malformed_net_edge_is_domain_error(tmp_path, edge):
                          f"bad.net: edge '{edge}' must look like 'src>dst'")
 
 
+@pytest.mark.parametrize("name, text, line", [
+    ("dup.net", TOY_NET.replace("fps = 0\n", "fps = 0\nfps = 1\n"), 4),
+    ("dup.prm", "[hardware]\nt_hop = 1.0\nt_hop = 2.0\n", 3),
+], ids=["net", "hardware"])
+def test_repeated_key_in_a_block_is_domain_error(net_path, tmp_path, capsys,
+                                                 name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    workload_path, hw = (path, []) if name.endswith(".net") else (net_path, ["--hw", path])
+    rc, _, stderr = run_cli(["simulate", "--workload", workload_path, *hw,
+                             "--frames", 2, "--out", tmp_path / "m"], capsys)
+    key = "fps" if name.endswith(".net") else "t_hop"
+    assert (rc, stderr) == (1, f"error: {path}:{line}: duplicate key {key!r}\n")
+
+
+def test_unknown_layer_kind_is_named_before_its_keys(tmp_path, capsys):
+    path = tmp_path / "pool.net"
+    # a dense-shaped block, so the first key a pool kind misses is channels
+    path.write_text(TOY_NET.replace("kind = dense", "kind = pool"))
+    rc, _, stderr = run_cli(["simulate", "--workload", path, "--frames", 2,
+                             "--out", tmp_path / "m"], capsys)
+    assert (rc, stderr) == (1, "error: layer 2: kind must be dense or conv, "
+                               "got 'pool'\n")
+
+
+def test_layer_neurons_bound_is_domain_error(tmp_path, capsys):
+    # a trace file keeps synthesis out of it; flat neuron ids are int32
+    path = tmp_path / "big.net"
+    path.write_text(TOY_NET.replace("neurons = 5", f"neurons = {2**31}"))
+    trace = tmp_path / "t.csv"
+    trace.write_text("# fps=0.0 frames=1\ntimestamp,neuron_id,payload_bits\n0.0,1,16\n")
+    rc, _, stderr = run_cli(["simulate", "--workload", path, "--trace", trace,
+                             "--out", tmp_path / "m"], capsys)
+    assert (rc, stderr) == (1, f"error: layer 2: neurons must be < 2**31, "
+                               f"got {2**31}\n")
+
+
+def test_trace_frame_grid_bound_in_process(net_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(workload, "MAX_SNAPSHOT_SAMPLES", 10)
+    path = tmp_path / "t.csv"
+    path.write_text("# fps=0.0 frames=11\ntimestamp,neuron_id,payload_bits\n")
+    rc, _, stderr = run_cli(["simulate", "--workload", net_path, "--trace", path,
+                             "--out", tmp_path / "m"], capsys)
+    assert (rc, stderr) == (1, f"error: {path}: trace has 11 frames, more than 10\n")
+    rc, _, stderr = run_cli(["simulate", "--workload", net_path, "--frames", 11,
+                             "--out", tmp_path / "m"], capsys)
+    assert (rc, stderr) == (1, "error: n_frames must be <= 10, got 11\n")
+    assert not (tmp_path / "m").exists()
+
+
+def test_infinite_trace_fps_is_domain_error(net_path, tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("# fps=inf frames=2\ntimestamp,neuron_id,payload_bits\n")
+    rc, _, stderr = run_cli(["simulate", "--workload", net_path, "--trace", path,
+                             "--out", tmp_path / "m"], capsys)
+    assert (rc, stderr) == (1, f"error: {path}: trace fps must be >= 0 and "
+                               f"finite, got inf\n")
+
+
 def test_simulate_missing_workload(tmp_path, capsys):
     rc, _, stderr = run_cli(["simulate", "--workload", tmp_path / "no.net",
                              "--out", tmp_path / "y"], capsys)
@@ -311,6 +370,18 @@ def test_unknown_flag_is_hard_error(net_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--workload", str(net_path), "--turbo"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--cores-per-layer"),
+                                           ("optimize", "--npes-menu")])
+def test_non_integer_list_flag_names_the_flag(net_path, tmp_path, capsys,
+                                             command, flag):
+    args = [command, "--workload", net_path, "--frames", 2, flag, "1,a,2",
+            "--out", tmp_path / "s"]
+    if command == "optimize":
+        args += ["--algo", "ga", "--population", 2, "--generations", 1]
+    rc, _, stderr = run_cli(args, capsys)
+    assert (rc, stderr) == (1, f"error: command line: {flag} = 'a' is not an integer\n")
 
 
 def test_per_layer_flag_validation(net_path, tmp_path, capsys):
@@ -367,6 +438,35 @@ def test_compare_zero_energy_signal_fails(tmp_path, capsys):
     rc, _, stderr = run_cli(["compare", "--a", a, "--b", b], capsys)
     assert rc == 1
     assert "error:" in stderr
+
+
+@pytest.mark.parametrize("rows, extra, named", [
+    ("0.0,1.0\ninf,2.0\n", [], "end signal sample (inf, 2.0) is not finite"),
+    ("0.0,1.0\n1.0,nan\n2.0,0.0\n", [], "end signal sample (1.0, nan) is not finite"),
+    # the float count overflows to inf, so a missing bound fails on it
+    ("0.0,1.0\n1e15,2.0\n", ["--dt", "1e-300"],
+     "resampling interval 1e-300 over span 1000000000000000.0 needs more "
+     "than 1000000 samples"),
+], ids=["inf-timestamp", "nan-value", "tiny-dt"])
+def test_non_finite_or_unbounded_signal_is_domain_error(tmp_path, capsys, rows,
+                                                         extra, named):
+    path = tmp_path / "s.csv"
+    path.write_text("timestamp,value\n" + rows)
+    rc, _, stderr = run_cli(["compare", "--a", path, "--b", path, *extra], capsys)
+    assert (rc, stderr) == (1, f"error: {named}\n")
+
+
+def test_signal_grid_bound_in_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fidelity, "MAX_SNAPSHOT_SAMPLES", 10)
+    path = tmp_path / "s.csv"
+    write_signal(path, [0.1, 0.5, 0.9])
+    rc, _, stderr = run_cli(["compare", "--a", path, "--b", path, "--dt", "0.2"],
+                            capsys)
+    assert (rc, stderr) == (1, "error: resampling interval 0.2 over span 2.0 "
+                               "needs more than 10 samples\n")
+    rc, stdout, _ = run_cli(["compare", "--a", path, "--b", path, "--dt", "0.25"],
+                            capsys)
+    assert rc == 0 and "peak = " in stdout
 
 
 # --- optimize ---
@@ -435,6 +535,42 @@ def test_optimize_bad_objective_name(net_path, tmp_path, capsys):
          "--objectives", "energy,power", "--out", tmp_path / "b"], capsys)
     assert rc == 1
     assert "power" in stderr
+
+
+@pytest.mark.parametrize("algo, body, named", [
+    ("ga", "eta_mutation = -1", "eta_mutation must be finite and >= 0, got -1.0"),
+    ("pso", "omega = inf", "omega must be finite and >= 0, got inf"),
+    ("pso", "c1 = nan", "c1 must be finite and >= 0, got nan"),
+    ("ga", "weight_energy = nan", "weight_energy must be finite, got nan"),
+    ("ga", "p_crossover = -1", "p_crossover must be finite and >= 0, got -1.0"),
+    ("ga", "p_crossover = 1.5", "p_crossover must be in [0, 1], got 1.5"),
+    ("nsga2", "p_mutation = 2", "p_mutation must be in [0, 1], got 2.0"),
+    ("nsga2", "generations = 9223372036854775808",
+     "generations must be < 2**63, got 9223372036854775808"),
+], ids=["negative-eta", "infinite-omega", "nan-c1", "nan-weight",
+        "negative-p-crossover", "p-crossover-above-1", "p-mutation-above-1",
+        "generations-past-int64"])
+def test_bad_algorithm_parameter_is_domain_error(net_path, tmp_path, capsys,
+                                                 algo, body, named):
+    path = tmp_path / "algo.prm"
+    path.write_text(f"[algorithm]\n{body}\n")
+    rc, _, stderr = run_cli(["optimize", "--workload", net_path, "--algo", algo,
+                             "--params", path, "--frames", 2, "--population", 4,
+                             "--generations", 1, "--out", tmp_path / "e"], capsys)
+    assert (rc, stderr) == (1, f"error: {named}\n")
+    assert not (tmp_path / "e").exists()
+
+
+def test_population_grid_bound_in_process(net_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_SNAPSHOT_SAMPLES", 10)
+    path = tmp_path / "algo.prm"
+    path.write_text("[algorithm]\noffspring = 11\n")
+    for extra in (["--params", path], ["--population", 11]):
+        rc, _, stderr = run_cli(["optimize", "--workload", net_path, "--algo",
+                                 "nsga2", "--frames", 2, "--generations", 1,
+                                 *extra, "--out", tmp_path / "e"], capsys)
+        assert (rc, stderr) == (1, "error: population and offspring must be <= 10\n")
+    assert not (tmp_path / "e").exists()
 
 
 def test_env_out_root(net_path, tmp_path, capsys, monkeypatch):
