@@ -3,7 +3,8 @@
 Directory layout per optimization run:
 
     <root>/<app>_app/<ALGO>_<seed>_<stamp>/
-        evaluations.csv                  one row per evaluation, append-only
+        evaluations.csv                  one row per evaluation, appended
+                                         once per generation
         Energy/<stamp>_<idx>/            simulator snapshots for flagged evals
         Latency/<stamp>_<idx>/
         <ALGO>_sum_<stamp>/
@@ -71,6 +72,9 @@ class ExperimentRecord:
     last_timestamp: float = 0.0
     closed: bool = False
     _opt_headers_written: bool = field(default=False, repr=False)
+    # id(result) -> (result, its row cells after the timestamp); the result
+    # is held so its id is not reused
+    _cells: dict = field(default_factory=dict, repr=False)
 
     @property
     def evaluations_path(self) -> Path:
@@ -130,34 +134,27 @@ def _improves(best: EvalResult | None, result: EvalResult, objective: str) -> bo
                             < getattr(best.objectives, objective))
 
 
-def record_evaluation(record: ExperimentRecord, result: EvalResult,
-                      ctx=None, report: CostReport | None = None) -> None:
-    """Append one evaluation row; materialize snapshots for flagged evals.
+def _row_cells(record: ExperimentRecord, result: EvalResult) -> list[str]:
+    """The evaluations.csv cells after the timestamp, formatted once per
+    distinct result of the run."""
+    entry = record._cells.get(id(result))
+    if entry is None or entry[0] is not result:
+        obj = result.objectives
+        cells = [_fmt(result.violation), _fmt(obj.energy), _fmt(obj.latency),
+                 _fmt(obj.area), _fmt(obj.fidelity_penalty),
+                 str(result.n_cores), str(result.mesh_shape[0]),
+                 str(result.mesh_shape[1]), result.error or "",
+                 *map(str, result.genome)]
+        entry = record._cells[id(result)] = (result, cells)
+    return entry[1]
 
-    Flagging by policy: 'bests' snapshots strict improvements of the
-    running energy/latency best into the matching channel; 'all' puts
-    every feasible evaluation in both channels; 'sampled' every
-    sample_every-th feasible evaluation in both. Infeasible evaluations
-    are logged but never snapshotted (there is nothing to simulate).
-    """
-    if record.closed:
-        raise AnalyticsError("record is closed")
-    idx = record.eval_index
-    record.eval_index += 1
-    now = max(time.time(), record.last_timestamp)
-    record.last_timestamp = now
 
-    row = [str(idx), str(record.generation), _fmt(now), _fmt(result.violation),
-           _fmt(result.objectives.energy), _fmt(result.objectives.latency),
-           _fmt(result.objectives.area), _fmt(result.objectives.fidelity_penalty),
-           str(result.n_cores), str(result.mesh_shape[0]),
-           str(result.mesh_shape[1]), result.error or ""]
-    row += [str(g) for g in result.genome]
-    with open(record.evaluations_path, "a", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(row)
-
+def _channels(record: ExperimentRecord, result: EvalResult,
+              idx: int) -> tuple[str, ...]:
+    """Snapshot channels the policy flags this evaluation for; updates the
+    running bests."""
     if not result.feasible:
-        return
+        return ()
     energy_flag = _improves(record.best_energy, result, "energy")
     latency_flag = _improves(record.best_latency, result, "latency")
     if energy_flag:
@@ -165,28 +162,57 @@ def record_evaluation(record: ExperimentRecord, result: EvalResult,
     if latency_flag:
         record.best_latency = result
     if record.policy == "all":
-        channels = ("Energy", "Latency")
-    elif record.policy == "sampled":
-        channels = ("Energy", "Latency") if idx % record.sample_every == 0 else ()
-    else:
-        channels = tuple(name for name, flag in
-                         (("Energy", energy_flag), ("Latency", latency_flag))
-                         if flag)
-    if not channels:
-        return
-    if report is None:
-        if ctx is None:
+        return ("Energy", "Latency")
+    if record.policy == "sampled":
+        return ("Energy", "Latency") if idx % record.sample_every == 0 else ()
+    return tuple(name for name, flag in
+                 (("Energy", energy_flag), ("Latency", latency_flag)) if flag)
+
+
+def record_evaluation(record: ExperimentRecord, results, ctx=None,
+                      report: CostReport | None = None) -> None:
+    """Append the rows of a sequence of evaluations (one generation's),
+    then materialize snapshots for the flagged ones, in evaluation order.
+    evaluations.csv is opened once per call.
+
+    Flagging by policy: 'bests' snapshots strict improvements of the
+    running energy/latency best into the matching channel; 'all' puts
+    every feasible evaluation in both channels; 'sampled' every
+    sample_every-th feasible evaluation in both. Infeasible evaluations
+    are logged but never snapshotted (there is nothing to simulate). A
+    flagged evaluation's snapshot comes from report when given, else from
+    re-simulating its genome under ctx.
+    """
+    if record.closed:
+        raise AnalyticsError("record is closed")
+    rows, flagged = [], []
+    for result in results:
+        idx = record.eval_index
+        record.eval_index += 1
+        now = max(time.time(), record.last_timestamp)
+        record.last_timestamp = now
+        rows.append([str(idx), str(record.generation), _fmt(now),
+                     *_row_cells(record, result)])
+        channels = _channels(record, result, idx)
+        if channels:
+            flagged.append((result, idx, now, channels))
+    with open(record.evaluations_path, "a", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+    for result, idx, now, channels in flagged:
+        if report is None and ctx is None:
             raise AnalyticsError(
                 "flagged evaluation needs a cost report or an EvalContext")
-        report = simulate_genome(result.genome, ctx)
-    stamp = _stamp(datetime.fromtimestamp(now))
-    settings = {"eval_index": idx, "generation": record.generation,
-                "genome": " ".join(str(g) for g in result.genome)}
-    # a copy avoids sorting and writing the same cost_log again
-    first = record.run_dir / channels[0] / f"{stamp}_{idx}"
-    write_run_files(report, first, settings=settings)
-    for channel in channels[1:]:
-        shutil.copytree(first, record.run_dir / channel / first.name)
+        stamp = _stamp(datetime.fromtimestamp(now))
+        settings = {"eval_index": idx, "generation": record.generation,
+                    "genome": " ".join(str(g) for g in result.genome)}
+        # a copy avoids sorting and writing the same cost_log again
+        first = record.run_dir / channels[0] / f"{stamp}_{idx}"
+        write_run_files(report if report is not None
+                        else simulate_genome(result.genome, ctx),
+                        first, settings=settings)
+        for channel in channels[1:]:
+            shutil.copytree(first, record.run_dir / channel / first.name)
 
 
 def record_generation(record: ExperimentRecord, generation: int) -> None:
@@ -215,8 +241,7 @@ def record_generation(record: ExperimentRecord, generation: int) -> None:
 def attach(record: ExperimentRecord, ctx):
     """on_generation callback wiring a search loop to this record."""
     def on_generation(gen, results, _best_or_archive):
-        for r in results:
-            record_evaluation(record, r, ctx=ctx)
+        record_evaluation(record, results, ctx=ctx)
         record_generation(record, gen)
     return on_generation
 

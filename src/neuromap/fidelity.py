@@ -123,8 +123,9 @@ def distortion_flag(peak: float, t_shift_ms: float, *, min_peak: float,
     """True when the pair fails the acceptance thresholds."""
     if not (0.0 < min_peak <= 1.0):
         raise FidelityError("min_peak must be in (0, 1]")
-    if max_shift_ms < 0:
-        raise FidelityError("max_shift_ms must be >= 0")
+    # NaN fails every comparison, so it would switch the shift test off
+    if not max_shift_ms >= 0:
+        raise FidelityError(f"max_shift_ms must be >= 0, got {max_shift_ms!r}")
     return peak < min_peak or abs(t_shift_ms) > max_shift_ms
 
 

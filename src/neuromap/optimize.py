@@ -29,6 +29,7 @@ from .partition import (
     PartitionError,
     PartitionSpec,
     build_mapping,
+    flat_range,
 )
 from .simcost import CostReport, HardwareConfig, SimError, simulate
 from .workload import EventTrace, NetworkModel, retime_trace
@@ -199,7 +200,7 @@ class Objectives:
     fidelity_penalty: float
 
     def as_tuple(self, names) -> tuple[float, ...]:
-        return tuple(getattr(self, n) for n in names)
+        return tuple([getattr(self, n) for n in names])
 
 
 @dataclass(frozen=True)
@@ -256,6 +257,9 @@ def fidelity_penalty_of(end_signal, ctx: EvalContext) -> float:
 # a decoded, mapped and placed genome, in simulate()'s argument order
 _Design = namedtuple("_Design", "model mapping placement hw trace")
 
+# the errors a structurally impossible genome raises; any other is a bug
+_DOMAIN_ERRORS = (PartitionError, SimError)
+
 
 def _realize(genome, ctx: EvalContext) -> _Design:
     """decode -> map -> retime -> compress -> place; a split that cannot be
@@ -273,22 +277,43 @@ def _realize(genome, ctx: EvalContext) -> _Design:
     return _Design(model, mapping, placement, hw, trace)
 
 
-def evaluate(genome, ctx: EvalContext) -> EvalResult:
-    """decode -> map -> compress -> place -> simulate -> score.
+def _design_key(design: _Design) -> tuple:
+    """Everything of a design that its simulation and objectives read,
+    given one EvalContext: two designs with one key score alike.
 
-    Infeasible or failing candidates come back as penalty objectives with
-    a positive violation; they never raise. A memory overflow's violation
-    is the worst core's bits past the cap. The result is a pure function of
-    (genome, ctx), and the simulation keeps no cost_log.
+    A partition is keyed by its flat-neuron range when its neurons are
+    contiguous in flat order, so a one-core layer keys alike on every
+    axis; any other partition keys as (axis, start, end).
     """
+    model, mapping, placement, hw, trace = design
+    layers = model.layers
+    parts = tuple(
+        (a.core_id, a.layer_id,
+         flat_range(layers[a.layer_id], a.axis, a.range_start, a.range_end)
+         or (a.axis, a.range_start, a.range_end))
+        for a in mapping.assignments)
+    return (parts, layers, model.bitwidths, hw, placement.rows,
+            placement.cols, placement.coords, trace.fps)
+
+
+def _penalty_or_design(genome, ctx: EvalContext) -> EvalResult | _Design:
+    """The realized design, or the penalty result of a genome whose split
+    cannot be built."""
     try:
-        design = _realize(genome, ctx)
-        cap = design.hw.mem_per_core
-        over = design.mapping.over_budget(cap)
-        if over:
-            return _penalty_result(genome, float(max(b for _, b in over) - cap))
+        return _realize(genome, ctx)
+    except _DOMAIN_ERRORS as exc:
+        return _penalty_result(genome, STRUCTURAL_VIOLATION, str(exc))
+
+
+def _score(genome, design: _Design, ctx: EvalContext) -> EvalResult:
+    """memory check -> simulate -> objectives of one realized design."""
+    cap = design.hw.mem_per_core
+    over = design.mapping.over_budget(cap)
+    if over:
+        return _penalty_result(genome, float(max(b for _, b in over) - cap))
+    try:
         report = simulate(*design, log=False)
-    except (PartitionError, SimError) as exc:
+    except _DOMAIN_ERRORS as exc:
         return _penalty_result(genome, STRUCTURAL_VIOLATION, str(exc))
     shape = (design.placement.rows, design.placement.cols)
     obj = Objectives(
@@ -299,6 +324,20 @@ def evaluate(genome, ctx: EvalContext) -> EvalResult:
     )
     return EvalResult(genome=tuple(genome), objectives=obj, violation=0.0,
                       n_cores=design.mapping.n_cores_total, mesh_shape=shape)
+
+
+def evaluate(genome, ctx: EvalContext) -> EvalResult:
+    """decode -> map -> compress -> place -> simulate -> score.
+
+    Infeasible or failing candidates come back as penalty objectives with
+    a positive violation; they never raise. A memory overflow's violation
+    is the worst core's bits past the cap. The result is a pure function of
+    (genome, ctx), and the simulation keeps no cost_log.
+    """
+    design = _penalty_or_design(genome, ctx)
+    if isinstance(design, EvalResult):
+        return design
+    return _score(genome, design, ctx)
 
 
 def simulate_genome(genome, ctx: EvalContext) -> CostReport:
@@ -314,33 +353,65 @@ def _init_worker(ctx: EvalContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _eval_in_worker(genome, ctx: EvalContext | None = None) -> EvalResult:
-    """evaluate() for one batch entry; pool workers use the initializer's
-    context."""
-    return evaluate(genome, _WORKER_CTX if ctx is None else ctx)
+def _eval_in_worker(genome) -> EvalResult:
+    """evaluate() in a pool worker, with the initializer's context."""
+    return evaluate(genome, _WORKER_CTX)
 
 
 def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1,
-                   memo: dict | None = None) -> list[EvalResult]:
+                   memo: dict | None = None,
+                   designs: dict | None = None) -> list[EvalResult]:
     """Order-preserving batch evaluation, identical for any worker count.
 
-    Only the genomes not in the memo (genome -> EvalResult, one per search
-    run; a fresh one when not given) are evaluated, each once and in
-    first-seen order, and their results join it; since evaluate() is pure,
-    a stored result stands for a fresh one.
+    memo (genome -> EvalResult) and designs (design key -> feasible
+    EvalResult) are one per search run; fresh ones when not given. Each
+    genome not in the memo is realized once, in first-seen order. A design
+    already in designs, or met earlier in the batch, is not simulated
+    again: its stored result stands for the genome, since evaluate() is
+    pure and the key holds all it reads. Only feasible results are
+    shared; the followers of a design that came out infeasible are each
+    evaluated. The results join both memos once the batch is done.
     """
     if workers < 1:
         raise OptimizeError("workers must be >= 1")
     memo = {} if memo is None else memo
+    designs = {} if designs is None else designs
     genomes = [tuple(g) for g in genomes]
-    todo = [g for g in dict.fromkeys(genomes) if g not in memo]
+    found: dict[tuple[int, ...], EvalResult] = {}
+    leaders: dict[tuple, tuple] = {}    # design key -> (genome, design)
+    followers = []                      # (genome, design, key)
+    for g in dict.fromkeys(genomes):
+        if g in memo:
+            continue
+        design = _penalty_or_design(g, ctx)
+        if isinstance(design, EvalResult):
+            found[g] = design
+            continue
+        key = _design_key(design)
+        if key in designs:
+            found[g] = replace(designs[key], genome=g)
+        elif key in leaders:
+            followers.append((g, design, key))
+        else:
+            leaders[key] = (g, design)
+    todo = list(leaders.values())
     if workers == 1 or not todo:
-        results = [_eval_in_worker(g, ctx) for g in todo]
+        results = [_score(g, design, ctx) for g, design in todo]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:
-            results = list(pool.map(_eval_in_worker, todo, chunksize=8))
-    memo.update(zip(todo, results))
+            results = list(pool.map(_eval_in_worker, [g for g, _ in todo],
+                                    chunksize=8))
+    shared = {}
+    for key, (g, _), r in zip(leaders, todo, results):
+        found[g] = r
+        if r.feasible:
+            shared[key] = r
+    for g, design, key in followers:
+        found[g] = (replace(shared[key], genome=g) if key in shared
+                    else _score(g, design, ctx))
+    designs.update(shared)
+    memo.update(found)
     return [memo[g] for g in genomes]
 
 
@@ -482,26 +553,29 @@ def hypervolume_2d(points, ref: tuple[float, float]) -> float:
 
 
 def non_dominated_sort(results, names) -> list[list[int]]:
-    """Indices grouped into fronts, best first."""
+    """Indices grouped into fronts, best first. A front lists the
+    candidates whose last dominator sits in the front before it, ordered
+    by that dominator's position there, then by index."""
     dom = _dominance_of(results, names)
     count = dom.sum(axis=0)
-    fronts = [np.flatnonzero(count == 0).tolist()]
-    while fronts[-1]:
-        nxt = []
-        for i in fronts[-1]:
-            count -= dom[i]
-            nxt += np.flatnonzero(dom[i] & (count == 0)).tolist()
-        fronts.append(nxt)
-    fronts.pop()
+    front = np.flatnonzero(count == 0)
+    fronts = []
+    while front.size:
+        fronts.append(front.tolist())
+        beats = dom[front]
+        count -= beats.sum(axis=0)
+        freed = np.flatnonzero((count == 0) & beats.any(axis=0))
+        last = len(front) - 1 - beats[::-1, freed].argmax(axis=0)
+        front = freed[np.argsort(last, kind="stable")]
     return fronts
 
 
 def crowding_distance(results, idxs, names) -> dict[int, float]:
     dist = {i: 0.0 for i in idxs}
-    k = len(names)
-    for m in range(k):
-        ordered = sorted(idxs, key=lambda i: results[i].objectives.as_tuple(names)[m])
-        vals = [results[i].objectives.as_tuple(names)[m] for i in ordered]
+    vec = {i: results[i].objectives.as_tuple(names) for i in idxs}
+    for m in range(len(names)):
+        ordered = sorted(idxs, key=lambda i: vec[i][m])
+        vals = [vec[i][m] for i in ordered]
         span = vals[-1] - vals[0]
         dist[ordered[0]] = math.inf
         dist[ordered[-1]] = math.inf
@@ -570,30 +644,35 @@ def load_algo_params(path) -> AlgoParams:
 
 # --- search loops ---
 
-def _tournament(rng, pop_results, names, weights) -> EvalResult:
+def _tournament(rng, pop_results, keys) -> EvalResult:
+    """Binary tournament; keys[i] is pop_results[i]'s rank_key."""
     i, j = rng.integers(0, len(pop_results), size=2)
-    a, b = pop_results[int(i)], pop_results[int(j)]
-    return a if rank_key(a, names, weights) <= rank_key(b, names, weights) else b
+    return pop_results[int(i) if keys[i] <= keys[j] else int(j)]
 
 
 def _initial_population(ctx: EvalContext, params: AlgoParams, seed: int,
                         workers: int):
-    """Validated params, the seeded RNG, the run's evaluation memo and the
-    evaluated first population."""
+    """Validated params, the seeded RNG, the run's batch evaluator (with
+    the run's genome and design memos) and the evaluated first population."""
     params.validate()
     rng = np.random.default_rng(seed)
     pop = [ctx.space.sample(rng) for _ in range(params.population)]
     memo: dict[tuple[int, ...], EvalResult] = {}
-    return rng, memo, evaluate_batch(pop, ctx, workers, memo)
+    designs: dict[tuple, EvalResult] = {}
+
+    def batch(genomes) -> list[EvalResult]:
+        return evaluate_batch(genomes, ctx, workers, memo, designs)
+    return rng, batch, batch(pop)
 
 
 def _breed(rng, results, n_children: int, lo, hi, params: AlgoParams,
            names) -> list[tuple[int, ...]]:
     """Tournament -> SBX -> polynomial mutation until n_children exist."""
+    keys = [rank_key(r, names, params.weights) for r in results]
     children: list[tuple[int, ...]] = []
     while len(children) < n_children:
-        p1 = _tournament(rng, results, names, params.weights)
-        p2 = _tournament(rng, results, names, params.weights)
+        p1 = _tournament(rng, results, keys)
+        p2 = _tournament(rng, results, keys)
         if rng.random() < params.p_crossover:
             c1, c2 = sbx_crossover(p1.genome, p2.genome, lo, hi,
                                    params.eta_crossover, rng)
@@ -612,7 +691,7 @@ def run_ga(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
 
     Returns (best result, best-so-far history per generation).
     """
-    rng, memo, results = _initial_population(ctx, params, seed, workers)
+    rng, batch, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names, weights = ctx.objective_names, params.weights
     best = min(results, key=lambda r: rank_key(r, names, weights))
@@ -622,7 +701,7 @@ def run_ga(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
     for gen in range(1, params.generations + 1):
         offspring = _breed(rng, results, params.population, lo, hi, params,
                            names)
-        child_results = evaluate_batch(offspring, ctx, workers, memo)
+        child_results = batch(offspring)
         merged = results + child_results
         merged.sort(key=lambda r: rank_key(r, names, weights))
         results = merged[:params.population]
@@ -645,7 +724,7 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
     """
     if len(ctx.objective_names) < 2:
         raise OptimizeError("nsga2 needs at least 2 objectives")
-    rng, memo, results = _initial_population(ctx, params, seed, workers)
+    rng, batch, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names = ctx.objective_names
     archive = ParetoArchive(names)
@@ -678,7 +757,7 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
     for gen in range(1, params.generations + 1):
         offspring = _breed(rng, results, params.offspring, lo, hi, params,
                            names)
-        child_results = evaluate_batch(offspring, ctx, workers, memo)
+        child_results = batch(offspring)
         archive.update(r for r in child_results if r.feasible)
         archive.check_invariant()
         results = survival(results + child_results)
@@ -692,7 +771,7 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
 def run_pso(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
             on_generation=None) -> tuple[EvalResult, list[float]]:
     """Integer PSO: real-valued velocities, positions rounded and reflected."""
-    rng, memo, results = _initial_population(ctx, params, seed, workers)
+    rng, batch, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names, weights = ctx.objective_names, params.weights
     n = params.population
@@ -717,8 +796,7 @@ def run_pso(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
             for d in range(dim):
                 new_pos[i, d] = _reflect(float(raw[i, d]), int(lo[d]), int(hi[d]))
         pos = new_pos
-        results = evaluate_batch([tuple(int(v) for v in p) for p in pos],
-                                 ctx, workers, memo)
+        results = batch([tuple(int(v) for v in p) for p in pos])
         for i, r in enumerate(results):
             if rank_key(r, names, weights) < rank_key(pbest[i], names, weights):
                 pbest[i] = r

@@ -304,6 +304,16 @@ def load_mapping(path) -> Mapping:
     return replace(mapping, clustered=any(len(ls) > 1 for ls in layer_sets))
 
 
+def _stride(layer: Layer, axis: str) -> int:
+    """Flat-index distance between neighbouring units of the axis: the
+    product of the extents after it."""
+    h, w = layer.height, layer.width
+    stride = {"layer": 1, "channel": h * w, "height": w, "width": 1}.get(axis)
+    if stride is None:
+        raise PartitionError(f"unknown axis {axis!r}")
+    return stride
+
+
 def axis_unit(layer: Layer, axis: str, flat):
     """Axis unit of each flat neuron index (an int or an integer array).
 
@@ -311,8 +321,19 @@ def axis_unit(layer: Layer, axis: str, flat):
     so the unit is flat // stride % extent, stride being the product of
     the extents after the axis.
     """
-    h, w = layer.height, layer.width
-    stride = {"layer": 1, "channel": h * w, "height": w, "width": 1}.get(axis)
-    if stride is None:
-        raise PartitionError(f"unknown axis {axis!r}")
-    return flat // stride % layer.axis_extent(axis)
+    return flat // _stride(layer, axis) % layer.axis_extent(axis)
+
+
+def flat_range(layer: Layer, axis: str, start: int,
+               end: int) -> tuple[int, int] | None:
+    """The flat neurons [lo, hi) of axis units [start, end), or None when
+    they are not contiguous in flat order. They are when the range spans
+    the whole axis or the extents before the axis are all 1: the whole
+    layer, any channel range, a height range when channels = 1, a width
+    range when channels = height = 1."""
+    stride, extent = _stride(layer, axis), layer.axis_extent(axis)
+    if start == 0 and end == extent:
+        return (0, layer.neurons)
+    if stride * extent == layer.neurons:
+        return (start * stride, end * stride)
+    return None

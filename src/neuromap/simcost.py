@@ -40,7 +40,7 @@ from .configio import (
 )
 from .mesh import MeshPlacement
 from .partition import AXES, Mapping, axis_unit, range_counts
-from .workload import EventTrace, Layer, NetworkModel, firing_mask, frame_time
+from .workload import EventTrace, Layer, NetworkModel, firing_masks, frame_time
 
 
 class SimError(ValueError):
@@ -122,7 +122,7 @@ class CostReport:
 # int32 keeps it no larger than a dense table even at rate 1
 @functools.lru_cache(maxsize=256)
 def _firings(layer: Layer, n_frames: int) -> tuple[np.ndarray, np.ndarray]:
-    per_frame = [np.flatnonzero(firing_mask(layer, f)) for f in range(n_frames)]
+    per_frame = list(map(np.flatnonzero, firing_masks(layer, range(n_frames))))
     frame = np.repeat(np.arange(n_frames, dtype=np.int32), list(map(len, per_frame)))
     flat = np.concatenate(per_frame).astype(np.int32)
     frame.flags.writeable = flat.flags.writeable = False

@@ -416,29 +416,56 @@ def load_trace(path) -> EventTrace:
 # Deterministic per-(layer, frame, neuron) firing draws shared by every
 # simulation of the same model+trace, independent of mapping. splitmix64
 # over a stable 64-bit key; python's hash() is salted and unusable here.
+# uint64 arithmetic wraps modulo 2**64, as the mixer needs.
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_KEY_STRIDE = np.uint64(0x2545F4914F6CDD1D)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _threshold(rate: float) -> int:
+    """Least integer T with float(T) >= rate * 2**64: a 64-bit draw x has
+    x < T exactly when float(x) / 2**64 < rate."""
+    target = rate * 2.0**64
+    lo, hi = 0, math.ceil(target)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def firing_masks(layer: Layer, frames):
+    """firing_mask(layer, f) for each frame f, one fresh array each; the
+    per-neuron keys and the mixer's two buffers are shared by the frames."""
+    rate = layer.avg_event_rate
+    n = layer.neurons
+    if rate <= 0 or rate >= 1:
+        for _ in frames:
+            yield np.full(n, rate >= 1)
+        return
+    limit = np.uint64(_threshold(rate))
+    keys = np.arange(n, dtype=np.uint64) * _KEY_STRIDE
+    x, t = np.empty_like(keys), np.empty_like(keys)
+    for frame in frames:
+        np.add(keys, np.uint64((layer.id * 0x10001 + frame + _GOLDEN) & _MASK64),
+               out=x)
+        for shift, mul in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(x, shift, out=t)
+            x ^= t
+            x *= mul
+        np.right_shift(x, 31, out=t)
+        x ^= t
+        yield x < limit
 
 
 def firing_mask(layer: Layer, frame: int) -> np.ndarray:
     """Boolean mask over the layer's flat neuron index: fires this frame?"""
-    rate = layer.avg_event_rate
-    n = layer.neurons
-    if rate <= 0:
-        return np.zeros(n, dtype=bool)
-    if rate >= 1:
-        return np.ones(n, dtype=bool)
-    base = (layer.id * 0x10001 + frame) & _MASK64
-    keys = (np.arange(n, dtype=np.uint64) * np.uint64(0x2545F4914F6CDD1D) + np.uint64(base)) & np.uint64(_MASK64)
-    u = _splitmix64(keys).astype(np.float64) / float(1 << 64)
-    return u < rate
+    return next(firing_masks(layer, (frame,)))
 
 
 def packaged_config(name: str) -> Path:

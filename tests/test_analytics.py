@@ -25,6 +25,7 @@ from neuromap.optimize import (
     Objectives,
     load_algo_params,
     run_ga,
+    run_nsga2,
     simulate_genome,
 )
 from neuromap.simcost import HardwareConfig
@@ -105,7 +106,7 @@ def test_open_run_rejects_bad_policy_and_duplicate(tmp_path):
 
 def test_record_evaluation_appends_rows(tmp_path, shared_report):
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, mk_result(10.0, 5.0), report=shared_report)
+    record_evaluation(rec, [mk_result(10.0, 5.0)], report=shared_report)
     header, rows = read_evaluations(rec.run_dir)
     assert len(rows) == 1
     row = rows[0]
@@ -119,15 +120,15 @@ def test_record_evaluation_appends_rows(tmp_path, shared_report):
 
 def test_bests_policy_channels(tmp_path, shared_report):
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, mk_result(10.0, 5.0), report=shared_report)
+    record_evaluation(rec, [mk_result(10.0, 5.0)], report=shared_report)
     e_dirs = lambda: sorted(p.name for p in (rec.run_dir / "Energy").iterdir())
     l_dirs = lambda: sorted(p.name for p in (rec.run_dir / "Latency").iterdir())
     assert len(e_dirs()) == 1 and len(l_dirs()) == 1
     # improves latency only
-    record_evaluation(rec, mk_result(12.0, 3.0), report=shared_report)
+    record_evaluation(rec, [mk_result(12.0, 3.0)], report=shared_report)
     assert len(e_dirs()) == 1 and len(l_dirs()) == 2
     # improves neither: row logged, no snapshots
-    record_evaluation(rec, mk_result(12.0, 4.0), report=shared_report)
+    record_evaluation(rec, [mk_result(12.0, 4.0)], report=shared_report)
     assert len(e_dirs()) == 1 and len(l_dirs()) == 2
     _, rows = read_evaluations(rec.run_dir)
     assert len(rows) == 3
@@ -151,7 +152,7 @@ def test_doubly_flagged_snapshot_is_written_once(tmp_path, monkeypatch):
     rec = open_toy_run(tmp_path)
     # the first feasible evaluation flags both channels; its snapshot
     # comes from a re-simulation with the log on
-    record_evaluation(rec, mk_result(10.0, 5.0), ctx=toy_ctx())
+    record_evaluation(rec, [mk_result(10.0, 5.0)], ctx=toy_ctx())
     (energy,) = (rec.run_dir / "Energy").iterdir()
     (latency,) = (rec.run_dir / "Latency").iterdir()
     assert len(writes) == 1
@@ -171,7 +172,7 @@ def test_doubly_flagged_snapshot_is_written_once(tmp_path, monkeypatch):
 def test_all_policy_snapshots_everything(tmp_path, shared_report):
     rec = open_toy_run(tmp_path, policy="all")
     for k in range(3):
-        record_evaluation(rec, mk_result(10.0 + k, 5.0), report=shared_report)
+        record_evaluation(rec, [mk_result(10.0 + k, 5.0)], report=shared_report)
     assert len(list((rec.run_dir / "Energy").iterdir())) == 3
     assert len(list((rec.run_dir / "Latency").iterdir())) == 3
 
@@ -179,14 +180,14 @@ def test_all_policy_snapshots_everything(tmp_path, shared_report):
 def test_sampled_policy(tmp_path, shared_report):
     rec = open_toy_run(tmp_path, policy="sampled", sample_every=2)
     for k in range(5):
-        record_evaluation(rec, mk_result(10.0 + k, 5.0), report=shared_report)
+        record_evaluation(rec, [mk_result(10.0 + k, 5.0)], report=shared_report)
     assert len(list((rec.run_dir / "Energy").iterdir())) == 3  # 0, 2, 4
     assert len(list((rec.run_dir / "Latency").iterdir())) == 3
 
 
 def test_infeasible_logged_never_snapshotted(tmp_path, shared_report):
     rec = open_toy_run(tmp_path, policy="all")
-    record_evaluation(rec, mk_result(1e18, 1e18, violation=4096.0),
+    record_evaluation(rec, [mk_result(1e18, 1e18, violation=4096.0)],
                       report=shared_report)
     _, rows = read_evaluations(rec.run_dir)
     assert len(rows) == 1
@@ -198,10 +199,10 @@ def test_infeasible_logged_never_snapshotted(tmp_path, shared_report):
 def test_flagged_eval_needs_report_or_ctx(tmp_path):
     rec = open_toy_run(tmp_path)
     with pytest.raises(AnalyticsError):
-        record_evaluation(rec, mk_result(10.0, 5.0))
+        record_evaluation(rec, [mk_result(10.0, 5.0)])
     # with a context it re-simulates the genome on demand
     rec2 = open_toy_run(tmp_path, seed=8)
-    record_evaluation(rec2, mk_result(10.0, 5.0), ctx=toy_ctx())
+    record_evaluation(rec2, [mk_result(10.0, 5.0)], ctx=toy_ctx())
     snap = next((rec2.run_dir / "Energy").iterdir())
     assert {p.name for p in snap.iterdir()} == SNAPSHOT_FILES
 
@@ -209,9 +210,9 @@ def test_flagged_eval_needs_report_or_ctx(tmp_path):
 def test_record_generation_running_bests(tmp_path, shared_report):
     rec = open_toy_run(tmp_path)
     record_generation(rec, 0)  # nothing feasible yet
-    record_evaluation(rec, mk_result(10.0, 5.0), report=shared_report)
+    record_evaluation(rec, [mk_result(10.0, 5.0)], report=shared_report)
     record_generation(rec, 1)
-    record_evaluation(rec, mk_result(8.0, 6.0, genome=(2, 0, 1, 0)),
+    record_evaluation(rec, [mk_result(8.0, 6.0, genome=(2, 0, 1, 0))],
                       report=shared_report)
     record_generation(rec, 2)
     lines = rec.energy_opt_path.read_text().splitlines()
@@ -263,9 +264,48 @@ def test_opt_csvs_byte_identical_across_runs_and_workers(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def _run_files(rec) -> dict:
+    """Every file of a finished run by its path under the run directory,
+    with the timestamps (evaluations.csv's column, the directory stamps)
+    dropped."""
+    out = {}
+    for path in sorted(rec.run_dir.rglob("*")):
+        if path.is_file():
+            rel = str(path.relative_to(rec.run_dir))
+            out[re.sub(r"\d{4}_\d{2}_\d{2}_\d{2}-\d{2}-\d{2}", "", rel)] = (
+                path.read_bytes())
+    col = EVAL_FIXED_COLUMNS.index("timestamp")
+    out["evaluations.csv"] = [line.split(",")[:col] + line.split(",")[col + 1:]
+                              for line in out["evaluations.csv"].decode().splitlines()]
+    return out
+
+
+@pytest.mark.parametrize("policy", ["bests", "all", "sampled"])
+def test_generation_at_once_matches_one_by_one_recording(tmp_path, policy):
+    ctx = toy_ctx()
+    params = AlgoParams(algo="nsga2", population=6, generations=3, offspring=6)
+    recs = [open_run(tmp_path / tag, "toy", "nsga2", 3, params, HW,
+                     gene_names=ctx.space.gene_names(), policy=policy,
+                     sample_every=4) for tag in ("gen", "one")]
+    at_once = attach(recs[0], ctx)
+
+    def on_generation(gen, results, archive):
+        at_once(gen, results, archive)
+        for r in results:
+            record_evaluation(recs[1], [r], ctx=ctx)
+        record_generation(recs[1], gen)
+    run_nsga2(ctx, params, seed=3, on_generation=on_generation)
+    for rec in recs:
+        finalize_run(rec)
+    gen, one = (_run_files(rec) for rec in recs)
+    assert len(gen["evaluations.csv"]) == 1 + 6 * 4
+    assert any(name.startswith("Latency/") for name in gen)
+    assert gen == one
+
+
 def test_report_single_point_relative_one(tmp_path, shared_report):
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, mk_result(42.0, 7.0), report=shared_report)
+    record_evaluation(rec, [mk_result(42.0, 7.0)], report=shared_report)
     out = report_run(rec.run_dir)
     lines = out["plot_relative_energy"].read_text().splitlines()
     assert lines == ["n_cores,energy,relative_energy", "2,42.0,1.0"]
@@ -274,8 +314,8 @@ def test_report_single_point_relative_one(tmp_path, shared_report):
 def test_report_linear_core_sweep_monotone(tmp_path, shared_report):
     rec = open_toy_run(tmp_path, policy="sampled", sample_every=10**9)
     for c in (3, 1, 4, 2, 5):
-        record_evaluation(rec, mk_result(100.0 * c, 10.0 / c, n_cores=c,
-                                         genome=(c, 0, 1, 0), mesh=(1, c)),
+        record_evaluation(rec, [mk_result(100.0 * c, 10.0 / c, n_cores=c,
+                                          genome=(c, 0, 1, 0), mesh=(1, c))],
                           report=shared_report)
     out = report_run(rec.run_dir)
     lines = out["plot_relative_energy"].read_text().splitlines()[1:]
@@ -295,8 +335,8 @@ def test_report_linear_core_sweep_monotone(tmp_path, shared_report):
 def test_report_idempotent_byte_identical(tmp_path, shared_report):
     rec = open_toy_run(tmp_path, policy="sampled", sample_every=10**9)
     for c in (2, 1, 3):
-        record_evaluation(rec, mk_result(50.0 * c, 9.0 - c, n_cores=c,
-                                         genome=(c, 0, 1, 0), mesh=(1, c)),
+        record_evaluation(rec, [mk_result(50.0 * c, 9.0 - c, n_cores=c,
+                                          genome=(c, 0, 1, 0), mesh=(1, c))],
                           report=shared_report)
     first = {k: p.read_bytes() for k, p in report_run(rec.run_dir).items()}
     second = {k: p.read_bytes() for k, p in report_run(rec.run_dir).items()}
@@ -307,7 +347,7 @@ def test_report_group_by_gene_column(tmp_path, shared_report):
     rec = open_toy_run(tmp_path, policy="sampled", sample_every=10**9)
     for (g, e) in (((1, 0, 1, 0), 30.0), ((1, 0, 1, 1), 20.0),
                    ((1, 0, 1, 1), 25.0)):
-        record_evaluation(rec, mk_result(e, 5.0, genome=g),
+        record_evaluation(rec, [mk_result(e, 5.0, genome=g)],
                           report=shared_report)
     out = report_run(rec.run_dir, group_key="axis_l1")
     lines = out["plot_relative_energy"].read_text().splitlines()
@@ -327,7 +367,7 @@ def test_pareto_csv_holds_non_dominated_rows(tmp_path, shared_report):
            (2.0, 2.0, (1, 0, 1, 2)), (3.0, 3.0, (1, 0, 1, 3)),
            (2.0, 2.0, (1, 0, 1, 2))]  # exact duplicate collapses
     for (e, l, g) in pts:
-        record_evaluation(rec, mk_result(e, l, genome=g),
+        record_evaluation(rec, [mk_result(e, l, genome=g)],
                           report=shared_report)
     out = report_run(rec.run_dir)
     lines = out["pareto"].read_text().splitlines()
@@ -340,10 +380,10 @@ def test_pareto_csv_holds_non_dominated_rows(tmp_path, shared_report):
     more = [(2.0, 3.0, (1, 0, 1, 4)), (1.0, 4.0, (1, 1, 1, 1)),
             (0.5, 9.0, (1, 1, 1, 2)), (4.0, 1.0, (1, 0, 1, 0))]
     for (e, l, g) in more:
-        record_evaluation(rec, mk_result(e, l, genome=g),
+        record_evaluation(rec, [mk_result(e, l, genome=g)],
                           report=shared_report)
-    record_evaluation(rec, mk_result(0.1, 0.1, violation=3.0,
-                                     genome=(2, 0, 1, 0)))
+    record_evaluation(rec, [mk_result(0.1, 0.1, violation=3.0,
+                                      genome=(2, 0, 1, 0))])
     rows = pts + more
     brute = {(e, l, g) for (e, l, g) in rows
              if not any(e2 <= e and l2 <= l and (e2, l2) != (e, l)
@@ -358,7 +398,7 @@ def test_pareto_csv_holds_non_dominated_rows(tmp_path, shared_report):
 def test_finalize_appends_index_and_closes(tmp_path, shared_report):
     root = tmp_path / "experiments"
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, mk_result(10.0, 5.0), report=shared_report)
+    record_evaluation(rec, [mk_result(10.0, 5.0)], report=shared_report)
     finalize_run(rec)
     runs = list_runs(root)
     assert len(runs) == 1
@@ -369,12 +409,12 @@ def test_finalize_appends_index_and_closes(tmp_path, shared_report):
     from pathlib import Path
     assert Path(runs[0]["path"]).is_dir()
     with pytest.raises(AnalyticsError):
-        record_evaluation(rec, mk_result(1.0, 1.0), report=shared_report)
+        record_evaluation(rec, [mk_result(1.0, 1.0)], report=shared_report)
     with pytest.raises(AnalyticsError):
         finalize_run(rec)
     # second run appends a second row
     rec2 = open_toy_run(tmp_path, seed=8)
-    record_evaluation(rec2, mk_result(12.0, 5.0), report=shared_report)
+    record_evaluation(rec2, [mk_result(12.0, 5.0)], report=shared_report)
     finalize_run(rec2)
     assert len(list_runs(root)) == 2
 
@@ -382,7 +422,7 @@ def test_finalize_appends_index_and_closes(tmp_path, shared_report):
 def test_finalize_without_feasible_evaluation_indexes_inf(tmp_path):
     root = tmp_path / "experiments"
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, mk_result(1e18, 1e18, violation=512.0))
+    record_evaluation(rec, [mk_result(1e18, 1e18, violation=512.0)])
     record_generation(rec, 0)
     finalize_run(rec)
     assert rec.closed
@@ -399,7 +439,7 @@ def test_sweep_report_relative_to_worst(tmp_path, shared_report):
     recs = {}
     for (label, energy) in (("fps30", 60.0), ("fps0", 40.0)):
         rec = open_toy_run(tmp_path, seed=len(recs))
-        record_evaluation(rec, mk_result(energy, 5.0), report=shared_report)
+        record_evaluation(rec, [mk_result(energy, 5.0)], report=shared_report)
         finalize_run(rec)
         recs[label] = rec.run_dir
     out = tmp_path / "sweep.csv"
@@ -415,7 +455,7 @@ def test_report_errors(tmp_path, shared_report):
     rec = open_toy_run(tmp_path)
     with pytest.raises(AnalyticsError):
         report_run(rec.run_dir)  # no rows at all
-    record_evaluation(rec, mk_result(1e18, 1e18, violation=7.0),
+    record_evaluation(rec, [mk_result(1e18, 1e18, violation=7.0)],
                       report=shared_report)
     with pytest.raises(AnalyticsError):
         report_run(rec.run_dir)  # rows, but none feasible

@@ -338,6 +338,22 @@ def test_trace_frame_grid_bound_in_process(net_path, tmp_path, capsys, monkeypat
     assert not (tmp_path / "m").exists()
 
 
+def test_out_of_memory_is_an_error_not_a_traceback(net_path, tmp_path, capsys,
+                                                  monkeypatch):
+    class Exhausted:
+        """A generator whose every draw fails to allocate, as numpy's does
+        for a layer too large for the host."""
+
+        def random(self, n):
+            raise MemoryError(f"Unable to allocate {8 * n} bytes")
+    monkeypatch.setattr(workload.np.random, "default_rng", lambda seed: Exhausted())
+    rc, stdout, stderr = run_cli(["simulate", "--workload", net_path,
+                                  "--frames", 1, "--out", tmp_path / "m"], capsys)
+    assert (rc, stdout, stderr) == (1, "", "error: out of memory: Unable to "
+                                           "allocate 192 bytes\n")
+    assert not (tmp_path / "m").exists()
+
+
 def test_infinite_trace_fps_is_domain_error(net_path, tmp_path, capsys):
     path = tmp_path / "t.csv"
     path.write_text("# fps=inf frames=2\ntimestamp,neuron_id,payload_bits\n")
@@ -428,6 +444,17 @@ def test_compare_shift_and_thresholds(tmp_path, capsys):
                              "--max-shift-ms", 1000], capsys)
     assert rc == 1
     assert "distorted = True" in stdout
+
+
+def test_compare_rejects_nan_max_shift(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    write_signal(a, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    write_signal(b, [0.0, 0.0, 0.0, 1.0, 0.0, 0.0])  # shifted by 2000 ms
+    rc, stdout, stderr = run_cli(["compare", "--a", a, "--b", b, "--min-peak",
+                                  "0.5", "--max-shift-ms", "nan"], capsys)
+    assert (rc, stdout, stderr) == (1, "", "error: max_shift_ms must be >= 0, "
+                                           "got nan\n")
 
 
 def test_compare_zero_energy_signal_fails(tmp_path, capsys):

@@ -437,6 +437,24 @@ def count_evaluations(monkeypatch) -> list:
     return calls
 
 
+def count_simulations(monkeypatch) -> list:
+    """Design keys of the designs that scoring simulated in this process,
+    in call order; snapshot re-simulations keep the log and are skipped."""
+    keys = []
+    real = optimize.simulate
+
+    def counted(*design, log=True):
+        if not log:
+            keys.append(optimize._design_key(optimize._Design(*design)))
+        return real(*design, log=log)
+    monkeypatch.setattr(optimize, "simulate", counted)
+    return keys
+
+
+def design_key_of(genome, ctx):
+    return optimize._design_key(optimize._realize(genome, ctx))
+
+
 def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
     calls = count_evaluations(monkeypatch)
     dispatched = []
@@ -473,12 +491,16 @@ def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
 
 
 def test_batch_without_memo_evaluates_each_genome_once(ctx, monkeypatch):
-    calls = count_evaluations(monkeypatch)
-    a, b = (1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 1, 0)
-    results = evaluate_batch([a, b, a, a], ctx, workers=1)
-    assert calls == [a, b]
-    assert [r.genome for r in results] == [a, b, a, a]
-    assert results[0] is results[2] is results[3]
+    """Each distinct design is simulated once: a2 differs from a only in
+    the axis of one-core layers, so it shares a's simulation."""
+    sims = count_simulations(monkeypatch)
+    a, b, a2 = (1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 1, 0), (1, 3, 1, 2, 1, 1)
+    assert design_key_of(a2, ctx) == design_key_of(a, ctx)
+    results = evaluate_batch([a, b, a, a2, a], ctx, workers=1)
+    assert sims == [design_key_of(a, ctx), design_key_of(b, ctx)]
+    assert [r.genome for r in results] == [a, b, a, a2, a]
+    assert results[0] is results[2] is results[4]
+    assert repr(results[3]) == repr(evaluate(a2, ctx))
 
 
 def test_batch_memo_stores_nothing_for_a_bug(ctx, monkeypatch):
@@ -503,7 +525,7 @@ def test_search_evaluates_each_distinct_genome_once(small_ctx, tmp_path,
         "pso": (run_pso, AlgoParams(algo="pso", population=6, generations=8,
                                     weights={"energy": 1.0})),
     }[algo]
-    calls = count_evaluations(monkeypatch)
+    sims = count_simulations(monkeypatch)
     record = open_run(tmp_path, "toy2", algo, 5, params, HW,
                       gene_names=small_ctx.space.gene_names())
     on_gen = attach(record, small_ctx)
@@ -513,9 +535,14 @@ def test_search_evaluates_each_distinct_genome_once(small_ctx, tmp_path,
         seen.extend(results)
         on_gen(gen, results, best)
     runner(small_ctx, params, seed=5, on_generation=on_generation)
+    simulated = list(sims)
     distinct = {r.genome for r in seen}
     assert len(seen) > len(distinct)  # the run does revisit genomes
-    assert sorted(calls) == sorted(distinct)
+    # each distinct design of a feasible genome is simulated once
+    feasible = {r.genome for r in seen if r.feasible}
+    designs = {design_key_of(g, small_ctx) for g in feasible}
+    assert len(designs) < len(feasible)  # and genomes do share designs
+    assert len(simulated) == len(designs) and set(simulated) == designs
     for r in seen:
         assert r == evaluate(r.genome, small_ctx)
     # one row per evaluation, repeats included
@@ -524,6 +551,62 @@ def test_search_evaluates_each_distinct_genome_once(small_ctx, tmp_path,
     genes = small_ctx.space.gene_names()
     assert [tuple(int(row[g]) for g in genes) for row in rows] == [
         r.genome for r in seen]
+
+
+@pytest.fixture(scope="module")
+def desk_ctx():
+    """The desk workload's model, hardware and NPE menu, on two frames."""
+    from neuromap.simcost import load_hw_config
+    from neuromap.workload import load_network, packaged_config
+    model = load_network(packaged_config("pilotnet_synth.net"))
+    return EvalContext(
+        model=model, trace=synth_trace(model, n_frames=2, fps=30.0, seed=7),
+        base_hw=load_hw_config(packaged_config("default_hw.prm")),
+        space=GenomeSpace(n_layers=len(model.layers), c_max=16,
+                          npes_menu=(1, 2, 4, 8, 16, 32, 64)))
+
+
+@pytest.fixture(scope="module")
+def full_ctx():
+    m = toy_model()
+    return EvalContext(model=m, trace=synth_trace(m, n_frames=2, fps=0, seed=1),
+                       base_hw=HW, space=full_space())
+
+
+@st.composite
+def _aliasing_batches(draw, space):
+    """Two batches over a few base genomes, each in up to three variants
+    that differ only in the axis genes of one-core layers: such a layer
+    keys alike on every axis, so the variants share a design."""
+    lo, hi = space.bounds()
+    n = 2 * space.n_layers
+    genes = [st.sampled_from((1, 1, 2, int(hi[i]))) if i < n and i % 2 == 0
+             else st.integers(int(lo[i]), int(hi[i])) for i in range(len(lo))]
+    axes = st.lists(st.integers(0, int(hi[1])), min_size=space.n_layers,
+                    max_size=space.n_layers)
+    pool = []
+    for base in draw(st.lists(st.tuples(*genes), min_size=1, max_size=3)):
+        for axis_genes in draw(st.lists(axes, min_size=1, max_size=3)):
+            g = list(base)
+            for layer, axis in enumerate(axis_genes):
+                if g[2 * layer] == 1:
+                    g[2 * layer + 1] = axis
+            pool.append(tuple(g))
+    return [draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("space_ctx", ["full_ctx", "desk_ctx"])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_batch_results_equal_fresh_evaluate(request, space_ctx, workers, data):
+    ctx = request.getfixturevalue(space_ctx)
+    memo, designs = {}, {}
+    for batch in data.draw(_aliasing_batches(ctx.space)):
+        got = evaluate_batch(batch, ctx, workers, memo, designs)
+        assert [repr(r) for r in got] == [repr(evaluate(g, ctx)) for g in batch]
+    assert all(r.feasible for r in designs.values())
 
 
 # --- ranking, dominance, archive, hypervolume ---

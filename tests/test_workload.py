@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuromap import workload
 from neuromap.configio import ConfigFormatError
 from neuromap.workload import (
     Bitwidths,
@@ -11,6 +12,7 @@ from neuromap.workload import (
     NetworkModel,
     WorkloadError,
     firing_mask,
+    firing_masks,
     load_network,
     load_trace,
     pilotnet_like,
@@ -285,6 +287,65 @@ def test_firing_mask_deterministic_and_rate_bounded():
     sigma = (5000 * 0.3 * 0.7) ** 0.5
     assert abs(count - mean) <= 4 * sigma
     assert firing_mask(l, frame=8).sum() != count or True  # frames differ in general
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def reference_firing_mask(layer, frame):
+    """The float formula: splitmix64 of the (layer, frame, neuron) key,
+    scaled to [0, 1) and compared with the rate."""
+    rate, n = layer.avg_event_rate, layer.neurons
+    if rate <= 0 or rate >= 1:
+        return np.full(n, rate >= 1)
+    base = (layer.id * 0x10001 + frame) & _MASK64
+    x = ((np.arange(n, dtype=np.uint64) * np.uint64(0x2545F4914F6CDD1D)
+          + np.uint64(base)) & np.uint64(_MASK64))
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = x ^ (x >> 31)
+    return x.astype(np.float64) / float(1 << 64) < rate
+
+
+_rates = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(1, 70).map(lambda k: 2.0**-k),
+    st.integers(1, 60).map(lambda k: 1.0 - 2.0**-k),
+    st.floats(1e-300, 1e-12),
+    st.floats(0.999999, 1.0, exclude_max=True),
+)
+
+
+@given(rate=_rates, layer_id=st.integers(0, 2**20), width=st.integers(1, 3000),
+       frames=st.lists(st.integers(0, 2**31), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_firing_masks_match_the_float_formula(rate, layer_id, width, frames):
+    layer = Layer(id=layer_id, kind="dense", channels=1, height=1, width=width,
+                  weights=0, biases=0, is_snn=True, avg_event_rate=rate)
+    masks = list(firing_masks(layer, frames))
+    assert len(masks) == len(frames)
+    for f, got in zip(frames, masks):
+        want = reference_firing_mask(layer, f)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert np.array_equal(firing_mask(layer, f), want)
+
+
+@given(rate=_rates.filter(lambda r: 0 < r < 1))
+@settings(max_examples=150, deadline=None)
+def test_threshold_is_the_least_draw_at_or_past_the_rate(rate):
+    t = workload._threshold(rate)
+    assert float(t - 1) < rate * 2.0**64 <= float(t)
+    # numpy's uint64 -> float64 conversion rounds as python's does
+    edge = np.array([t - 1, t], dtype=np.uint64)
+    assert (edge.astype(np.float64) / 2.0**64 < rate).tolist() == [True, False]
+
+
+def test_firing_mask_pilotnet_layers_match_the_float_formula():
+    for layer in pilotnet_like(0.3).layers:
+        for f in range(3):
+            assert np.array_equal(firing_mask(layer, f),
+                                  reference_firing_mask(layer, f))
 
 
 def test_firing_mask_extremes():
