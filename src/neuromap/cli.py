@@ -4,7 +4,8 @@ end signals, regenerate reports.
 Output roots resolve in order: --out flag, NEUROMAP_OUT_ROOT environment
 variable, then ./runs (simulate) or ./experiments (optimize). Exit codes:
 0 success, 1 domain or I/O failure (and a flagged distortion for
-`compare`), 2 usage errors (argparse).
+`compare`), 2 usage errors (argparse), 130 interrupted (Ctrl-C); an
+interrupted `optimize` first finalizes the generations it recorded.
 """
 
 from __future__ import annotations
@@ -27,15 +28,7 @@ from .analytics import (
 from .configio import convert
 from .fidelity import distortion_flag, load_end_signal, xcorr_score
 from .mesh import SCHEMES, compress, place
-from .optimize import (
-    ALGOS,
-    EvalContext,
-    GenomeSpace,
-    load_algo_params,
-    run_ga,
-    run_nsga2,
-    run_pso,
-)
+from .optimize import ALGOS, RUNNERS, EvalContext, GenomeSpace, load_algo_params
 from .partition import (
     AXES,
     STYLES,
@@ -175,9 +168,15 @@ def cmd_optimize(args) -> int:
                       run_settings=run_settings,
                       gene_names=space.gene_names(), policy=args.policy,
                       sample_every=args.sample_every)
-    runner = {"ga": run_ga, "nsga2": run_nsga2, "pso": run_pso}[args.algo]
-    found, history = runner(ctx, params, seed=args.seed, workers=args.workers,
-                            on_generation=attach(record, ctx))
+    try:
+        found, history = RUNNERS[args.algo](
+            ctx, params, seed=args.seed, workers=args.workers,
+            on_generation=attach(record, ctx))
+    except KeyboardInterrupt:
+        # keep what the finished generations recorded, reports and all
+        finalize_run(record)
+        print(f"run_dir = {record.run_dir}")
+        return 130
     finalize_run(record)
     print(f"run_dir = {record.run_dir}")
     if args.algo == "nsga2":
@@ -332,6 +331,9 @@ def main(argv=None) -> int:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
               file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 MAX_STRIP_DEFAULT = 4
 
-SCHEMES = ("strict-area", "loose-area", "strict-square")
-
 
 class MeshError(ValueError):
     """Raised for impossible shapes or out-of-range placements."""
@@ -52,14 +50,15 @@ def mesh_strict_square(n_cores: int) -> tuple[int, int]:
     return (min(rows, cols), max(rows, cols))
 
 
+SHAPES = {"strict-area": mesh_strict_area, "loose-area": mesh_loose_area,
+          "strict-square": mesh_strict_square}
+SCHEMES = tuple(SHAPES)
+
+
 def compress(n_cores: int, scheme: str) -> tuple[int, int]:
-    if scheme == "strict-area":
-        return mesh_strict_area(n_cores)
-    if scheme == "loose-area":
-        return mesh_loose_area(n_cores)
-    if scheme == "strict-square":
-        return mesh_strict_square(n_cores)
-    raise MeshError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    if scheme not in SHAPES:
+        raise MeshError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+    return SHAPES[scheme](n_cores)
 
 
 @dataclass(frozen=True)

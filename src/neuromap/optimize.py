@@ -17,6 +17,7 @@ import math
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -41,8 +42,6 @@ OBJECTIVE_NAMES = ("energy", "latency", "area", "fidelity_penalty")
 
 # fidelity penalty per ms of end-signal shift, on top of 1 - peak
 SHIFT_WEIGHT = 1e-3
-
-ALGOS = ("ga", "nsga2", "pso")
 
 
 class OptimizeError(ValueError):
@@ -296,15 +295,6 @@ def _design_key(design: _Design) -> tuple:
             placement.cols, placement.coords, trace.fps)
 
 
-def _penalty_or_design(genome, ctx: EvalContext) -> EvalResult | _Design:
-    """The realized design, or the penalty result of a genome whose split
-    cannot be built."""
-    try:
-        return _realize(genome, ctx)
-    except _DOMAIN_ERRORS as exc:
-        return _penalty_result(genome, STRUCTURAL_VIOLATION, str(exc))
-
-
 def _score(genome, design: _Design, ctx: EvalContext) -> EvalResult:
     """memory check -> simulate -> objectives of one realized design."""
     cap = design.hw.mem_per_core
@@ -327,17 +317,15 @@ def _score(genome, design: _Design, ctx: EvalContext) -> EvalResult:
 
 
 def evaluate(genome, ctx: EvalContext) -> EvalResult:
-    """decode -> map -> compress -> place -> simulate -> score.
+    """decode -> map -> compress -> place -> simulate -> score; the batch
+    of one.
 
     Infeasible or failing candidates come back as penalty objectives with
     a positive violation; they never raise. A memory overflow's violation
     is the worst core's bits past the cap. The result is a pure function of
     (genome, ctx), and the simulation keeps no cost_log.
     """
-    design = _penalty_or_design(genome, ctx)
-    if isinstance(design, EvalResult):
-        return design
-    return _score(genome, design, ctx)
+    return evaluate_batch([genome], ctx)[0]
 
 
 def simulate_genome(genome, ctx: EvalContext) -> CostReport:
@@ -345,73 +333,46 @@ def simulate_genome(genome, ctx: EvalContext) -> CostReport:
     return simulate(*_realize(genome, ctx))
 
 
-_WORKER_CTX: EvalContext | None = None
-
-
-def _init_worker(ctx: EvalContext) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _eval_in_worker(genome) -> EvalResult:
-    """evaluate() in a pool worker, with the initializer's context."""
-    return evaluate(genome, _WORKER_CTX)
-
-
 def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1,
                    memo: dict | None = None,
                    designs: dict | None = None) -> list[EvalResult]:
     """Order-preserving batch evaluation, identical for any worker count.
 
-    memo (genome -> EvalResult) and designs (design key -> feasible
-    EvalResult) are one per search run; fresh ones when not given. Each
-    genome not in the memo is realized once, in first-seen order. A design
-    already in designs, or met earlier in the batch, is not simulated
-    again: its stored result stands for the genome, since evaluate() is
-    pure and the key holds all it reads. Only feasible results are
-    shared; the followers of a design that came out infeasible are each
-    evaluated. The results join both memos once the batch is done.
+    memo (genome -> EvalResult) and designs (design key -> EvalResult) are
+    one per search run; fresh ones when not given. Each genome not in the
+    memo is realized once, in first-seen order, and each design key not
+    in designs is scored once, feasible or not, in this process or by a
+    pool mapping evaluate(). Every genome of a design shares its result:
+    the key holds all that scoring reads, and scoring's errors name only
+    what the key holds.
     """
     if workers < 1:
         raise OptimizeError("workers must be >= 1")
     memo = {} if memo is None else memo
     designs = {} if designs is None else designs
     genomes = [tuple(g) for g in genomes]
-    found: dict[tuple[int, ...], EvalResult] = {}
-    leaders: dict[tuple, tuple] = {}    # design key -> (genome, design)
-    followers = []                      # (genome, design, key)
+    keys = {}       # genome -> design key
+    todo = {}       # design key -> (genome, design), to be scored
     for g in dict.fromkeys(genomes):
         if g in memo:
             continue
-        design = _penalty_or_design(g, ctx)
-        if isinstance(design, EvalResult):
-            found[g] = design
+        try:
+            design = _realize(g, ctx)
+        except _DOMAIN_ERRORS as exc:
+            memo[g] = _penalty_result(g, STRUCTURAL_VIOLATION, str(exc))
             continue
-        key = _design_key(design)
-        if key in designs:
-            found[g] = replace(designs[key], genome=g)
-        elif key in leaders:
-            followers.append((g, design, key))
-        else:
-            leaders[key] = (g, design)
-    todo = list(leaders.values())
+        keys[g] = key = _design_key(design)
+        if key not in designs:
+            todo.setdefault(key, (g, design))
     if workers == 1 or not todo:
-        results = [_score(g, design, ctx) for g, design in todo]
+        scored = [_score(g, design, ctx) for g, design in todo.values()]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(ctx,)) as pool:
-            results = list(pool.map(_eval_in_worker, [g for g, _ in todo],
-                                    chunksize=8))
-    shared = {}
-    for key, (g, _), r in zip(leaders, todo, results):
-        found[g] = r
-        if r.feasible:
-            shared[key] = r
-    for g, design, key in followers:
-        found[g] = (replace(shared[key], genome=g) if key in shared
-                    else _score(g, design, ctx))
-    designs.update(shared)
-    memo.update(found)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            scored = list(pool.map(partial(evaluate, ctx=ctx),
+                                   [g for g, _ in todo.values()], chunksize=8))
+    designs.update(zip(todo, scored))
+    for g, key in keys.items():
+        memo[g] = replace(designs[key], genome=g)
     return [memo[g] for g in genomes]
 
 
@@ -807,3 +768,7 @@ def run_pso(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
         if on_generation:
             on_generation(gen, results, gbest)
     return gbest, history
+
+
+RUNNERS = {"ga": run_ga, "nsga2": run_nsga2, "pso": run_pso}
+ALGOS = tuple(RUNNERS)

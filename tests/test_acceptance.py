@@ -30,6 +30,8 @@ from neuromap.cli import packaged_config
 from neuromap.fidelity import from_values, xcorr_curve, xcorr_score
 from neuromap.mesh import compress, place
 from neuromap.optimize import (
+    ALGOS,
+    RUNNERS,
     AlgoParams,
     EvalContext,
     GenomeSpace,
@@ -59,6 +61,7 @@ from neuromap.simcost import (
     snapshot,
 )
 from neuromap.workload import EventTrace, Layer, NetworkModel, load_network, synth_trace
+from test_analytics import _run_files
 
 # interleaving knee of the 3-layer toy below, on a 0.01 fps grid: computed
 # once by sweeping, then frozen as a regression value
@@ -378,6 +381,35 @@ def test_energy_opt_artifact_byte_identical_across_runs_and_worker_counts(tmp_pa
     fanned = one_run("c", 8)
     assert first == again == fanned
     assert first[0].startswith(b"generation,energy,latency,")
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_run_tree_byte_identical_across_worker_counts(tmp_path, algo):
+    """One and two workers write the same run tree: reports, every snapshot
+    directory, and evaluations.csv apart from its timestamps."""
+    hw = HardwareConfig(npes_per_core=2, e_npe_op=1.0, e_ctrl_event=2.0,
+                        e_hop_per_flit=0.5, e_inject=1.0, p_static_core=3.0,
+                        t_npe_op=1.0, t_hop=1.0, t_inject=1.0)
+    model = NetworkModel(
+        name="toy2",
+        layers=(conv(4, 2, 3, lid=0, rate=0.6), conv(4, 2, 3, lid=1, rate=0.6)),
+        edges=((0, 1),), frame_rate_fps=0)
+    ctx = EvalContext(model=model, trace=synth_trace(model, n_frames=2, fps=0, seed=3),
+                      base_hw=hw, space=GenomeSpace(n_layers=2, c_max=4))
+    params = AlgoParams(algo=algo, population=8, generations=5, offspring=8)
+    trees = []
+    for workers in (1, 2):
+        record = open_run(tmp_path / str(workers), "toy2", algo, seed=5,
+                          params=params, hw=hw,
+                          gene_names=ctx.space.gene_names())
+        RUNNERS[algo](ctx, params, seed=5, workers=workers,
+                      on_generation=attach(record, ctx))
+        finalize_run(record)
+        trees.append(_run_files(record))
+    assert trees[0] == trees[1]
+    names = {name.rsplit("/", 1)[-1] for name in trees[0]}
+    assert {"energyOpt.csv", "latOpt.csv", "pareto.csv", "plot_cores"} <= names
+    assert any(name.startswith("Energy/") for name in trees[0])
 
 
 # --- 8. drain-mode invariance and the interleaving knee ---

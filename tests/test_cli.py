@@ -556,6 +556,49 @@ def test_optimize_with_npes_menu_gene(net_path, tmp_path, capsys):
     assert header.endswith(",npes")
 
 
+def test_interrupted_optimize_finalizes_the_recorded_generations(
+        net_path, tmp_path, capsys, monkeypatch):
+    from neuromap import cli
+    real = cli.attach
+
+    def attach_then_interrupt(record, ctx):
+        on_generation = real(record, ctx)
+
+        def wrapped(gen, results, best):
+            on_generation(gen, results, best)
+            if gen == 1:
+                raise KeyboardInterrupt
+        return wrapped
+    monkeypatch.setattr(cli, "attach", attach_then_interrupt)
+    rc, stdout, _ = run_cli(
+        ["optimize", "--workload", net_path, "--algo", "ga",
+         "--frames", 2, "--population", 6, "--generations", 5,
+         "--c-max", 4, "--seed", 1, "--out", tmp_path / "i"], capsys)
+    assert rc == 130
+    run_dir = next((tmp_path / "i" / "toychain_app").iterdir())
+    assert f"run_dir = {run_dir}" in stdout
+    index = (tmp_path / "i" / "index.csv").read_text().splitlines()
+    assert len(index) == 2 and index[1].startswith(run_dir.name + ",")
+    sum_dir = next(p for p in run_dir.iterdir() if "_sum_" in p.name)
+    for name in ("pareto.csv", "plot_cores"):
+        assert (sum_dir / name).exists()
+    rows = (sum_dir / "energyOpt.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+
+
+def test_interrupt_outside_a_search_exits_130(net_path, tmp_path, capsys,
+                                               monkeypatch):
+    from neuromap import cli
+
+    def interrupted(*_, **__):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "load_network", interrupted)
+    rc, _, stderr = run_cli(["simulate", "--workload", net_path,
+                             "--out", tmp_path / "s"], capsys)
+    assert rc == 130
+    assert stderr == "interrupted\n"
+
+
 def test_optimize_bad_objective_name(net_path, tmp_path, capsys):
     rc, _, stderr = run_cli(
         ["optimize", "--workload", net_path, "--algo", "ga",

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -463,8 +464,8 @@ def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
         """ProcessPoolExecutor stand-in: maps in this process and records
         what each batch dispatched."""
 
-        def __init__(self, max_workers, initializer, initargs):
-            initializer(*initargs)
+        def __init__(self, max_workers):
+            pass
 
         def __enter__(self):
             return self
@@ -475,7 +476,6 @@ def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
         def map(self, fn, items, chunksize):
             dispatched.append(list(items))
             return map(fn, dispatched[-1])
-    monkeypatch.setattr(optimize, "_WORKER_CTX", None)
     monkeypatch.setattr(optimize, "ProcessPoolExecutor", InlinePool)
     a, b, c = (1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 1, 0), (1, 0, 2, 3, 1, 0)
     memo = {}
@@ -573,6 +573,30 @@ def full_ctx():
                        base_hw=HW, space=full_space())
 
 
+@pytest.fixture(scope="module")
+def shallow_ctx():
+    """The full menu with two-deep link and inbox queues at 30 fps, where
+    many toy designs congest."""
+    m = toy_model()
+    return EvalContext(model=m, trace=synth_trace(m, n_frames=2, fps=30.0, seed=1),
+                       base_hw=replace(HW, queue_depth=2), space=full_space())
+
+
+def test_batch_simulates_a_congested_design_once(shallow_ctx, monkeypatch):
+    """An infeasible design is shared like a feasible one: a2 differs from
+    a only in the axis of its one-core first layer."""
+    menus = (0, 0, 0, 0, 0, 1, 0)
+    a, a2 = (1, 0, 2, 0, 2, 0, *menus), (1, 3, 2, 0, 2, 0, *menus)
+    key = design_key_of(a, shallow_ctx)
+    assert design_key_of(a2, shallow_ctx) == key
+    sims = count_simulations(monkeypatch)
+    results = evaluate_batch([a, a2], shallow_ctx)
+    assert sims == [key]
+    assert results[0].error == "core 3 inbox exceeded depth 2"
+    assert [repr(r) for r in results] == [repr(evaluate(g, shallow_ctx))
+                                          for g in (a, a2)]
+
+
 @st.composite
 def _aliasing_batches(draw, space):
     """Two batches over a few base genomes, each in up to three variants
@@ -597,7 +621,7 @@ def _aliasing_batches(draw, space):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("space_ctx", ["full_ctx", "desk_ctx"])
+@pytest.mark.parametrize("space_ctx", ["full_ctx", "desk_ctx", "shallow_ctx"])
 @given(data=st.data())
 @settings(max_examples=12, deadline=None)
 def test_batch_results_equal_fresh_evaluate(request, space_ctx, workers, data):
@@ -606,7 +630,9 @@ def test_batch_results_equal_fresh_evaluate(request, space_ctx, workers, data):
     for batch in data.draw(_aliasing_batches(ctx.space)):
         got = evaluate_batch(batch, ctx, workers, memo, designs)
         assert [repr(r) for r in got] == [repr(evaluate(g, ctx)) for g in batch]
-    assert all(r.feasible for r in designs.values())
+    for key, r in designs.items():
+        assert key == design_key_of(r.genome, ctx)
+        assert repr(r) == repr(evaluate(r.genome, ctx))
 
 
 # --- ranking, dominance, archive, hypervolume ---
