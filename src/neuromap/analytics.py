@@ -25,11 +25,13 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from .configio import dataclass_block, format_blocks
 from .optimize import AlgoParams, EvalResult, dominance, simulate_genome
-from .simcost import CostReport, HardwareConfig, write_run_files
+from .simcost import HardwareConfig, write_run_files
 
 SNAPSHOT_POLICIES = ("all", "bests", "sampled")
 
@@ -169,8 +171,7 @@ def _channels(record: ExperimentRecord, result: EvalResult,
                  (("Energy", energy_flag), ("Latency", latency_flag)) if flag)
 
 
-def record_evaluation(record: ExperimentRecord, results, ctx=None,
-                      report: CostReport | None = None) -> None:
+def record_evaluation(record: ExperimentRecord, results, ctx=None) -> None:
     """Append the rows of a sequence of evaluations (one generation's),
     then materialize snapshots for the flagged ones, in evaluation order.
     evaluations.csv is opened once per call.
@@ -180,8 +181,8 @@ def record_evaluation(record: ExperimentRecord, results, ctx=None,
     every feasible evaluation in both channels; 'sampled' every
     sample_every-th feasible evaluation in both. Infeasible evaluations
     are logged but never snapshotted (there is nothing to simulate). A
-    flagged evaluation's snapshot comes from report when given, else from
-    re-simulating its genome under ctx.
+    flagged evaluation's snapshot comes from re-simulating its genome
+    under ctx.
     """
     if record.closed:
         raise AnalyticsError("record is closed")
@@ -200,17 +201,15 @@ def record_evaluation(record: ExperimentRecord, results, ctx=None,
         csv.writer(fh).writerows(rows)
 
     for result, idx, now, channels in flagged:
-        if report is None and ctx is None:
-            raise AnalyticsError(
-                "flagged evaluation needs a cost report or an EvalContext")
+        if ctx is None:
+            raise AnalyticsError("flagged evaluation needs an EvalContext")
         stamp = _stamp(datetime.fromtimestamp(now))
         settings = {"eval_index": idx, "generation": record.generation,
                     "genome": " ".join(str(g) for g in result.genome)}
         # a copy avoids sorting and writing the same cost_log again
         first = record.run_dir / channels[0] / f"{stamp}_{idx}"
-        write_run_files(report if report is not None
-                        else simulate_genome(result.genome, ctx),
-                        first, settings=settings)
+        write_run_files(simulate_genome(result.genome, ctx), first,
+                        settings=settings)
         for channel in channels[1:]:
             shutil.copytree(first, record.run_dir / channel / first.name)
 
@@ -306,9 +305,10 @@ def _aggregate(rows, key_of, out_path: Path, key_name: str,
             g = groups[key]
             es = [float(r["energy"]) for r in g]
             ls = [float(r["latency"]) for r in g]
+            # left folds: Python 3.12's sum() compensates, which moves means
             w.writerow([label_of(key), str(len(g)), _fmt(min(es)),
-                        _fmt(sum(es) / len(es)), _fmt(min(ls)),
-                        _fmt(sum(ls) / len(ls))])
+                        _fmt(reduce(add, es, 0.0) / len(es)), _fmt(min(ls)),
+                        _fmt(reduce(add, ls, 0.0) / len(ls))])
 
 
 def relative_energy_table(rows, group_key: str) -> list[tuple[str, float, float]]:
@@ -379,12 +379,6 @@ def report_run(run_dir, group_key: str = "n_cores") -> dict[str, Path]:
         for (e, l, genes) in front:
             w.writerow([_fmt(e), _fmt(l), *genes])
     return out
-
-
-def list_runs(root) -> list[dict[str, str]]:
-    """Master index rows, oldest first (empty list when absent)."""
-    path = Path(root) / "index.csv"
-    return _read_csv(path)[1] if path.exists() else []
 
 
 def sweep_report(records: dict[str, Path], out_path) -> None:

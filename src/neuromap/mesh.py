@@ -71,10 +71,6 @@ class MeshPlacement:
     def n_cores(self) -> int:
         return len(self.coords)
 
-    @property
-    def unused_slots(self) -> int:
-        return self.rows * self.cols - len(self.coords)
-
     def __post_init__(self):
         if self.rows * self.cols < len(self.coords):
             raise MeshError(
@@ -87,10 +83,6 @@ class MeshPlacement:
             if (r, c) in seen:
                 raise MeshError(f"coordinate ({r},{c}) assigned twice")
             seen.add((r, c))
-
-    def hop_count(self, a: int, b: int) -> int:
-        (r0, c0), (r1, c1) = self.coords[a], self.coords[b]
-        return abs(r0 - r1) + abs(c0 - c1)
 
 
 def place(n_cores: int, shape: tuple[int, int]) -> MeshPlacement:

@@ -14,10 +14,12 @@ config expresses per-lane costs), so more NPEs buy time, not free energy.
 from __future__ import annotations
 
 import math
+import signal
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 
@@ -367,9 +369,19 @@ def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1,
     if workers == 1 or not todo:
         scored = [_score(g, design, ctx) for g, design in todo.values()]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(partial(evaluate, ctx=ctx),
-                                   [g for g, _ in todo.values()], chunksize=8))
+        # the workers fork with SIGINT blocked, so a Ctrl-C stops only this
+        # process, which then waits for the running tasks alone
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            try:
+                results = pool.map(partial(evaluate, ctx=ctx),
+                                   [g for g, _ in todo.values()], chunksize=8)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            scored = list(results)
+        finally:
+            pool.shutdown(cancel_futures=True)
     designs.update(zip(todo, scored))
     for g, key in keys.items():
         memo[g] = replace(designs[key], genome=g)
@@ -432,7 +444,9 @@ def polynomial_mutation(g, lo, hi, eta: float, rng: np.random.Generator,
 
 def scalarize(res: EvalResult, names, weights: dict[str, float]) -> float:
     vec = res.objectives.as_tuple(names)
-    return sum(weights.get(n, 0.0) * v for n, v in zip(names, vec))
+    # a left fold, as sum() adds before Python 3.12; from int 0, as sum()
+    # starts, so no objectives still scalarize to 0
+    return reduce(add, (weights.get(n, 0.0) * v for n, v in zip(names, vec)), 0)
 
 
 def rank_key(res: EvalResult, names, weights) -> tuple[float, float]:

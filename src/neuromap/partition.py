@@ -141,11 +141,6 @@ class PartitionSpec:
             s.validate()
 
 
-def uniform_spec(model: NetworkModel, n_cores: int = 1, axis: str = "layer",
-                 style: str = "homogeneous") -> PartitionSpec:
-    return PartitionSpec(tuple(LayerSplit(n_cores, axis, style) for _ in model.layers))
-
-
 @dataclass(frozen=True)
 class CoreAssignment:
     core_id: int
@@ -175,9 +170,6 @@ class Mapping:
         for a in self.assignments:
             out.setdefault(a.core_id, []).append(a.layer_id)
         return {c: tuple(sorted(set(ls))) for c, ls in out.items()}
-
-    def of_layer(self, layer_id: int) -> list[CoreAssignment]:
-        return [a for a in self.assignments if a.layer_id == layer_id]
 
     def memory_by_core(self) -> dict[int, int]:
         out: dict[int, int] = {}

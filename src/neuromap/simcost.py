@@ -25,7 +25,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -225,8 +225,9 @@ class SimPlan(NamedTuple):
     upstream: list[list[int]]           # partitions whose bundles a firing waits on
     loads: list[list[tuple[int, int]]]  # (events, flits) of each firing, one per frame
     local: list[list[int]]              # destinations on the partition's own core
-    # XY multicast to the other destinations, or None: (injection link,
-    # [(u node, v node, link)], node count, [(node, destination)])
+    # XY multicast to the other destinations, or None: ([(u node, v node, link,
+    # port, 1 on the first hop, the injection from an extra node to the root,
+    # else 0)], node count, [(node, destination)], [(link, port)])
     trees: list[tuple | None]
     work: list[int]                     # core ops per consumed event
     fan_in: list[int]                   # neurons a firing value averages over, 0 on layer 0
@@ -236,6 +237,9 @@ class SimPlan(NamedTuple):
     inputs: list[int]                   # layer-0 partitions, fired by every frame
     frame_times: list[float]            # a burst's own timestamp, a silent frame's grid time
     fps: float
+    # link -> its port: core c's inbox is port c (core ids run 0..n-1), and
+    # the links follow, numbered in plan order
+    links: dict[Link, int]
 
 
 def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
@@ -264,6 +268,8 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     input_firings = (np.repeat(np.arange(n_frames), [len(b) for b in frames]),
                      ids.astype(np.int64), -(-bits // hw.flit_bits))
     coords = placement.coords
+    n_cores = mapping.n_cores_total
+    links: dict[Link, int] = {}
     upstream: list[list[int]] = [[] for _ in assigns]
     local: list[list[int]] = [[] for _ in assigns]
     trees: list[tuple | None] = [None] * len(assigns)
@@ -298,8 +304,12 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                                                            assigns[j].core_id))
                 edges, node = _multicast_tree(src_xy, [coords[assigns[j].core_id]
                                                        for j in by_position])
-                trees[i] = ((src_xy, src_xy), edges, len(node),
-                            [(node[coords[assigns[j].core_id]], j) for j in remote])
+                hops = [(u, v, lk, links.setdefault(lk, n_cores + len(links)), k)
+                        for (u, v, lk, k) in [(len(node), 0, (src_xy, src_xy), 1)]
+                        + [(*edge, 0) for edge in edges]]
+                trees[i] = (hops, len(node),
+                            [(node[coords[assigns[j].core_id]], j) for j in remote],
+                            [(lk, p) for (_, _, lk, p, _) in hops])
 
     pred_neurons = [sum(model.layers[p].neurons for p in model.predecessors(l.id))
                     for l in model.layers]
@@ -314,6 +324,7 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         frame_times=[b[0][0] if b else frame_time(f, trace.fps)
                      for f, b in enumerate(frames)],
         fps=trace.fps,
+        links=links,
     )
 
 
@@ -327,28 +338,23 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     # --- replay: one loop over dense port ids; only the port queues, the
     # partition states and the heap change ---
     (core, upstream, loads, local, trees, work, fan_in, output, inputs,
-     frame_times, fps) = plan
+     frame_times, fps, links) = plan
     depth = hw.queue_depth
     t_npe_op, e_ctrl, e_npe_op = hw.t_npe_op, hw.e_ctrl_event, hw.e_npe_op
-    # port ids: core c's inbox is port c (core ids run 0..n-1), then each
-    # link or injection port at its first use. Per port: when it frees up,
-    # its pending done times (non-decreasing, since busy only grows), its
-    # deepest queue, the energy charged to it and its name
+    # per port: when it frees up, its pending done times (non-decreasing,
+    # since busy only grows), its deepest queue and the energy charged to it
     n_cores = len(set(core))
-    busy = [0.0] * n_cores
-    pending: list[list[float]] = [[] for _ in range(n_cores)]
-    max_depth = [0] * n_cores
-    energy = [0.0] * n_cores
-    name = [f"core {c} inbox" for c in range(n_cores)]
-    link_id: dict[Link, int] = {}
-    # per source partition, its hops [(u node, v node, link, port, 1 for
-    # the injection port or 0 for a tree edge)], node count, [(node,
-    # destination)] and [(link, port)], made at its first bundle in the
-    # order that bundle meets them, so links keep first-use order. A source
-    # lists its links in charged at its first charge, which keeps
+    n_ports = n_cores + len(links)
+    busy = [0.0] * n_ports
+    pending: list[list[float]] = [[] for _ in range(n_ports)]
+    max_depth = [0] * n_ports
+    energy = [0.0] * n_ports
+    # a source lists its links in used at its first bundle and in charged
+    # at its first charge, which keeps congestion in first-use order and
     # energy_interconnect in first-charge order
-    tree_ports: list[tuple | None] = [None] * len(core)
+    unsent = [True] * len(core)
     unlisted = [True] * len(core)
+    used: dict[Link, int] = {}
     charged: dict[Link, int] = {}
     acc = [0.0] * len(core)
     firings = [iter(l) for l in loads]
@@ -390,7 +396,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
             n = len(pend) + 1
             if n > max_depth[c]:
                 if n > depth:
-                    raise CongestionError(f"{name[c]} exceeded depth {depth}")
+                    raise CongestionError(f"core {c} inbox exceeded depth {depth}")
                 max_depth[c] = n
             b = busy[c]
             t = (b if b > t else t) + mult * work[idx] * t_npe_op
@@ -435,36 +441,20 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
             for j in local[i]:
                 heappush(heap, (t, src_core, seq, j, i, mult, value))
                 seq += 1
-            ports = tree_ports[i]
-            if ports is None:
-                if trees[i] is None:
-                    continue
-                inj, edges, n_nodes, dests = trees[i]
-                links = []
-                for lk, label in [(inj, f"injection port {inj[0]}")] + [
-                        (lk, f"link {lk[0]}->{lk[1]}") for (_, _, lk) in edges]:
-                    if lk not in link_id:
-                        link_id[lk] = len(busy)
-                        busy.append(0.0)
-                        pending.append([])
-                        max_depth.append(0)
-                        energy.append(0.0)
-                        name.append(label)
-                    links.append((lk, link_id[lk]))
-                # the injection port is the hop from the source core, an
-                # extra node past the tree's, to the tree's root
-                ports = tree_ports[i] = (
-                    [(n_nodes, 0, *links[0], 1)] + [(u, v, *link, 0) for (u, v, _), link
-                                                    in zip(edges, links[1:])],
-                    n_nodes, dests, links)
-            hops, n_nodes, dests, links = ports
+            if trees[i] is None:
+                continue
+            hops, n_nodes, dests, tree_links = trees[i]
+            if unsent[i]:
+                unsent[i] = False
+                used.update(tree_links)
             if mult > 0 and unlisted[i]:
                 unlisted[i] = False
-                charged.update(links)
+                charged.update(tree_links)
             # one injection serializes the whole multicast bundle
             service = (max(1, mult) * hw.t_hop, max(1, mult) * hw.t_inject)
             charge = (flits * hw.e_hop_per_flit, mult * hw.e_inject)
             arrival = [t] * (n_nodes + 1)
+            # no hop ends after the delivery it feeds, which moves sim_now
             for (u, v, lk, p, k) in hops:
                 t_in = arrival[u]
                 pend = pending[p]
@@ -473,7 +463,8 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                 n = len(pend) + 1
                 if n > max_depth[p]:
                     if n > depth:
-                        raise CongestionError(f"{name[p]} exceeded depth {depth}")
+                        name = f"injection port {lk[0]}" if k else f"link {lk[0]}->{lk[1]}"
+                        raise CongestionError(f"{name} exceeded depth {depth}")
                     max_depth[p] = n
                 b = busy[p]
                 done = (b if b > t_in else t_in) + service[k]
@@ -484,8 +475,6 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                     if log:
                         cost_log.append((done, "link", lk, charge[k]))
                 arrival[v] = done
-                if done > sim_now:
-                    sim_now = done
             for (v, j) in dests:
                 heappush(heap, (arrival[v], src_core, seq, j, i, mult, value))
                 seq += 1
@@ -495,7 +484,10 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     # core order as in mapping.layers_per_core: first appearance
     energy_core = {c: energy[c] + static for c in dict.fromkeys(core)}
     energy_link = {lk: energy[p] for lk, p in charged.items()}
-    total = sum(energy_core.values()) + sum(energy_link.values())
+    # a left fold, which every Python version adds in the same order (3.12's
+    # sum() compensates)
+    total = (functools.reduce(add, energy_core.values(), 0.0)
+             + functools.reduce(add, energy_link.values(), 0.0))
     # an infinite duration also makes the static energy NaN, so name it first
     for label, v in (("duration", duration), ("total_energy", total)):
         if not math.isfinite(v):
@@ -510,7 +502,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         total_energy=total,
         latency_end_to_end=latency,
         throughput=throughput,
-        congestion={lk: max_depth[p] for lk, p in link_id.items()},
+        congestion={lk: max_depth[p] for lk, p in used.items()},
         end_signal=tuple(end_signal),
         events_processed=events_processed,
         duration=duration,
@@ -596,9 +588,8 @@ def write_run_files(report: CostReport, outdir, settings: dict | None = None,
                               ("snapshots_interconnects.csv", link_rows, link_label)):
         with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
             fh.write("time," + ",".join(label(k) for k in rows) + "\n")
-            for i, t in enumerate(times):
-                row = ",".join(repr(rows[k][i]) for k in rows)
-                fh.write(f"{t!r},{row}\n")
+            fh.writelines(f"{t!r},{','.join(map(repr, vals))}\n"
+                          for t, *vals in zip(times, *rows.values()))
 
     with open(os.path.join(outdir, "output_snapshot.csv"), "w", encoding="utf-8") as fh:
         fh.write("timestamp,value\n")

@@ -9,7 +9,7 @@ flat = (channel * height + row) * width + col.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from itertools import groupby
 from operator import itemgetter
@@ -471,15 +471,3 @@ def firing_mask(layer: Layer, frame: int) -> np.ndarray:
 def packaged_config(name: str) -> Path:
     """Path of a config file shipped in the package's configs directory."""
     return Path(resources.files("neuromap") / "configs" / name)
-
-
-def pilotnet_like(rate: float = 0.002) -> NetworkModel:
-    """The packaged pilotnet_synth.net, a 10-layer conv+dense chain shaped
-    like the public PilotNet driving network (Bojarski et al. 2016), with
-    every layer's event rate set to rate."""
-    return with_rate(load_network(packaged_config("pilotnet_synth.net")), rate)
-
-
-def with_rate(model: NetworkModel, rate: float) -> NetworkModel:
-    """Copy of the model with every layer's event rate replaced."""
-    return replace(model, layers=tuple(replace(l, avg_event_rate=rate) for l in model.layers))

@@ -51,7 +51,6 @@ from neuromap.partition import (
     build_mapping,
     cluster_layers,
     memory_per_core,
-    uniform_spec,
 )
 from neuromap.simcost import (
     HardwareConfig,
@@ -61,6 +60,7 @@ from neuromap.simcost import (
     snapshot,
 )
 from neuromap.workload import EventTrace, Layer, NetworkModel, load_network, synth_trace
+from helpers import uniform_spec
 from test_analytics import _run_files
 
 # interleaving knee of the 3-layer toy below, on a 0.01 fps grid: computed

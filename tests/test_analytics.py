@@ -1,13 +1,15 @@
+import csv
 import re
+from pathlib import Path
 
 import pytest
 
+from neuromap import analytics
 from neuromap.analytics import (
     EVAL_FIXED_COLUMNS,
     AnalyticsError,
     attach,
     finalize_run,
-    list_runs,
     open_run,
     read_evaluations,
     record_evaluation,
@@ -57,6 +59,23 @@ def shared_report():
     return simulate_genome((1, 0, 1, 0), toy_ctx())
 
 
+@pytest.fixture
+def snap_ctx(monkeypatch, shared_report):
+    """A context under which every flagged evaluation snapshots
+    shared_report instead of re-simulating its genome."""
+    monkeypatch.setattr(analytics, "simulate_genome", lambda genome, ctx: shared_report)
+    return toy_ctx()
+
+
+def list_runs(root) -> list[dict[str, str]]:
+    """Master index rows, oldest first (empty list when absent)."""
+    path = Path(root) / "index.csv"
+    if not path.exists():
+        return []
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def mk_result(energy, latency, violation=0.0, genome=(1, 0, 1, 0),
               n_cores=2, mesh=(1, 2)):
     return EvalResult(genome=tuple(genome),
@@ -104,9 +123,9 @@ def test_open_run_rejects_bad_policy_and_duplicate(tmp_path):
         open_toy_run(tmp_path, when=when)
 
 
-def test_record_evaluation_appends_rows(tmp_path, shared_report):
+def test_record_evaluation_appends_rows(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, [mk_result(10.0, 5.0)], report=shared_report)
+    record_evaluation(rec, [mk_result(10.0, 5.0)], ctx=snap_ctx)
     header, rows = read_evaluations(rec.run_dir)
     assert len(rows) == 1
     row = rows[0]
@@ -118,17 +137,17 @@ def test_record_evaluation_appends_rows(tmp_path, shared_report):
     assert row["error"] == ""
 
 
-def test_bests_policy_channels(tmp_path, shared_report):
+def test_bests_policy_channels(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, [mk_result(10.0, 5.0)], report=shared_report)
+    record_evaluation(rec, [mk_result(10.0, 5.0)], ctx=snap_ctx)
     e_dirs = lambda: sorted(p.name for p in (rec.run_dir / "Energy").iterdir())
     l_dirs = lambda: sorted(p.name for p in (rec.run_dir / "Latency").iterdir())
     assert len(e_dirs()) == 1 and len(l_dirs()) == 1
     # improves latency only
-    record_evaluation(rec, [mk_result(12.0, 3.0)], report=shared_report)
+    record_evaluation(rec, [mk_result(12.0, 3.0)], ctx=snap_ctx)
     assert len(e_dirs()) == 1 and len(l_dirs()) == 2
     # improves neither: row logged, no snapshots
-    record_evaluation(rec, [mk_result(12.0, 4.0)], report=shared_report)
+    record_evaluation(rec, [mk_result(12.0, 4.0)], ctx=snap_ctx)
     assert len(e_dirs()) == 1 and len(l_dirs()) == 2
     _, rows = read_evaluations(rec.run_dir)
     assert len(rows) == 3
@@ -141,7 +160,6 @@ def test_bests_policy_channels(tmp_path, shared_report):
 
 
 def test_doubly_flagged_snapshot_is_written_once(tmp_path, monkeypatch):
-    from neuromap import analytics
     writes = []
     real = analytics.write_run_files
 
@@ -169,26 +187,26 @@ def test_doubly_flagged_snapshot_is_written_once(tmp_path, monkeypatch):
     assert sum(last) == pytest.approx(total, rel=1e-9)
 
 
-def test_all_policy_snapshots_everything(tmp_path, shared_report):
+def test_all_policy_snapshots_everything(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path, policy="all")
     for k in range(3):
-        record_evaluation(rec, [mk_result(10.0 + k, 5.0)], report=shared_report)
+        record_evaluation(rec, [mk_result(10.0 + k, 5.0)], ctx=snap_ctx)
     assert len(list((rec.run_dir / "Energy").iterdir())) == 3
     assert len(list((rec.run_dir / "Latency").iterdir())) == 3
 
 
-def test_sampled_policy(tmp_path, shared_report):
+def test_sampled_policy(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path, policy="sampled", sample_every=2)
     for k in range(5):
-        record_evaluation(rec, [mk_result(10.0 + k, 5.0)], report=shared_report)
+        record_evaluation(rec, [mk_result(10.0 + k, 5.0)], ctx=snap_ctx)
     assert len(list((rec.run_dir / "Energy").iterdir())) == 3  # 0, 2, 4
     assert len(list((rec.run_dir / "Latency").iterdir())) == 3
 
 
-def test_infeasible_logged_never_snapshotted(tmp_path, shared_report):
+def test_infeasible_logged_never_snapshotted(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path, policy="all")
     record_evaluation(rec, [mk_result(1e18, 1e18, violation=4096.0)],
-                      report=shared_report)
+                      ctx=snap_ctx)
     _, rows = read_evaluations(rec.run_dir)
     assert len(rows) == 1
     assert float(rows[0]["violation"]) == 4096.0
@@ -207,13 +225,13 @@ def test_flagged_eval_needs_report_or_ctx(tmp_path):
     assert {p.name for p in snap.iterdir()} == SNAPSHOT_FILES
 
 
-def test_record_generation_running_bests(tmp_path, shared_report):
+def test_record_generation_running_bests(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path)
     record_generation(rec, 0)  # nothing feasible yet
-    record_evaluation(rec, [mk_result(10.0, 5.0)], report=shared_report)
+    record_evaluation(rec, [mk_result(10.0, 5.0)], ctx=snap_ctx)
     record_generation(rec, 1)
     record_evaluation(rec, [mk_result(8.0, 6.0, genome=(2, 0, 1, 0))],
-                      report=shared_report)
+                      ctx=snap_ctx)
     record_generation(rec, 2)
     lines = rec.energy_opt_path.read_text().splitlines()
     assert lines[0] == "generation,energy,latency,cores_l0,axis_l0,cores_l1,axis_l1"
@@ -303,20 +321,20 @@ def test_generation_at_once_matches_one_by_one_recording(tmp_path, policy):
     assert gen == one
 
 
-def test_report_single_point_relative_one(tmp_path, shared_report):
+def test_report_single_point_relative_one(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, [mk_result(42.0, 7.0)], report=shared_report)
+    record_evaluation(rec, [mk_result(42.0, 7.0)], ctx=snap_ctx)
     out = report_run(rec.run_dir)
     lines = out["plot_relative_energy"].read_text().splitlines()
     assert lines == ["n_cores,energy,relative_energy", "2,42.0,1.0"]
 
 
-def test_report_linear_core_sweep_monotone(tmp_path, shared_report):
+def test_report_linear_core_sweep_monotone(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path, policy="sampled", sample_every=10**9)
     for c in (3, 1, 4, 2, 5):
         record_evaluation(rec, [mk_result(100.0 * c, 10.0 / c, n_cores=c,
                                           genome=(c, 0, 1, 0), mesh=(1, c))],
-                          report=shared_report)
+                          ctx=snap_ctx)
     out = report_run(rec.run_dir)
     lines = out["plot_relative_energy"].read_text().splitlines()[1:]
     keys = [int(l.split(",")[0]) for l in lines]
@@ -332,23 +350,23 @@ def test_report_linear_core_sweep_monotone(tmp_path, shared_report):
     assert inter[1].split(",")[0] == "1x1"
 
 
-def test_report_idempotent_byte_identical(tmp_path, shared_report):
+def test_report_idempotent_byte_identical(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path, policy="sampled", sample_every=10**9)
     for c in (2, 1, 3):
         record_evaluation(rec, [mk_result(50.0 * c, 9.0 - c, n_cores=c,
                                           genome=(c, 0, 1, 0), mesh=(1, c))],
-                          report=shared_report)
+                          ctx=snap_ctx)
     first = {k: p.read_bytes() for k, p in report_run(rec.run_dir).items()}
     second = {k: p.read_bytes() for k, p in report_run(rec.run_dir).items()}
     assert first == second
 
 
-def test_report_group_by_gene_column(tmp_path, shared_report):
+def test_report_group_by_gene_column(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path, policy="sampled", sample_every=10**9)
     for (g, e) in (((1, 0, 1, 0), 30.0), ((1, 0, 1, 1), 20.0),
                    ((1, 0, 1, 1), 25.0)):
         record_evaluation(rec, [mk_result(e, 5.0, genome=g)],
-                          report=shared_report)
+                          ctx=snap_ctx)
     out = report_run(rec.run_dir, group_key="axis_l1")
     lines = out["plot_relative_energy"].read_text().splitlines()
     assert lines[0] == "axis_l1,energy,relative_energy"
@@ -361,14 +379,14 @@ def test_relative_energy_table_rejects_unknown_key():
         relative_energy_table([{"energy": "1.0", "violation": "0.0"}], "bogus")
 
 
-def test_pareto_csv_holds_non_dominated_rows(tmp_path, shared_report):
+def test_pareto_csv_holds_non_dominated_rows(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path, policy="sampled", sample_every=10**9)
     pts = [(4.0, 1.0, (1, 0, 1, 0)), (1.0, 4.0, (1, 0, 1, 1)),
            (2.0, 2.0, (1, 0, 1, 2)), (3.0, 3.0, (1, 0, 1, 3)),
            (2.0, 2.0, (1, 0, 1, 2))]  # exact duplicate collapses
     for (e, l, g) in pts:
         record_evaluation(rec, [mk_result(e, l, genome=g)],
-                          report=shared_report)
+                          ctx=snap_ctx)
     out = report_run(rec.run_dir)
     lines = out["pareto"].read_text().splitlines()
     assert lines[0] == "energy,latency,cores_l0,axis_l0,cores_l1,axis_l1"
@@ -381,7 +399,7 @@ def test_pareto_csv_holds_non_dominated_rows(tmp_path, shared_report):
             (0.5, 9.0, (1, 1, 1, 2)), (4.0, 1.0, (1, 0, 1, 0))]
     for (e, l, g) in more:
         record_evaluation(rec, [mk_result(e, l, genome=g)],
-                          report=shared_report)
+                          ctx=snap_ctx)
     record_evaluation(rec, [mk_result(0.1, 0.1, violation=3.0,
                                       genome=(2, 0, 1, 0))])
     rows = pts + more
@@ -395,10 +413,10 @@ def test_pareto_csv_holds_non_dominated_rows(tmp_path, shared_report):
     assert [p[:2] for p in got] == sorted(p[:2] for p in got)
 
 
-def test_finalize_appends_index_and_closes(tmp_path, shared_report):
+def test_finalize_appends_index_and_closes(tmp_path, snap_ctx):
     root = tmp_path / "experiments"
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, [mk_result(10.0, 5.0)], report=shared_report)
+    record_evaluation(rec, [mk_result(10.0, 5.0)], ctx=snap_ctx)
     finalize_run(rec)
     runs = list_runs(root)
     assert len(runs) == 1
@@ -406,15 +424,14 @@ def test_finalize_appends_index_and_closes(tmp_path, shared_report):
     assert runs[0]["app"] == "toy"
     assert float(runs[0]["best_energy"]) == 10.0
     assert int(runs[0]["n_evaluations"]) == 1
-    from pathlib import Path
     assert Path(runs[0]["path"]).is_dir()
     with pytest.raises(AnalyticsError):
-        record_evaluation(rec, [mk_result(1.0, 1.0)], report=shared_report)
+        record_evaluation(rec, [mk_result(1.0, 1.0)], ctx=snap_ctx)
     with pytest.raises(AnalyticsError):
         finalize_run(rec)
     # second run appends a second row
     rec2 = open_toy_run(tmp_path, seed=8)
-    record_evaluation(rec2, [mk_result(12.0, 5.0)], report=shared_report)
+    record_evaluation(rec2, [mk_result(12.0, 5.0)], ctx=snap_ctx)
     finalize_run(rec2)
     assert len(list_runs(root)) == 2
 
@@ -435,11 +452,11 @@ def test_finalize_without_feasible_evaluation_indexes_inf(tmp_path):
     assert rec.energy_opt_path.read_text().splitlines()[1].startswith("0,inf,inf")
 
 
-def test_sweep_report_relative_to_worst(tmp_path, shared_report):
+def test_sweep_report_relative_to_worst(tmp_path, snap_ctx):
     recs = {}
     for (label, energy) in (("fps30", 60.0), ("fps0", 40.0)):
         rec = open_toy_run(tmp_path, seed=len(recs))
-        record_evaluation(rec, [mk_result(energy, 5.0)], report=shared_report)
+        record_evaluation(rec, [mk_result(energy, 5.0)], ctx=snap_ctx)
         finalize_run(rec)
         recs[label] = rec.run_dir
     out = tmp_path / "sweep.csv"
@@ -451,12 +468,12 @@ def test_sweep_report_relative_to_worst(tmp_path, shared_report):
     assert body["fps0"] == pytest.approx(40.0 / 60.0)
 
 
-def test_report_errors(tmp_path, shared_report):
+def test_report_errors(tmp_path, snap_ctx):
     rec = open_toy_run(tmp_path)
     with pytest.raises(AnalyticsError):
         report_run(rec.run_dir)  # no rows at all
     record_evaluation(rec, [mk_result(1e18, 1e18, violation=7.0)],
-                      report=shared_report)
+                      ctx=snap_ctx)
     with pytest.raises(AnalyticsError):
         report_run(rec.run_dir)  # rows, but none feasible
     with pytest.raises(AnalyticsError):

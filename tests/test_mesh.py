@@ -74,6 +74,18 @@ def test_scheme_capacity_invariants(n):
     assert abs(r - round(math.sqrt(n))) <= max(0, r - 1) or r * c >= n
 
 
+def hop_count(p, a, b):
+    """Manhattan distance between the routers of cores a and b."""
+    (r0, c0), (r1, c1) = p.coords[a], p.coords[b]
+    return abs(r0 - r1) + abs(c0 - c1)
+
+
+def unused_slots(p):
+    """Mesh slots that hold no core."""
+    taken = set(p.coords)
+    return sum((r, c) not in taken for r in range(p.rows) for c in range(p.cols))
+
+
 def test_serpentine_2x2():
     p = place(4, (2, 2))
     assert p.coords == ((0, 0), (0, 1), (1, 1), (1, 0))
@@ -81,9 +93,9 @@ def test_serpentine_2x2():
 
 def test_serpentine_chain_hops():
     p = place(6, (1, 6))
-    assert sum(p.hop_count(i, i + 1) for i in range(5)) == 5
+    assert sum(hop_count(p, i, i + 1) for i in range(5)) == 5
     p = place(30, (5, 6))
-    assert sum(p.hop_count(i, i + 1) for i in range(29)) == 29
+    assert sum(hop_count(p, i, i + 1) for i in range(29)) == 29
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,8 +104,8 @@ def test_serpentine_chain_hops():
 def test_serpentine_consecutive_adjacent(n, scheme):
     p = place(n, compress(n, scheme))
     for i in range(n - 1):
-        assert p.hop_count(i, i + 1) == 1
-    assert p.unused_slots == p.rows * p.cols - n
+        assert hop_count(p, i, i + 1) == 1
+    assert unused_slots(p) == p.rows * p.cols - n
 
 
 def test_place_too_small_rejected():

@@ -1,4 +1,5 @@
 import itertools
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -467,15 +468,12 @@ def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
         def __init__(self, max_workers):
             pass
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, items, chunksize):
             dispatched.append(list(items))
             return map(fn, dispatched[-1])
+
+        def shutdown(self, cancel_futures):
+            pass
     monkeypatch.setattr(optimize, "ProcessPoolExecutor", InlinePool)
     a, b, c = (1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 1, 0), (1, 0, 2, 3, 1, 0)
     memo = {}
@@ -488,6 +486,21 @@ def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
     for batch, results in zip(batches, got):
         assert [r.genome for r in results] == batch
         assert results == [evaluate(g, ctx) for g in batch]
+
+
+def test_pool_workers_run_with_sigint_blocked(ctx, monkeypatch):
+    """A Ctrl-C stops only the parent: every worker forks with SIGINT
+    blocked, and the parent's own mask comes back."""
+    def worker_mask(genome, design, ctx):
+        blocked = signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        return optimize._penalty_result(genome, 1.0, f"SIGINT blocked: {blocked}")
+    monkeypatch.setattr(optimize, "_score", worker_mask)
+    before = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    assert signal.SIGINT not in before
+    genomes = [(1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 1, 0), (1, 0, 2, 3, 1, 0)]
+    results = evaluate_batch(genomes, ctx, workers=2)
+    assert [r.error for r in results] == ["SIGINT blocked: True"] * len(genomes)
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
 
 
 def test_batch_without_memo_evaluates_each_genome_once(ctx, monkeypatch):

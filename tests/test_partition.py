@@ -20,9 +20,9 @@ from neuromap.partition import (
     partition_layer,
     save_mapping,
     split_homogeneous,
-    uniform_spec,
 )
-from neuromap.workload import Bitwidths, Layer, NetworkModel, pilotnet_like
+from neuromap.workload import Bitwidths, Layer, NetworkModel
+from helpers import of_layer, pilotnet_like, uniform_spec
 
 
 def dense(n, lid=0, weights=0, biases=0, snn=True, rate=0.1):
@@ -169,7 +169,7 @@ def test_coverage_and_conservation(c, h, w, weights, biases, k, axis):
                          edges=((0, 1),))
     spec = PartitionSpec((LayerSplit(1, "layer"), LayerSplit(k, axis)))
     mapping = build_mapping(model, spec, m_max=10**12)
-    parts = mapping.of_layer(1)
+    parts = of_layer(mapping, 1)
     assert sum(a.n_npc for a in parts) == layer.neurons
     assert sum(a.n_wpc for a in parts) == weights
     assert sum(a.n_bpc for a in parts) == biases

@@ -1,4 +1,5 @@
 import bisect
+import builtins
 import dataclasses
 import heapq
 import math
@@ -16,7 +17,6 @@ from neuromap.partition import (
     PartitionSpec,
     build_mapping,
     cluster_layers,
-    uniform_spec,
 )
 from neuromap.simcost import (
     CongestionError,
@@ -38,9 +38,9 @@ from neuromap.workload import (
     Layer,
     NetworkModel,
     firing_mask,
-    pilotnet_like,
     synth_trace,
 )
+from helpers import of_layer, pilotnet_like, uniform_spec
 from test_partition import flat_slices
 
 HW = HardwareConfig(npes_per_core=4, e_npe_op=3.0, e_ctrl_event=7.0,
@@ -141,8 +141,8 @@ def expected_dynamic_energy(plan, hw):
     for i, loads in enumerate(plan.loads):
         if plan.output[i]:
             continue
-        _, edges, _, remote = plan.trees[i] or (None, [], 0, [])
-        dests = plan.local[i] + [j for (_, j) in remote]
+        hops, _, remote, _ = plan.trees[i] or ([None], 0, [], [])
+        edges, dests = hops[1:], plan.local[i] + [j for (_, j) in remote]
         for m, f in loads:
             if m == 0:
                 continue
@@ -202,7 +202,7 @@ def designs(draw):
         t_npe_op=draw(st.floats(0.1, 5)), t_hop=draw(st.floats(0.1, 5)),
         t_inject=draw(st.floats(0.1, 5)), queue_depth=10**9)
     mapping = build_mapping(model, PartitionSpec(tuple(splits)))
-    counts = [len(mapping.of_layer(l.id)) for l in layers]
+    counts = [len(of_layer(mapping, l.id)) for l in layers]
     pairs = [{a, b} for a in range(n_layers) for b in range(a + 1, n_layers)
              if counts[a] == counts[b]]
     if pairs and draw(st.booleans()):
@@ -296,7 +296,7 @@ def reference_simulate(plan, hw):
     closures. The kernel must match it bit for bit, down to dict orders and
     the cost log."""
     (core, upstream, loads, local, trees, work, fan_in, output, inputs,
-     frame_times, fps) = plan
+     frame_times, fps, _) = plan
     depth = hw.queue_depth
     links: dict[Link, _Port] = {}
     # core order as in mapping.layers_per_core: first appearance
@@ -341,7 +341,8 @@ def reference_simulate(plan, hw):
         tree = trees[src]
         if tree is None:
             return
-        inj, edges, n_nodes, dests = tree
+        hops, n_nodes, dests, _ = tree
+        inj, edges = hops[0][2], [(u, v, lk) for (u, v, lk, _, _) in hops[1:]]
         ports = tree_ports[src]
         if ports is None:
             ports = tree_ports[src] = (
@@ -483,6 +484,54 @@ def test_kernel_matches_reference_replay_at_shallow_queues(design, depth):
         (model, mapping, placement, dataclasses.replace(hw, queue_depth=depth), trace))
 
 
+def test_congestion_and_interconnect_energy_keep_their_own_orders():
+    """congestion lists links by first use and energy_interconnect by first
+    charge. Frame 0 is silent, so the input layer's markers use its links
+    before any of them is charged, while layer 1 charges its own."""
+    model = chain_model([8, 6, 4], rate=0.5, fps=0)
+    trace = synth_trace(model, 4, 0, seed=5)
+    trace = dataclasses.replace(trace, events=tuple(
+        e for burst in trace.frames()[1:] for e in burst))
+    mapping = build_mapping(model, PartitionSpec(
+        (LayerSplit(2), LayerSplit(2), LayerSplit(1))), m_max=HW.mem_per_core)
+    design = (model, mapping, place(5, compress(5, "strict-area")), HW, trace)
+    report = simulate(*design)
+    inj = [((0, c), (0, c)) for c in range(4)]
+    east = [((0, c), (0, c + 1)) for c in range(4)]
+    assert list(report.congestion) == [inj[0], east[0], east[1], east[2],
+                                       inj[1], inj[2], east[3], inj[3]]
+    assert list(report.energy_interconnect) == [inj[2], east[2], east[3], inj[3],
+                                                inj[0], east[0], east[1], inj[1]]
+    assert_kernel_matches_reference(design)
+
+
+def assert_port_table(plan):
+    """Every tree link has one port, the ports run on from the core
+    inboxes with no gap, and every hop names its link's port."""
+    n_cores = len(set(plan.core))
+    assert sorted(plan.links.values()) == list(
+        range(n_cores, n_cores + len(plan.links)))
+    in_trees = set()
+    for hops, _, _, links in filter(None, plan.trees):
+        assert links == [(lk, p) for (_, _, lk, p, _) in hops]
+        for (_, _, lk, p, _) in hops:
+            assert p == plan.links[lk]
+            in_trees.add(lk)
+    assert in_trees == plan.links.keys()
+
+
+@settings(max_examples=150, deadline=None)
+@given(design=designs())
+def test_plan_numbers_each_link_port_once(design):
+    assert_port_table(build_plan(*design))
+
+
+def test_plan_numbers_each_link_port_once_on_pinned_cases():
+    from test_simcost_pinned import CASES
+    for case in CASES.values():
+        assert_port_table(build_plan(*case()))
+
+
 # --- the unlogged replay against the logged one ---
 
 def assert_unlogged_matches_logged(design):
@@ -571,6 +620,34 @@ def test_dynamic_energy_matches_closed_form_on_pinned_cases():
     from test_simcost_pinned import CASES
     for case in CASES.values():
         assert_energy_matches_plan(*case())
+
+
+builtin_sum = builtins.sum
+
+
+def compensated_sum(items, start=0):
+    """sum() as Python 3.12 adds floats: with Neumaier compensation when
+    every item is a float, else the builtin."""
+    items = list(items)
+    if not items or not all(type(x) is float for x in items):
+        return builtin_sum(items, start)
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+def test_total_energy_does_not_depend_on_how_sum_adds(monkeypatch):
+    """The totals are folded in one fixed order, so the pinned values hold
+    whether or not sum() compensates, that is on every Python version."""
+    from test_simcost_pinned import CASES, PINNED
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([0.1] * 10) != builtin_sum([0.1] * 10)
+    for case in sorted(c for c in CASES if c.startswith("desk-")):
+        report = simulate(*CASES[case](), log=False)
+        assert repr(report.total_energy) == PINNED[case]["total_energy"], case
 
 
 # --- pipelined chain latency against a hand-built schedule ---

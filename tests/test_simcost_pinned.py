@@ -14,7 +14,7 @@ import pytest
 from neuromap import optimize
 from neuromap.cli import packaged_config
 from neuromap.mesh import compress, place
-from neuromap.partition import build_mapping, cluster_layers, uniform_spec
+from neuromap.partition import build_mapping, cluster_layers
 from neuromap.simcost import (
     CongestionError,
     HardwareConfig,
@@ -22,6 +22,7 @@ from neuromap.simcost import (
     simulate,
 )
 from neuromap.workload import Layer, NetworkModel, load_network, synth_trace
+from helpers import uniform_spec
 
 NPES_MENU = (1, 2, 4, 8, 16, 32, 64)
 DESK_GENOMES = {

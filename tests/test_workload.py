@@ -15,13 +15,12 @@ from neuromap.workload import (
     firing_masks,
     load_network,
     load_trace,
-    pilotnet_like,
     retime_trace,
     save_network,
     save_trace,
     synth_trace,
-    with_rate,
 )
+from helpers import pilotnet_like, with_rate
 
 
 def chain(neuron_counts, rate=0.1, is_snn=True, fps=0):
