@@ -206,7 +206,7 @@ def record_evaluation(record: ExperimentRecord, results, ctx=None) -> None:
         stamp = _stamp(datetime.fromtimestamp(now))
         settings = {"eval_index": idx, "generation": record.generation,
                     "genome": " ".join(str(g) for g in result.genome)}
-        # a copy avoids sorting and writing the same cost_log again
+        # a copy avoids snapshotting and writing the same charge log again
         first = record.run_dir / channels[0] / f"{stamp}_{idx}"
         write_run_files(simulate_genome(result.genome, ctx), first,
                         settings=settings)

@@ -216,6 +216,8 @@ class EvalContext:
     signal_dt: float = 1.0
 
     def __post_init__(self):
+        if not self.objective_names:
+            raise OptimizeError("no objectives given")
         for n in self.objective_names:
             if n not in OBJECTIVE_NAMES:
                 raise OptimizeError(f"unknown objective {n!r}")
@@ -444,8 +446,7 @@ def polynomial_mutation(g, lo, hi, eta: float, rng: np.random.Generator,
 
 def scalarize(res: EvalResult, names, weights: dict[str, float]) -> float:
     vec = res.objectives.as_tuple(names)
-    # a left fold, as sum() adds before Python 3.12; from int 0, as sum()
-    # starts, so no objectives still scalarize to 0
+    # a left fold from int 0, as sum() adds before Python 3.12
     return reduce(add, (weights.get(n, 0.0) * v for n, v in zip(names, vec)), 0)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from heapq import heapify, heappop, heappush
@@ -99,6 +100,18 @@ def save_hw_config(hw: HardwareConfig, path) -> None:
 Link = tuple[tuple[int, int], tuple[int, int]]
 
 
+class ChargeLog(NamedTuple):
+    """Every energy charge of a simulation, in charge order, as three flat
+    columns (20 B a charge, no Python object per charge) and the table that
+    names each port. Static power is not logged; snapshot() accrues it
+    analytically."""
+
+    times: array     # 'd': when the charged core or link finished its service
+    ports: array     # 'i': core c is port c, a link is plan.links[link]
+    energies: array  # 'd'
+    owners: tuple[tuple[str, object], ...]  # port -> ("core", c) or ("link", link)
+
+
 @dataclass(frozen=True)
 class CostReport:
     energy_per_core: dict[int, float]
@@ -111,10 +124,17 @@ class CostReport:
     events_processed: int
     duration: float
     static_energy: float
-    # (time, "core"|"link", key, energy) for time-resolved snapshots, empty
-    # when simulated with log=False; static power is not logged,
-    # snapshot() accrues it analytically
-    cost_log: tuple[tuple[float, str, object, float], ...]
+    # for time-resolved snapshots; None when simulated with log=False
+    charges: ChargeLog | None
+
+    @property
+    def cost_log(self) -> tuple[tuple[float, str, object, float], ...]:
+        """(time, "core"|"link", key, energy) of every charge, in charge
+        order, built from charges; () when simulated with log=False."""
+        if self.charges is None:
+            return ()
+        times, ports, energies, owners = self.charges
+        return tuple((t, *owners[p], e) for t, p, e in zip(times, ports, energies))
 
 
 # (frame, flat neuron) of every firing of the layer, shared across
@@ -331,7 +351,7 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
 def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
              hw: HardwareConfig, trace: EventTrace, log: bool = True) -> CostReport:
     """Replay the trace through the design. With log False the report's
-    cost_log is empty and every other field is unchanged; snapshot() and
+    charges are None and every other field is unchanged; snapshot() and
     write_run_files need the log."""
     plan = build_plan(model, mapping, placement, hw, trace)
 
@@ -362,7 +382,12 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     # none banked: a partition fires when that count is 0
     banked: list[dict[int, int]] = [{} for _ in core]
     missing = [len(up) for up in upstream]
-    cost_log: list[tuple[float, str, object, float]] = []
+    charges = None
+    if log:
+        charges = ChargeLog(array("d"), array("i"), array("d"),
+                            tuple([("core", c) for c in range(n_cores)]
+                                  + [("link", lk) for lk in links]))
+        log_time, log_port, log_energy = (col.append for col in charges[:3])
     end_signal: list[tuple[float, float]] = []
     events_processed = 0
     sim_now = 0.0
@@ -406,7 +431,9 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                 e = mult * (e_ctrl + work[idx] * e_npe_op)
                 energy[c] += e
                 if log:
-                    cost_log.append((t, "core", c, e))
+                    log_time(t)
+                    log_port(c)
+                    log_energy(e)
                 acc[idx] += value * mult
                 events_processed += mult
             if t > sim_now:
@@ -473,7 +500,9 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                 if mult > 0:
                     energy[p] += charge[k]
                     if log:
-                        cost_log.append((done, "link", lk, charge[k]))
+                        log_time(done)
+                        log_port(p)
+                        log_energy(charge[k])
                 arrival[v] = done
             for (v, j) in dests:
                 heappush(heap, (arrival[v], src_core, seq, j, i, mult, value))
@@ -507,7 +536,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
         events_processed=events_processed,
         duration=duration,
         static_energy=static * n_cores,
-        cost_log=tuple(cost_log),
+        charges=charges,
     )
 
 
@@ -517,9 +546,13 @@ def snapshot(report: CostReport, every: float):
     Returns (times, core_rows, link_rows) where rows map key -> list of
     cumulative energies aligned with times. The final sample sits at the
     report duration and matches the report totals (static power accrues
-    linearly between samples). SimError unless every is finite and > 0 and
-    the grid holds at most MAX_SNAPSHOT_SAMPLES instants.
+    linearly between samples). SimError unless the report was simulated
+    with log=True, every is finite and > 0 and the grid holds at most
+    MAX_SNAPSHOT_SAMPLES instants.
     """
+    if report.charges is None:
+        raise SimError("snapshot needs the charge log of a report simulated "
+                       "with log=True")
     duration = report.duration
     # NaN fails the comparison
     if not 0 < every < math.inf:
@@ -534,25 +567,26 @@ def snapshot(report: CostReport, every: float):
     if not times or times[-1] < duration:
         times.append(duration)
     core_keys = sorted(report.energy_per_core)
-    link_keys = sorted(report.energy_interconnect)
     static_rate = ((report.static_energy / len(core_keys) / duration)
                    if (core_keys and duration > 0) else 0.0)
-    core_rows = {k: [] for k in core_keys}
-    link_rows = {k: [] for k in link_keys}
-    log = sorted(report.cost_log, key=lambda e: e[0])
-    pos = 0
-    acc = {"core": dict.fromkeys(core_keys, 0.0),
-           "link": dict.fromkeys(link_keys, 0.0)}
-    for t in times:
-        while pos < len(log) and log[pos][0] <= t:
-            _, kind, key, e = log[pos]
-            acc[kind][key] += e
-            pos += 1
-        for k in core_keys:
-            core_rows[k].append(acc["core"][k] + static_rate * t)
-        for k in link_keys:
-            link_rows[k].append(acc["link"][k])
-    return times, core_rows, link_rows
+    grid = np.array(times)
+    rows = {"core": dict.fromkeys(core_keys),
+            "link": dict.fromkeys(sorted(report.energy_interconnect))}
+    done, port, energy, owners = report.charges
+    done, energy = np.frombuffer(done), np.frombuffer(energy)
+    port = np.frombuffer(port, dtype=np.intc)
+    for p, (kind, key) in enumerate(owners):
+        if key not in rows[kind]:
+            continue  # a link that carried only markers
+        mine = np.flatnonzero(port == p)
+        # a port's done times never decrease, so its energy at instant t is
+        # its charges up to the last one at or before t, added left to
+        # right from 0.0 (cumsum folds in order, as the sum of a sorted
+        # log would)
+        acc = np.cumsum(np.concatenate(([0.0], energy[mine])))[
+            np.searchsorted(done[mine], grid, side="right")]
+        rows[kind][key] = (acc + static_rate * grid if kind == "core" else acc).tolist()
+    return times, rows["core"], rows["link"]
 
 
 def link_label(link: Link) -> str:

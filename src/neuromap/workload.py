@@ -423,6 +423,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _KEY_STRIDE = np.uint64(0x2545F4914F6CDD1D)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# neurons drawn at a time: three uint64 buffers of this length
+_MASK_BLOCK = 16384
 
 
 def _threshold(rate: float) -> int:
@@ -440,8 +442,10 @@ def _threshold(rate: float) -> int:
 
 
 def firing_masks(layer: Layer, frames):
-    """firing_mask(layer, f) for each frame f, one fresh array each; the
-    per-neuron keys and the mixer's two buffers are shared by the frames."""
+    """firing_mask(layer, f) for each frame f, one fresh array each. The
+    draws run in blocks of _MASK_BLOCK neurons, so the mixer's buffers stay
+    that small whatever the layer's size; the blocks' keys are shared by
+    the frames."""
     rate = layer.avg_event_rate
     n = layer.neurons
     if rate <= 0 or rate >= 1:
@@ -449,18 +453,25 @@ def firing_masks(layer: Layer, frames):
             yield np.full(n, rate >= 1)
         return
     limit = np.uint64(_threshold(rate))
-    keys = np.arange(n, dtype=np.uint64) * _KEY_STRIDE
+    keys = np.arange(min(n, _MASK_BLOCK), dtype=np.uint64) * _KEY_STRIDE
     x, t = np.empty_like(keys), np.empty_like(keys)
     for frame in frames:
-        np.add(keys, np.uint64((layer.id * 0x10001 + frame + _GOLDEN) & _MASK64),
-               out=x)
-        for shift, mul in ((30, _MIX1), (27, _MIX2)):
-            np.right_shift(x, shift, out=t)
-            x ^= t
-            x *= mul
-        np.right_shift(x, 31, out=t)
-        x ^= t
-        yield x < limit
+        mask = np.empty(n, dtype=bool)
+        seed = layer.id * 0x10001 + frame + _GOLDEN
+        for s in range(0, n, _MASK_BLOCK):
+            m = min(_MASK_BLOCK, n - s)
+            xs, ts = x[:m], t[:m]
+            # neuron s + i has key s * stride + i * stride (mod 2**64)
+            np.add(keys[:m], np.uint64((seed + s * int(_KEY_STRIDE)) & _MASK64),
+                   out=xs)
+            for shift, mul in ((30, _MIX1), (27, _MIX2)):
+                np.right_shift(xs, shift, out=ts)
+                xs ^= ts
+                xs *= mul
+            np.right_shift(xs, 31, out=ts)
+            xs ^= ts
+            np.less(xs, limit, out=mask[s:s + m])
+        yield mask
 
 
 def firing_mask(layer: Layer, frame: int) -> np.ndarray:

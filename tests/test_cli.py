@@ -607,6 +607,17 @@ def test_optimize_bad_objective_name(net_path, tmp_path, capsys):
     assert "power" in stderr
 
 
+@pytest.mark.parametrize("algo", ["ga", "nsga2", "pso"])
+def test_optimize_empty_objective_list(algo, net_path, tmp_path, capsys):
+    rc, stdout, stderr = run_cli(
+        ["optimize", "--workload", net_path, "--algo", algo,
+         "--objectives", ",", "--out", tmp_path / "b"], capsys)
+    assert rc == 1
+    assert "no objectives given" in stderr
+    assert stdout == ""
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("algo, body, named", [
     ("ga", "eta_mutation = -1", "eta_mutation must be finite and >= 0, got -1.0"),
     ("pso", "omega = inf", "omega must be finite and >= 0, got inf"),

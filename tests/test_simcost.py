@@ -1,9 +1,12 @@
 import bisect
 import builtins
 import dataclasses
+import functools
 import heapq
 import math
+import operator
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from neuromap.partition import (
     cluster_layers,
 )
 from neuromap.simcost import (
+    ChargeLog,
     CongestionError,
     CostReport,
     HardwareConfig,
@@ -40,7 +44,7 @@ from neuromap.workload import (
     firing_mask,
     synth_trace,
 )
-from helpers import of_layer, pilotnet_like, uniform_spec
+from helpers import of_layer, pilotnet_like, reference_snapshot, uniform_spec
 from test_partition import flat_slices
 
 HW = HardwareConfig(npes_per_core=4, e_npe_op=3.0, e_ctrl_event=7.0,
@@ -296,7 +300,7 @@ def reference_simulate(plan, hw):
     closures. The kernel must match it bit for bit, down to dict orders and
     the cost log."""
     (core, upstream, loads, local, trees, work, fan_in, output, inputs,
-     frame_times, fps, _) = plan
+     frame_times, fps, port_of) = plan
     depth = hw.queue_depth
     links: dict[Link, _Port] = {}
     # core order as in mapping.layers_per_core: first appearance
@@ -433,7 +437,8 @@ def reference_simulate(plan, hw):
     static_total = static * len(cores)
     for c in energy_core:
         energy_core[c] += static
-    total = sum(energy_core.values()) + sum(energy_link.values())
+    total = (functools.reduce(operator.add, energy_core.values(), 0.0)
+             + functools.reduce(operator.add, energy_link.values(), 0.0))
     first_t = frame_times[0] if fps > 0 else 0.0
     last_output = max([0.0] + [t for (t, _) in end_signal])
     latency = max(0.0, last_output - first_t)
@@ -450,7 +455,13 @@ def reference_simulate(plan, hw):
         events_processed=events_processed,
         duration=duration,
         static_energy=static_total,
-        cost_log=tuple(cost_log),
+        charges=ChargeLog(
+            array("d", [t for (t, _, _, _) in cost_log]),
+            array("i", [key if kind == "core" else port_of[key]
+                        for (_, kind, key, _) in cost_log]),
+            array("d", [e for (_, _, _, e) in cost_log]),
+            tuple([("core", c) for c in range(len(cores))]
+                  + [("link", lk) for lk in port_of])),
     )
 
 
@@ -536,7 +547,7 @@ def test_plan_numbers_each_link_port_once_on_pinned_cases():
 
 def assert_unlogged_matches_logged(design):
     """simulate(log=False) gives the logged report, compared by the repr of
-    every field, except that its cost_log is empty; or it raises the same
+    every field, except that it has no charges; or it raises the same
     CongestionError or SimError message."""
     try:
         logged = simulate(*design)
@@ -548,7 +559,7 @@ def assert_unlogged_matches_logged(design):
     unlogged = simulate(*design, log=False)
     assert unlogged.cost_log == ()
     for f in dataclasses.fields(CostReport):
-        if f.name != "cost_log":
+        if f.name != "charges":
             assert repr(getattr(unlogged, f.name)) == repr(getattr(logged, f.name)), f.name
 
 
@@ -971,6 +982,91 @@ def test_write_run_files(tmp_path):
     assert len(rows) == 1 + len(report.end_signal)
     header = (out / "snapshots_cores.csv").read_text().splitlines()[0]
     assert header.startswith("time,core_0")
+
+
+def assert_snapshot_matches_reference(report, everies):
+    for every in everies:
+        got = snapshot(report, every)
+        assert repr(got) == repr(reference_snapshot(report, every)), every
+        if report.duration == 0:
+            assert got[0] == [0.0]
+
+
+def intervals(report, picks):
+    """Grids on which sample instants fall exactly on charge times: a
+    charge time t as the interval puts the second instant on t, t / 2 the
+    third; d / k puts the last on the final charges. Grids past 2000
+    samples are left out."""
+    d = report.duration
+    everies = [d / k for k in (1, 3, 7, 50)] + [2 * d] if d > 0 else [1.0, 1e-9]
+    charged = [t for (t, _, _, _) in report.cost_log if t > 0]
+    for i in picks if charged else ():
+        t = charged[i % len(charged)]
+        everies += [t, t / 2]
+    return [e for e in everies if d // e < 2000]
+
+
+@settings(max_examples=150, deadline=None)
+@given(design=designs(), variant=st.sampled_from(["drawn", "no time", "-0.0 energy"]),
+       picks=st.lists(st.integers(0, 10**6), max_size=3))
+def test_snapshot_matches_the_sorted_log_reference(design, variant, picks):
+    model, mapping, placement, hw, trace = design
+    if variant == "no time":
+        # a drain trace then runs in zero duration: a one-sample grid
+        hw = hw.scaled_times(0.0)
+    elif variant == "-0.0 energy":
+        # validation passes -0.0, so every charge is -0.0 and the running
+        # sums must start from 0.0 to stay 0.0
+        hw = dataclasses.replace(hw, e_npe_op=-0.0, e_ctrl_event=-0.0,
+                                 e_hop_per_flit=-0.0, e_inject=-0.0)
+    report = simulate(model, mapping, placement, hw, trace)
+    assert_snapshot_matches_reference(report, intervals(report, picks))
+
+
+def test_snapshot_matches_the_sorted_log_reference_on_pinned_cases():
+    from test_simcost_pinned import CASES
+    for case in CASES.values():
+        model, mapping, placement, hw, trace = case()
+        report = simulate(model, mapping, placement, hw, trace)
+        assert_snapshot_matches_reference(report, intervals(report, [0, 7, 10**6]))
+        for hw in (hw.scaled_times(0.0), dataclasses.replace(hw, e_inject=-0.0)):
+            report = simulate(model, mapping, placement, hw, trace)
+            assert_snapshot_matches_reference(report, intervals(report, [3]))
+
+
+def test_snapshot_of_a_logged_report_without_charges():
+    model = chain_model([4, 3], rate=0.0, fps=0)
+    hw = HardwareConfig(**{**HW.__dict__, "p_static_core": 2.5})
+    report = run(model, uniform_spec(model), EventTrace(events=(), fps=0, n_frames=2),
+                 hw=hw)
+    assert len(report.charges.times) == 0
+    times, core_rows, link_rows = snapshot(report, report.duration / 4)
+    assert times[-1] == report.duration and link_rows == {}
+    assert [rows[-1] for rows in core_rows.values()] == list(
+        report.energy_per_core.values())
+    assert_snapshot_matches_reference(report, [report.duration / 4])
+
+
+def test_snapshot_of_an_unlogged_report_is_an_error(tmp_path):
+    """Without the log the rows would hold static energy only: 2520.0 in
+    the last row against a total of 3019.5 on this case."""
+    from test_simcost_pinned import CASES
+    report = simulate(*CASES["toy2-channel-drain"](), log=False)
+    assert report.charges is None and report.cost_log == ()
+    message = r"^snapshot needs the charge log of a report simulated with log=True$"
+    with pytest.raises(SimError, match=message):
+        snapshot(report, 1.0)
+    with pytest.raises(SimError, match=message):
+        write_run_files(report, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+def test_charge_log_stays_within_24_bytes_a_charge():
+    times, ports, energies, owners = _toy_report().charges
+    assert len(times) == len(ports) == len(energies) > 0
+    assert all(type(col) is array for col in (times, ports, energies))
+    assert times.itemsize + ports.itemsize + energies.itemsize <= 24
+    assert owners[0] == ("core", 0)
 
 
 def test_hw_config_roundtrip(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neuromap import workload
@@ -318,6 +318,11 @@ _rates = st.one_of(
 
 @given(rate=_rates, layer_id=st.integers(0, 2**20), width=st.integers(1, 3000),
        frames=st.lists(st.integers(0, 2**31), min_size=1, max_size=4))
+# layers that end just before, on and past a block of neurons, and span four
+@example(rate=0.3, layer_id=5, width=workload._MASK_BLOCK - 1, frames=[0, 2**31])
+@example(rate=0.3, layer_id=5, width=workload._MASK_BLOCK, frames=[0, 2**31])
+@example(rate=0.3, layer_id=5, width=workload._MASK_BLOCK + 1, frames=[0, 2**31])
+@example(rate=0.7, layer_id=2**20, width=3 * workload._MASK_BLOCK + 17, frames=[1, 7])
 @settings(max_examples=150, deadline=None)
 def test_firing_masks_match_the_float_formula(rate, layer_id, width, frames):
     layer = Layer(id=layer_id, kind="dense", channels=1, height=1, width=width,
