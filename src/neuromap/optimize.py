@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import signal
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial, reduce
 from operator import add
@@ -327,7 +326,7 @@ def evaluate(genome, ctx: EvalContext) -> EvalResult:
     Infeasible or failing candidates come back as penalty objectives with
     a positive violation; they never raise. A memory overflow's violation
     is the worst core's bits past the cap. The result is a pure function of
-    (genome, ctx), and the simulation keeps no cost_log.
+    (genome, ctx), and the simulation keeps no charge log.
     """
     return evaluate_batch([genome], ctx)[0]
 
@@ -371,6 +370,9 @@ def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1,
     if workers == 1 or not todo:
         scored = [_score(g, design, ctx) for g, design in todo.values()]
     else:
+        # imported here, so a one-worker run never loads the pool modules
+        from concurrent.futures import ProcessPoolExecutor
+
         # the workers fork with SIGINT blocked, so a Ctrl-C stops only this
         # process, which then waits for the running tasks alone
         pool = ProcessPoolExecutor(max_workers=workers)

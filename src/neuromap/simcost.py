@@ -20,10 +20,12 @@ independent of hardware timing.
 
 from __future__ import annotations
 
+import csv
 import functools
 import math
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from heapq import heapify, heappop, heappush
 from operator import add, itemgetter
@@ -112,6 +114,33 @@ class ChargeLog(NamedTuple):
     owners: tuple[tuple[str, object], ...]  # port -> ("core", c) or ("link", link)
 
 
+_NO_CHARGES = ChargeLog(array("d"), array("i"), array("d"), ())
+
+
+class CostLog(Sequence):
+    """Read-only view of a charge log as (time, "core"|"link", key, energy)
+    tuples in charge order. len() is the column length; iteration and
+    indexing build one tuple at a time, and a slice gives a tuple of them."""
+
+    __slots__ = ("_charges",)
+
+    def __init__(self, charges: ChargeLog):
+        self._charges = charges
+
+    def __len__(self) -> int:
+        return len(self._charges.times)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        times, ports, energies, owners = self._charges
+        return (times[i], *owners[ports[i]], energies[i])
+
+    def __iter__(self):
+        times, ports, energies, owners = self._charges
+        return ((t, *owners[p], e) for t, p, e in zip(times, ports, energies))
+
+
 @dataclass(frozen=True)
 class CostReport:
     energy_per_core: dict[int, float]
@@ -128,13 +157,10 @@ class CostReport:
     charges: ChargeLog | None
 
     @property
-    def cost_log(self) -> tuple[tuple[float, str, object, float], ...]:
+    def cost_log(self) -> CostLog:
         """(time, "core"|"link", key, energy) of every charge, in charge
-        order, built from charges; () when simulated with log=False."""
-        if self.charges is None:
-            return ()
-        times, ports, energies, owners = self.charges
-        return tuple((t, *owners[p], e) for t, p, e in zip(times, ports, energies))
+        order: a view over charges, empty when simulated with log=False."""
+        return CostLog(_NO_CHARGES if self.charges is None else self.charges)
 
 
 # (frame, flat neuron) of every firing of the layer, shared across
@@ -575,10 +601,14 @@ def snapshot(report: CostReport, every: float):
     done, port, energy, owners = report.charges
     done, energy = np.frombuffer(done), np.frombuffer(energy)
     port = np.frombuffer(port, dtype=np.intc)
+    # one stable sort groups the charges by port, each port's in charge
+    # order; port p's are order[bounds[p]:bounds[p + 1]]
+    order = np.argsort(port, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(port, minlength=len(owners))).tolist()]
     for p, (kind, key) in enumerate(owners):
         if key not in rows[kind]:
             continue  # a link that carried only markers
-        mine = np.flatnonzero(port == p)
+        mine = order[bounds[p]:bounds[p + 1]]
         # a port's done times never decrease, so its energy at instant t is
         # its charges up to the last one at or before t, added left to
         # right from 0.0 (cumsum folds in order, as the sum of a sorted
@@ -630,7 +660,10 @@ def write_run_files(report: CostReport, outdir, settings: dict | None = None,
         for (t, v) in report.end_signal:
             fh.write(f"{t!r},{v!r}\n")
 
-    with open(os.path.join(outdir, "gui_setting.csv"), "w", encoding="utf-8") as fh:
-        fh.write("key,value\n")
-        for k in sorted((settings or {})):
-            fh.write(f"{k},{settings[k]}\n")
+    # csv quotes a value holding a comma, quote or newline; others keep
+    # their str() bytes
+    with open(os.path.join(outdir, "gui_setting.csv"), "w", encoding="utf-8",
+              newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows((k, str(settings[k])) for k in sorted(settings or {}))

@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 
@@ -87,6 +88,20 @@ def test_simulate_toy_chain(net_path, tmp_path, capsys):
     assert f"total_energy = {report.total_energy!r}" in stdout
     assert f"latency = {report.latency_end_to_end!r}" in stdout
     assert "cores = 3" in stdout
+
+
+def test_simulate_settings_keep_a_workload_path_with_a_comma(tmp_path, capsys):
+    workload_path = tmp_path / "a,b" / "net.net"
+    workload_path.parent.mkdir()
+    workload_path.write_text(TOY_NET)
+    out = tmp_path / "simrun"
+    rc, _, _ = run_cli(["simulate", "--workload", workload_path, "--frames", 2,
+                        "--out", out], capsys)
+    assert rc == 0
+    with open(out / "gui_setting.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert all(len(row) == 2 for row in rows)
+    assert dict(rows[1:])["workload"] == str(workload_path)
 
 
 def test_simulate_from_mapping_file(net_path, tmp_path, capsys):

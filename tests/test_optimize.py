@@ -1,5 +1,7 @@
 import itertools
 import signal
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -474,7 +476,7 @@ def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
 
         def shutdown(self, cancel_futures):
             pass
-    monkeypatch.setattr(optimize, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     a, b, c = (1, 0, 1, 0, 1, 0), (2, 1, 1, 0, 1, 0), (1, 0, 2, 3, 1, 0)
     memo = {}
     batches = [[a, b, a], [b, c, c, a], [c, b]]
@@ -486,6 +488,31 @@ def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
     for batch, results in zip(batches, got):
         assert [r.genome for r in results] == batch
         assert results == [evaluate(g, ctx) for g in batch]
+
+
+POOL_MODULES = ("concurrent.futures", "multiprocessing", "socket", "logging")
+
+
+def test_one_worker_batch_loads_no_pool_modules():
+    """The CLI and a one-worker batch import none of the pool machinery;
+    only a pool of two or more workers does."""
+    probe = (
+        "import sys\n"
+        "import neuromap.cli\n"
+        "from neuromap.optimize import EvalContext, GenomeSpace, evaluate_batch\n"
+        "from neuromap.simcost import load_hw_config\n"
+        "from neuromap.workload import load_network, packaged_config, synth_trace\n"
+        "model = load_network(packaged_config('pilotnet_synth.net'))\n"
+        "ctx = EvalContext(model=model, trace=synth_trace(model, 2, 30.0, seed=7),\n"
+        "                  base_hw=load_hw_config(packaged_config('default_hw.prm')),\n"
+        "                  space=GenomeSpace(n_layers=len(model.layers), c_max=4))\n"
+        "[result] = evaluate_batch([(1, 0) * len(model.layers)], ctx, workers=1)\n"
+        "assert result.violation == 0.0, result\n"
+        f"print([m for m in {POOL_MODULES!r} if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_pool_workers_run_with_sigint_blocked(ctx, monkeypatch):

@@ -1,5 +1,6 @@
 import bisect
 import builtins
+import csv
 import dataclasses
 import functools
 import heapq
@@ -557,7 +558,7 @@ def assert_unlogged_matches_logged(design):
         assert str(got.value) == str(exc)
         return
     unlogged = simulate(*design, log=False)
-    assert unlogged.cost_log == ()
+    assert len(unlogged.cost_log) == 0 and tuple(unlogged.cost_log) == ()
     for f in dataclasses.fields(CostReport):
         if f.name != "charges":
             assert repr(getattr(unlogged, f.name)) == repr(getattr(logged, f.name)), f.name
@@ -972,11 +973,20 @@ def test_write_run_files(tmp_path):
     trace = synth_trace(model, 3, 30, seed=5)
     report = run(model, uniform_spec(model), trace)
     out = tmp_path / "run"
-    write_run_files(report, out, settings={"algo": "none", "seed": 0})
+    settings = {"algo": "none", "seed": 0, "workload": "/tmp/a,b/net.net",
+                "note": 'say "hi"\nthen stop'}
+    write_run_files(report, out, settings=settings)
     for name in ("summary.txt", "snapshots_cores.csv",
                  "snapshots_interconnects.csv", "output_snapshot.csv",
                  "gui_setting.csv"):
         assert (out / name).exists()
+    # a value with a comma, a quote or a newline is quoted; the rest keep
+    # their plain bytes
+    with open(out / "gui_setting.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["key", "value"]] + [
+            [k, str(settings[k])] for k in sorted(settings)]
+    assert (out / "gui_setting.csv").read_text().startswith(
+        "key,value\nalgo,none\nnote,")
     rows = (out / "output_snapshot.csv").read_text().strip().splitlines()
     assert rows[0] == "timestamp,value"
     assert len(rows) == 1 + len(report.end_signal)
@@ -1052,13 +1062,57 @@ def test_snapshot_of_an_unlogged_report_is_an_error(tmp_path):
     the last row against a total of 3019.5 on this case."""
     from test_simcost_pinned import CASES
     report = simulate(*CASES["toy2-channel-drain"](), log=False)
-    assert report.charges is None and report.cost_log == ()
+    assert report.charges is None and tuple(report.cost_log) == ()
     message = r"^snapshot needs the charge log of a report simulated with log=True$"
     with pytest.raises(SimError, match=message):
         snapshot(report, 1.0)
     with pytest.raises(SimError, match=message):
         write_run_files(report, tmp_path / "run")
     assert not (tmp_path / "run").exists()
+
+
+def rebuilt_cost_log(report) -> tuple:
+    """The (time, kind, key, energy) tuples, rebuilt from the columns."""
+    times, ports, energies, owners = report.charges
+    return tuple((t, *owners[p], e) for t, p, e in zip(times, ports, energies))
+
+
+def test_cost_log_length_builds_no_tuples():
+    """len() reads the column length: a tuple per charge would allocate
+    about 3 MiB on this report."""
+    from test_simcost_pinned import CASES
+    report = simulate(*CASES["desk-wide-fps30"]())
+    assert len(report.charges.times) > 20_000
+    tracemalloc.start()
+    try:
+        n = len(report.cost_log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == len(report.charges.times)
+    assert peak < 4096
+
+
+def test_cost_log_view_reads_the_charge_columns():
+    report = _toy_report()
+    rebuilt = rebuilt_cost_log(report)
+    log = report.cost_log
+    n = len(rebuilt)
+    assert len(log) == n > 0
+    assert tuple(log) == rebuilt
+    assert [log[i] for i in range(-n, n)] == list(rebuilt * 2)
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            log[i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cost_log_view_slices_like_a_tuple(data):
+    report = _toy_report()
+    rebuilt = rebuilt_cost_log(report)
+    cut = data.draw(st.slices(len(rebuilt) + 3))
+    assert report.cost_log[cut] == rebuilt[cut]
 
 
 def test_charge_log_stays_within_24_bytes_a_charge():

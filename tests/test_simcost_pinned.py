@@ -3,11 +3,14 @@
 The values below were recorded from the per-event simulator that preceded
 the static simulation plan; any change to the replay that moves a float,
 a dict order or a cost-log entry fails here. Scalars are compared by
-repr, bulky statistics by the sha256 of their repr.
+repr, bulky statistics by the sha256 of their repr. The files that
+write_run_files writes for each case are pinned by the sha256 of their
+bytes, at the default snapshot interval and at one explicit interval.
 """
 
 import dataclasses
 import hashlib
+import os
 
 import pytest
 
@@ -20,6 +23,7 @@ from neuromap.simcost import (
     HardwareConfig,
     load_hw_config,
     simulate,
+    write_run_files,
 )
 from neuromap.workload import Layer, NetworkModel, load_network, synth_trace
 from helpers import uniform_spec
@@ -93,7 +97,7 @@ def fingerprint(report) -> dict:
         "end_signal": _sha(report.end_signal),
         "energy_per_core": _sha(list(report.energy_per_core.items())),
         "energy_interconnect": _sha(list(report.energy_interconnect.items())),
-        "cost_log": _sha(report.cost_log),
+        "cost_log": _sha(tuple(report.cost_log)),
     }
 
 
@@ -213,3 +217,163 @@ def test_first_congestion_overflow_is_pinned(case, depth):
     with pytest.raises(CongestionError) as exc:
         simulate(model, mapping, placement, hw, trace)
     assert str(exc.value) == PINNED_CONGESTION[case, depth]
+
+
+RUN_FILES = ("summary.txt", "snapshots_cores.csv", "snapshots_interconnects.csv",
+             "output_snapshot.csv", "gui_setting.csv")
+
+
+def run_file_hashes(report, outdir, case, every) -> dict:
+    """sha256 of each file write_run_files writes for the report."""
+    write_run_files(report, outdir, settings={"case": case, "every": repr(every)},
+                    snapshot_every=every)
+    hashes = {}
+    for name in RUN_FILES:
+        with open(os.path.join(outdir, name), "rb") as fh:
+            hashes[name] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
+
+
+def pinned_intervals(report) -> dict:
+    """The default interval (duration / 50) and an explicit one that puts
+    samples between the default's."""
+    return {"default": None, "explicit": report.duration / 7}
+
+
+# recorded from write_run_files before snapshot() grouped the log by port
+PINNED_RUN_FILES = {
+    ("desk-mid-drain", "default"): {
+        "summary.txt": "662649188253961c874d7f6e2df64c9c8c50d7aa70d213c17bbd7ad64f0ef5ba",
+        "snapshots_cores.csv": "3e4ee984c76743c66954961f323bd739d9c3c944e0c3c1195a0ad35f3d0b1e0a",
+        "snapshots_interconnects.csv": "f2d0b47e3014431dc544b6c99d4b2eb673211f5e16d6b747b2ade0e6a25e2493",
+        "output_snapshot.csv": "b0d60fd0b42e296b96968cd878507f3aee07c908594c94422b4c2bb8f663b7e8",
+        "gui_setting.csv": "c5f4c39c75f5458fbc60c0e1884258fc04bcd70b62239e182610ce17a34f4e7c",
+    },
+    ("desk-mid-drain", "explicit"): {
+        "summary.txt": "662649188253961c874d7f6e2df64c9c8c50d7aa70d213c17bbd7ad64f0ef5ba",
+        "snapshots_cores.csv": "9ba05502fb0aff1c7e316bd85e6a2843eec919fb7c506dc61e661ca9b21301d6",
+        "snapshots_interconnects.csv": "ed89896ae3f58aef2325550015025487df2f81c2c15bb9c15407bce30dd775e1",
+        "output_snapshot.csv": "b0d60fd0b42e296b96968cd878507f3aee07c908594c94422b4c2bb8f663b7e8",
+        "gui_setting.csv": "6df940be73a193153f574db51e53fa999f80024f48a8a2e5bdfb5903a2f71ec7",
+    },
+    ("desk-mid-fps30", "default"): {
+        "summary.txt": "3fec119b9ec08d88df0f258bf1ab8abbb47eaea26c304710544689afb0ab827a",
+        "snapshots_cores.csv": "f9a4ed13729c81dd2f6d73dfcbd428976ac086ec1ded56044ec3f2c957e05cb6",
+        "snapshots_interconnects.csv": "884779098fe254d83e35b2b0c291a3b8b6e2a5a0b10f3532566203358fe14efa",
+        "output_snapshot.csv": "7b60ec5a82cffdccfc83709dc50fffcf76ae2ae919712d0b56d31d78e0c007e6",
+        "gui_setting.csv": "846c9769169387f8aec3b80eea405fdfd25a3723513b008053fc2d1526841f19",
+    },
+    ("desk-mid-fps30", "explicit"): {
+        "summary.txt": "3fec119b9ec08d88df0f258bf1ab8abbb47eaea26c304710544689afb0ab827a",
+        "snapshots_cores.csv": "4b8cb46e4af7fe81aff992d2fc58dd5cd30ea6957bd59f333aad6dec9563023c",
+        "snapshots_interconnects.csv": "1acaba1fed18fd2d504798394588de247ec559d13fb787f50cae8da23da6f17e",
+        "output_snapshot.csv": "7b60ec5a82cffdccfc83709dc50fffcf76ae2ae919712d0b56d31d78e0c007e6",
+        "gui_setting.csv": "157c1bb2b5711429583244aba8acaa12d08d6c7ff3697b0162687f1310f12bcb",
+    },
+    ("desk-naive-drain", "default"): {
+        "summary.txt": "66c18195386741fbd41e630bc74ae61e4d016061614bb3d1ee25fc8de2263468",
+        "snapshots_cores.csv": "bd8edf65f0ba53a84d61cc71c180145e89cb7c6a5f2cd2066177f3e117c034b2",
+        "snapshots_interconnects.csv": "7e88a455bdeccb007f31d1891f45459b71606ec5377a46df28588d0130f0ca90",
+        "output_snapshot.csv": "57aafe508a6b2e7f2694e872e7786f91a855ecb4f6f61321d67d3e2ad47b1345",
+        "gui_setting.csv": "77b3c895f935acf211997ba70b3cbede6afe51cdbc217edbd7d0dc448adbf24c",
+    },
+    ("desk-naive-drain", "explicit"): {
+        "summary.txt": "66c18195386741fbd41e630bc74ae61e4d016061614bb3d1ee25fc8de2263468",
+        "snapshots_cores.csv": "01e524d96e1ffb994ec465f89921287d9fb602ed5fc32238f90e7157eb033355",
+        "snapshots_interconnects.csv": "4cac23a444839062a170438ff7ea3bc5fa257322d452aafc1375c7e8479cdceb",
+        "output_snapshot.csv": "57aafe508a6b2e7f2694e872e7786f91a855ecb4f6f61321d67d3e2ad47b1345",
+        "gui_setting.csv": "4cceb645c5c62fb6f1c46dfacb4166db458e8691fadd87a32759f6c99287d7c9",
+    },
+    ("desk-naive-fps30", "default"): {
+        "summary.txt": "a884d48ddc7353ce0f78cc8ae472a6f0dec1a586c960534a87a642c54a1cbb0e",
+        "snapshots_cores.csv": "82941aca15f386a17959c7e824fa327091b8bfa046ac0f651e2376ce1b45ef94",
+        "snapshots_interconnects.csv": "9aebf448650054459a3d9d9936a495edcdfe059d3993eaf5401d7bd5079f6c18",
+        "output_snapshot.csv": "f76c305f2540a18c684f3a80a9a586bc5cb16fb7e07e400d75fd48605f5e97af",
+        "gui_setting.csv": "7f34995a35e19bb6a5ee9e08dfc330570a4d49d506f3fc411ef4fa40c01ceeed",
+    },
+    ("desk-naive-fps30", "explicit"): {
+        "summary.txt": "a884d48ddc7353ce0f78cc8ae472a6f0dec1a586c960534a87a642c54a1cbb0e",
+        "snapshots_cores.csv": "0a8ec2d605a5ef4d8a8ed818dbb446b295c61719e159f14d5e9e2cf410c5e1d1",
+        "snapshots_interconnects.csv": "6338d2221a095f035620c028de6b86ff346c052225b0bcb72a75c99fcb277938",
+        "output_snapshot.csv": "f76c305f2540a18c684f3a80a9a586bc5cb16fb7e07e400d75fd48605f5e97af",
+        "gui_setting.csv": "fa7331e1e0335d6c70afdfa175c8cfe0d8b5d548ad9e135808d8243eb09c6ad3",
+    },
+    ("desk-wide-drain", "default"): {
+        "summary.txt": "d336d9356bdf1b2a11a697ba5251626916f58244985229259bea7c732320e1d1",
+        "snapshots_cores.csv": "cd378cbcc62c3bf15d0ae1275d497ca90d379b48cb12813007942a0ab02a12f1",
+        "snapshots_interconnects.csv": "bbd98ae58a487fe14a138c0cc0bd965d670f476a1c66c43837337dc93af22aef",
+        "output_snapshot.csv": "2533d43d56a709041b4faaa61e0cc497d3ae1c04f68a14442a8de4500778f8e8",
+        "gui_setting.csv": "642073b420287e7524656c83c96f03fe7b041ed53d25f6b7e4dd08fc87b875df",
+    },
+    ("desk-wide-drain", "explicit"): {
+        "summary.txt": "d336d9356bdf1b2a11a697ba5251626916f58244985229259bea7c732320e1d1",
+        "snapshots_cores.csv": "28c6b188c999309487f7c54e2be5a53e32a2d3bbe03ec051832b13fcb7fee18c",
+        "snapshots_interconnects.csv": "494c2b8a2556d71c4f111c9b70d09f9f7402b55e57fa953e2ffd363fb87e352b",
+        "output_snapshot.csv": "2533d43d56a709041b4faaa61e0cc497d3ae1c04f68a14442a8de4500778f8e8",
+        "gui_setting.csv": "12482d5421e9e0654d4a6bbfccf52d6d3c251d38193f935ba239f49bbec2bac2",
+    },
+    ("desk-wide-fps30", "default"): {
+        "summary.txt": "1278a09ba6aa9665dfd166f121de9218fb944867aab6487bde54d462180732c4",
+        "snapshots_cores.csv": "90f4bd5403452c3504f4bdd2436293f0df13538e66bb0533bfbddb9cf74b3d72",
+        "snapshots_interconnects.csv": "2a84e9c0e364adfd4c5aaa40e6bda9e5c3a5e2460d5db039212260b576d23a5b",
+        "output_snapshot.csv": "3e95fa5daadecfdc7f4887c46a6a64cdb4617f9633cf5da25c5a4ace205aace5",
+        "gui_setting.csv": "e21542915d0db24929a28426fb368943b98303d0f3bdf36c790785dc0242ef89",
+    },
+    ("desk-wide-fps30", "explicit"): {
+        "summary.txt": "1278a09ba6aa9665dfd166f121de9218fb944867aab6487bde54d462180732c4",
+        "snapshots_cores.csv": "cdf7e67bb215a20d04e8fec80da6856d8bd0167c89e4765346ac4cf9f78b6a36",
+        "snapshots_interconnects.csv": "d8f3f6a968ed4b2ec30eea437e0dda05fd607242a0d5c67caa65a3682041b086",
+        "output_snapshot.csv": "3e95fa5daadecfdc7f4887c46a6a64cdb4617f9633cf5da25c5a4ace205aace5",
+        "gui_setting.csv": "7a7d1eaf6fdb3f36ddd99ff6976c99d2e1a6cc4da7f1225bd9bea2088a54b7c6",
+    },
+    ("toy2-channel-drain", "default"): {
+        "summary.txt": "9d8b7174080fb11f80f1c601bc656febd509261ba633fa86d9af06cc846db26f",
+        "snapshots_cores.csv": "8ed6ae9c25d930003dce2fd010228ec690b5eb4daf14b214c92143fb576fb9de",
+        "snapshots_interconnects.csv": "d8bf38a9a7e75762b15d881e199ffddac13845bc1b1ae915ea9bf6b7a3136bc0",
+        "output_snapshot.csv": "7357f2f97165d69b9c5ac862c87af492b8bdf588c6cfb6994ddd99d698ec80f0",
+        "gui_setting.csv": "a781666dae1076d97553bcb4c8f19ef54fade8acc6e6414382e35014ed8ce30c",
+    },
+    ("toy2-channel-drain", "explicit"): {
+        "summary.txt": "9d8b7174080fb11f80f1c601bc656febd509261ba633fa86d9af06cc846db26f",
+        "snapshots_cores.csv": "5d6eb86cbb51448732fdb8529b97a765b41e7a104535275248878c8949b0b9cf",
+        "snapshots_interconnects.csv": "dcb63d5ac1978e9262ed65464a5969e50f88c6d2b24f80d3ba3103a652a93d07",
+        "output_snapshot.csv": "7357f2f97165d69b9c5ac862c87af492b8bdf588c6cfb6994ddd99d698ec80f0",
+        "gui_setting.csv": "f13b924c6b2c5f294bb667a5ce591ebd88c13280e63730ccf586b9bf2c85c340",
+    },
+    ("toy2-clustered-drain", "default"): {
+        "summary.txt": "3e990b8b16eda0908e89ee6e9d93ef1272718647001197429053d6c7e55c1c4d",
+        "snapshots_cores.csv": "49e8969cb4594e028847ae293f0a268b4257b37281adab6ed996e60160001725",
+        "snapshots_interconnects.csv": "90d112e04bb535cfa8a0bc9c40902631474755fc37bfc39c8772738fc1cce68e",
+        "output_snapshot.csv": "3a18721df6331cafa2a3c6f59b4fce857c197bf42d03ef31170727790ccc2708",
+        "gui_setting.csv": "09b71e486f238e44d8b83de8d801a804efdbc71845d149c205046efd4797e8a2",
+    },
+    ("toy2-clustered-drain", "explicit"): {
+        "summary.txt": "3e990b8b16eda0908e89ee6e9d93ef1272718647001197429053d6c7e55c1c4d",
+        "snapshots_cores.csv": "3690e21848edab819d9ec560c5b832ad4d3278584bfcd23f084d0cfd025a08ae",
+        "snapshots_interconnects.csv": "7593a6832dd00ca9fa30e96f83efcb23761ea98551b9abff8b20a409c61029d7",
+        "output_snapshot.csv": "3a18721df6331cafa2a3c6f59b4fce857c197bf42d03ef31170727790ccc2708",
+        "gui_setting.csv": "f5802125df179149f51dcbf7c959c6896640d210c8f90b48a02f9f4da2f8fe4e",
+    },
+    ("toy2-width-fps", "default"): {
+        "summary.txt": "13baf59cd8fa254a03b01dacad017e3f6f833eb4dd19dbaaa7728acc4d15ecab",
+        "snapshots_cores.csv": "673c3da8b471ed9ff9ce4c6fd66ad28abf2562992e51760333d4e3abebaf77f7",
+        "snapshots_interconnects.csv": "36a6d37684786615610517e19fbd27f418fb9f8284fc0e04f6c5ea0252d609f7",
+        "output_snapshot.csv": "9c92900a6a8fac120be581aa164f84f76b95f6c1e7afb0e919242387c067c507",
+        "gui_setting.csv": "039e50b675b9213df36c437a0bcbd02906e3542d2c322da08a884ef1ee2f410b",
+    },
+    ("toy2-width-fps", "explicit"): {
+        "summary.txt": "13baf59cd8fa254a03b01dacad017e3f6f833eb4dd19dbaaa7728acc4d15ecab",
+        "snapshots_cores.csv": "7140aec8858cb3ac27489cd8e615a391f7792e55a8ec289a47cdeca8dbd6fcc3",
+        "snapshots_interconnects.csv": "25af094e2e07773e85aaf03a0412971d64a4a196cd6a3f0ee55696dd6620c58f",
+        "output_snapshot.csv": "9c92900a6a8fac120be581aa164f84f76b95f6c1e7afb0e919242387c067c507",
+        "gui_setting.csv": "4f4648df4cdb23c915529e9f2cadb6fb873dca7c78d8cee24a066cd54164e7ba",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_files_are_pinned(case, tmp_path):
+    report = simulate(*CASES[case]())
+    for name, every in pinned_intervals(report).items():
+        got = run_file_hashes(report, tmp_path / name, case, every)
+        assert got == PINNED_RUN_FILES[case, name], name
