@@ -30,14 +30,13 @@ from operator import add
 from pathlib import Path
 
 from .configio import dataclass_block, format_blocks
-from .optimize import AlgoParams, EvalResult, dominance, simulate_genome
+from .optimize import OBJECTIVE_NAMES, AlgoParams, EvalResult, dominance, simulate_genome
 from .simcost import HardwareConfig, write_run_files
 
 SNAPSHOT_POLICIES = ("all", "bests", "sampled")
 
 EVAL_FIXED_COLUMNS = ("eval_index", "generation", "timestamp", "violation",
-                      "energy", "latency", "area", "fidelity_penalty",
-                      "n_cores", "mesh_rows", "mesh_cols", "error")
+                      *OBJECTIVE_NAMES, "n_cores", "mesh_rows", "mesh_cols", "error")
 
 
 class AnalyticsError(ValueError):
@@ -74,9 +73,6 @@ class ExperimentRecord:
     last_timestamp: float = 0.0
     closed: bool = False
     _opt_headers_written: bool = field(default=False, repr=False)
-    # id(result) -> (result, its row cells after the timestamp); the result
-    # is held so its id is not reused
-    _cells: dict = field(default_factory=dict, repr=False)
 
     @property
     def evaluations_path(self) -> Path:
@@ -136,21 +132,6 @@ def _improves(best: EvalResult | None, result: EvalResult, objective: str) -> bo
                             < getattr(best.objectives, objective))
 
 
-def _row_cells(record: ExperimentRecord, result: EvalResult) -> list[str]:
-    """The evaluations.csv cells after the timestamp, formatted once per
-    distinct result of the run."""
-    entry = record._cells.get(id(result))
-    if entry is None or entry[0] is not result:
-        obj = result.objectives
-        cells = [_fmt(result.violation), _fmt(obj.energy), _fmt(obj.latency),
-                 _fmt(obj.area), _fmt(obj.fidelity_penalty),
-                 str(result.n_cores), str(result.mesh_shape[0]),
-                 str(result.mesh_shape[1]), result.error or "",
-                 *map(str, result.genome)]
-        entry = record._cells[id(result)] = (result, cells)
-    return entry[1]
-
-
 def _channels(record: ExperimentRecord, result: EvalResult,
               idx: int) -> tuple[str, ...]:
     """Snapshot channels the policy flags this evaluation for; updates the
@@ -192,8 +173,10 @@ def record_evaluation(record: ExperimentRecord, results, ctx=None) -> None:
         record.eval_index += 1
         now = max(time.time(), record.last_timestamp)
         record.last_timestamp = now
-        rows.append([str(idx), str(record.generation), _fmt(now),
-                     *_row_cells(record, result)])
+        rows.append([str(idx), str(record.generation), _fmt(now), _fmt(result.violation),
+                     *map(_fmt, result.objectives.as_tuple(OBJECTIVE_NAMES)),
+                     str(result.n_cores), *map(str, result.mesh_shape),
+                     result.error or "", *map(str, result.genome)])
         channels = _channels(record, result, idx)
         if channels:
             flagged.append((result, idx, now, channels))

@@ -14,11 +14,11 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from datetime import datetime
 from pathlib import Path
 
 from .analytics import (
     SNAPSHOT_POLICIES,
+    _stamp,
     attach,
     finalize_run,
     open_run,
@@ -28,7 +28,7 @@ from .analytics import (
 from .configio import convert
 from .fidelity import distortion_flag, load_end_signal, xcorr_score
 from .mesh import SCHEMES, compress, place
-from .optimize import ALGOS, RUNNERS, EvalContext, GenomeSpace, load_algo_params
+from .optimize import ALGOS, RUNNERS, EvalContext, GenomeSpace, check_search, load_algo_params
 from .partition import (
     AXES,
     STYLES,
@@ -114,7 +114,7 @@ def cmd_simulate(args) -> int:
     report = simulate(model, mapping, placement, hw, trace)
     outdir = _out_root(args, "runs")
     if not args.out:
-        outdir = outdir / f"sim_{datetime.now().strftime('%Y_%m_%d_%H-%M-%S')}"
+        outdir = outdir / f"sim_{_stamp()}"
     settings = {"workload": str(args.workload), "scheme": args.scheme,
                 "fps": repr(trace.fps), "frames": str(trace.n_frames),
                 "seed": str(args.seed), "cores": str(n)}
@@ -155,6 +155,7 @@ def cmd_optimize(args) -> int:
                         npes_menu=_parse_menu(args.npes_menu))
     ctx = EvalContext(model=model, trace=trace, base_hw=hw, space=space,
                       scheme=args.scheme, objective_names=objective_names)
+    check_search(args.algo, ctx, args.workers)
 
     root = _out_root(args, "experiments")
     app = args.app or model.name

@@ -39,8 +39,6 @@ from .workload import EventTrace, NetworkModel, retime_trace
 PENALTY_BASE = 1e18
 STRUCTURAL_VIOLATION = 1e12
 
-OBJECTIVE_NAMES = ("energy", "latency", "area", "fidelity_penalty")
-
 # fidelity penalty per ms of end-signal shift, on top of 1 - peak
 SHIFT_WEIGHT = 1e-3
 
@@ -194,6 +192,8 @@ def encode(spec: PartitionSpec, hw: HardwareConfig, scheme: str,
 
 @dataclass(frozen=True)
 class Objectives:
+    """What a search minimizes; the fields are the one list of objectives."""
+
     energy: float
     latency: float
     area: float
@@ -201,6 +201,9 @@ class Objectives:
 
     def as_tuple(self, names) -> tuple[float, ...]:
         return tuple([getattr(self, n) for n in names])
+
+
+OBJECTIVE_NAMES = tuple(f.name for f in fields(Objectives))
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,8 @@ class EvalContext:
         for n in self.objective_names:
             if n not in OBJECTIVE_NAMES:
                 raise OptimizeError(f"unknown objective {n!r}")
+        if "fidelity_penalty" in self.objective_names and self.reference is None:
+            raise OptimizeError("fidelity_penalty needs a reference end signal")
 
 
 @dataclass(frozen=True)
@@ -239,7 +244,7 @@ class EvalResult:
 def _penalty_result(genome, violation: float, error: str | None = None) -> EvalResult:
     v = PENALTY_BASE + violation
     return EvalResult(genome=tuple(genome),
-                      objectives=Objectives(v, v, v, v),
+                      objectives=Objectives(*[v] * len(OBJECTIVE_NAMES)),
                       violation=violation, n_cores=0, mesh_shape=(0, 0),
                       error=error)
 
@@ -406,12 +411,13 @@ def _reflect(x: float, lo: int, hi: int) -> int:
     return lo + d
 
 
-def sbx_crossover(a, b, lo, hi, eta: float, rng: np.random.Generator,
-                  p_var: float = 0.5) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Simulated binary crossover in real space, rounded and reflected."""
+def sbx_crossover(a, b, lo, hi, eta: float,
+                  rng: np.random.Generator) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Simulated binary crossover in real space, rounded and reflected;
+    each gene crosses with probability 1/2."""
     c1, c2 = list(a), list(b)
     for i in range(len(a)):
-        if rng.random() > p_var or a[i] == b[i]:
+        if rng.random() > 0.5 or a[i] == b[i]:
             continue
         x1, x2 = sorted((float(a[i]), float(b[i])))
         u = rng.random()
@@ -628,6 +634,14 @@ def _tournament(rng, pop_results, keys) -> EvalResult:
     return pop_results[int(i) if keys[i] <= keys[j] else int(j)]
 
 
+def check_search(algo: str, ctx: EvalContext, workers: int) -> None:
+    """Raise OptimizeError where algo's search loop would before its first
+    evaluation, so a caller can check before it opens a run directory."""
+    evaluate_batch([], ctx, workers)  # the empty batch checks workers
+    if algo == "nsga2" and len(ctx.objective_names) < 2:
+        raise OptimizeError("nsga2 needs at least 2 objectives")
+
+
 def _initial_population(ctx: EvalContext, params: AlgoParams, seed: int,
                         workers: int):
     """Validated params, the seeded RNG, the run's batch evaluator (with
@@ -700,8 +714,7 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
     fixed from the first generation's worst feasible corner, so the
     elitist archive makes the history non-decreasing.
     """
-    if len(ctx.objective_names) < 2:
-        raise OptimizeError("nsga2 needs at least 2 objectives")
+    check_search("nsga2", ctx, workers)
     rng, batch, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names = ctx.objective_names

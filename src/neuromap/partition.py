@@ -4,7 +4,7 @@ Partitions are contiguous ranges along one axis (layer = single neurons,
 channel, height, width). Weights and biases are apportioned to partitions
 by cumulative proportional rounding so per-layer totals are conserved
 exactly. One layer per core set by default; co-location only through
-cluster_layers, which tags the result as distortion-prone.
+cluster_layers.
 """
 
 from __future__ import annotations
@@ -158,7 +158,6 @@ class CoreAssignment:
 @dataclass(frozen=True)
 class Mapping:
     assignments: tuple[CoreAssignment, ...]
-    clustered: bool = False
 
     @property
     def n_cores_total(self) -> int:
@@ -227,8 +226,7 @@ def cluster_layers(mapping: Mapping, groups: list[set[int]],
     """Co-locate each group's layers onto shared cores, part-by-part.
 
     Every layer in a group must have the same partition count. Co-location
-    risks inter-layer event interleaving; the result is tagged clustered
-    so fidelity gets checked downstream.
+    risks inter-layer event interleaving.
     """
     if not groups:
         return mapping
@@ -267,8 +265,7 @@ def cluster_layers(mapping: Mapping, groups: list[set[int]],
                 cores.append(next_core)
                 next_core += 1
             remapped.append(replace(a, core_id=cores[part_index]))
-    out = Mapping(tuple(sorted(remapped, key=lambda a: (a.core_id, a.layer_id))),
-                  clustered=True)
+    out = Mapping(tuple(sorted(remapped, key=lambda a: (a.core_id, a.layer_id))))
     if enforce_cap:
         out.check_budget(m_max)
     return out
@@ -291,9 +288,7 @@ def load_mapping(path) -> Mapping:
         path, _CSV_COLUMNS, PartitionError, "mapping header")]
     if not assignments:
         raise PartitionError(f"{path}: no partition rows")
-    mapping = Mapping(tuple(assignments))
-    layer_sets = mapping.layers_per_core.values()
-    return replace(mapping, clustered=any(len(ls) > 1 for ls in layer_sets))
+    return Mapping(tuple(assignments))
 
 
 def _stride(layer: Layer, axis: str) -> int:

@@ -633,6 +633,29 @@ def test_optimize_empty_objective_list(algo, net_path, tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("algo", ["ga", "nsga2", "pso"])
+def test_optimize_zero_workers_fails_before_the_run_tree(algo, net_path, tmp_path,
+                                                         capsys):
+    rc, stdout, stderr = run_cli(
+        ["optimize", "--workload", net_path, "--algo", algo, "--workers", 0,
+         "--frames", 2, "--out", tmp_path / "w"], capsys)
+    assert (rc, stdout, stderr) == (1, "", "error: workers must be >= 1\n")
+    assert not (tmp_path / "w" / "toychain_app").exists()
+
+
+@pytest.mark.parametrize("objectives, named", [
+    ("energy", "nsga2 needs at least 2 objectives"),
+    ("energy,fidelity_penalty", "fidelity_penalty needs a reference end signal"),
+], ids=["single-objective", "fidelity-without-reference"])
+def test_optimize_search_errors_fail_before_the_run_tree(objectives, named, net_path,
+                                                         tmp_path, capsys):
+    rc, stdout, stderr = run_cli(
+        ["optimize", "--workload", net_path, "--algo", "nsga2",
+         "--objectives", objectives, "--frames", 2, "--out", tmp_path / "o"], capsys)
+    assert (rc, stdout, stderr) == (1, "", f"error: {named}\n")
+    assert not (tmp_path / "o" / "toychain_app").exists()
+
+
 @pytest.mark.parametrize("algo, body, named", [
     ("ga", "eta_mutation = -1", "eta_mutation must be finite and >= 0, got -1.0"),
     ("pso", "omega = inf", "omega must be finite and >= 0, got inf"),

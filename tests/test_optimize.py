@@ -23,6 +23,7 @@ from neuromap.optimize import (
     OptimizeError,
     ParetoArchive,
     _reflect,
+    check_search,
     crowding_distance,
     decode,
     decode_model,
@@ -375,6 +376,22 @@ def test_unknown_objective_rejected(ctx):
     with pytest.raises(OptimizeError):
         EvalContext(model=ctx.model, trace=ctx.trace, base_hw=HW,
                     space=ctx.space, objective_names=("energy", "power"))
+
+
+def test_fidelity_objective_without_reference_rejected(ctx):
+    with pytest.raises(OptimizeError, match="^fidelity_penalty needs a reference"):
+        EvalContext(model=ctx.model, trace=ctx.trace, base_hw=HW, space=ctx.space,
+                    objective_names=("energy", "fidelity_penalty"))
+
+
+def test_check_search_names_what_cannot_run(ctx):
+    with pytest.raises(OptimizeError, match="^workers must be >= 1$"):
+        check_search("ga", ctx, 0)
+    one = replace(ctx, objective_names=("energy",))
+    with pytest.raises(OptimizeError, match="^nsga2 needs at least 2 objectives$"):
+        check_search("nsga2", one, 1)
+    check_search("ga", one, 1)
+    check_search("nsga2", ctx, 2)
 
 
 def test_retime_trace_preserves_content():

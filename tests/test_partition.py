@@ -190,7 +190,6 @@ def test_two_layer_one_core_each():
     mapping = build_mapping(model, uniform_spec(model))
     assert mapping.n_cores_total == 2
     assert mapping.layers_per_core == {0: (0,), 1: (1,)}
-    assert not mapping.clustered
 
 
 def test_cores_numbered_in_layer_then_part_order():
@@ -260,7 +259,6 @@ def test_cluster_merges_layers_3_and_4():
     model = chain_model([8] * 10)
     mapping = build_mapping(model, uniform_spec(model))
     merged = cluster_layers(mapping, [{3, 4}])
-    assert merged.clustered
     per_core = merged.layers_per_core
     assert (3, 4) in per_core.values()
     assert merged.n_cores_total == 9
@@ -317,7 +315,6 @@ def test_mapping_roundtrip_clustered(tmp_path):
     p = tmp_path / "mapc.csv"
     save_mapping(mapping, p)
     back = load_mapping(p)
-    assert back.clustered
     assert back == mapping
 
 
