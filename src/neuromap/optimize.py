@@ -2,10 +2,11 @@
 
 A genome is (n_cores, axis) per layer plus optional global menu genes
 (NPEs, weight bit-width, memory, clock, flit width, frame rate, mesh
-scheme). Decoding never clamps, so encode(decode(g)) == g; structurally
-impossible genomes surface as constraint violations during evaluation,
-not as decode errors. Constraint handling is feasibility-first: any
-memory-bound violator ranks below every feasible candidate.
+scheme). Decoding never clamps: a gene of value v gives v cores or entry
+v of its menu. Structurally impossible genomes surface as constraint
+violations during evaluation, not as decode errors. Constraint handling
+is feasibility-first: any memory-bound violator ranks below every
+feasible candidate.
 
 The NPE count scales per-op energy and static power linearly (the base
 config expresses per-lane costs), so more NPEs buy time, not free energy.
@@ -49,25 +50,20 @@ class OptimizeError(ValueError):
 
 # Optional architecture genes, in gene order; a space carries one gene per
 # non-None menu. Each entry is GenomeSpace menu field -> (decoded slot it
-# sets, apply(slot value, menu value, base hw) -> slot value, read(slot
-# value) -> menu value). The slots are "hw", "model", "scheme" and "fps".
+# sets, apply(slot value, menu value, base hw) -> slot value). The slots are
+# "hw", "model", "scheme" and "fps".
 MENU_GENES = {
     "npes_menu": ("hw", lambda hw, n, base: replace(
         hw, npes_per_core=int(n), e_npe_op=base.e_npe_op * int(n),
-        p_static_core=base.p_static_core * int(n)),
-        lambda hw: hw.npes_per_core),
+        p_static_core=base.p_static_core * int(n))),
     "bw_weights_menu": ("model", lambda m, bw, _: replace(
-        m, bitwidths=replace(m.bitwidths, weights=int(bw))),
-        lambda m: m.bitwidths.weights),
-    "mem_menu": ("hw", lambda hw, v, _: replace(hw, mem_per_core=int(v)),
-                 lambda hw: hw.mem_per_core),
+        m, bitwidths=replace(m.bitwidths, weights=int(bw)))),
+    "mem_menu": ("hw", lambda hw, v, _: replace(hw, mem_per_core=int(v))),
     "clock_menu": ("hw", lambda hw, v, _: replace(
-        hw.scaled_times(float(v)), clock_period=float(v)),
-        lambda hw: hw.clock_period),
-    "flit_menu": ("hw", lambda hw, v, _: replace(hw, flit_bits=int(v)),
-                  lambda hw: hw.flit_bits),
-    "fps_menu": ("fps", lambda _, v, __: float(v), lambda fps: fps),
-    "scheme_menu": ("scheme", lambda _, v, __: str(v), lambda s: s),
+        hw.scaled_times(float(v)), clock_period=float(v))),
+    "flit_menu": ("hw", lambda hw, v, _: replace(hw, flit_bits=int(v))),
+    "fps_menu": ("fps", lambda _, v, __: float(v)),
+    "scheme_menu": ("scheme", lambda _, v, __: str(v)),
 }
 
 
@@ -141,7 +137,7 @@ def _apply_menus(genome, space: GenomeSpace, slots: dict,
                  base_hw: HardwareConfig | None = None) -> dict:
     """Apply the genome's menu genes to the given slots; others are skipped."""
     for pos, (name, menu) in enumerate(space._menus(), 2 * space.n_layers):
-        slot, apply, _ = MENU_GENES[name]
+        slot, apply = MENU_GENES[name]
         if slot in slots:
             slots[slot] = apply(slots[slot], menu[int(genome[pos])], base_hw)
     return slots
@@ -170,24 +166,6 @@ def decode(genome, model: NetworkModel, base_hw: HardwareConfig,
 def decode_model(genome, model: NetworkModel, space: GenomeSpace) -> NetworkModel:
     """Model with the genome's weight bit-width applied, if that gene exists."""
     return _apply_menus(genome, space, {"model": model})["model"]
-
-
-def encode(spec: PartitionSpec, hw: HardwareConfig, scheme: str,
-           fps_override: float | None, base_hw: HardwareConfig,
-           space: GenomeSpace, model: NetworkModel | None = None) -> tuple[int, ...]:
-    """Inverse of decode for genomes within bounds."""
-    genes: list[int] = []
-    for split in spec.splits:
-        genes.append(split.n_cores)
-        genes.append(space.axes_menu.index(split.axis))
-    slots = {"hw": hw, "scheme": scheme, "fps": fps_override, "model": model}
-    for (name, menu) in space._menus():
-        slot, _, read = MENU_GENES[name]
-        if slot == "model" and model is None:
-            raise OptimizeError(f"encoding a {name.removesuffix('_menu')} "
-                                "gene needs the model")
-        genes.append(menu.index(read(slots[slot])))
-    return tuple(genes)
 
 
 @dataclass(frozen=True)
@@ -220,11 +198,22 @@ class EvalContext:
     def __post_init__(self):
         if not self.objective_names:
             raise OptimizeError("no objectives given")
-        for n in self.objective_names:
+        for i, n in enumerate(self.objective_names):
             if n not in OBJECTIVE_NAMES:
                 raise OptimizeError(f"unknown objective {n!r}")
+            if n in self.objective_names[:i]:
+                raise OptimizeError(f"objective {n!r} given twice")
         if "fidelity_penalty" in self.objective_names and self.reference is None:
             raise OptimizeError("fidelity_penalty needs a reference end signal")
+        # a hardware menu value that no design can use fails here, not as a
+        # penalty on every genome that picks it
+        for name, menu in self.space._menus():
+            slot, apply = MENU_GENES[name]
+            for v in menu if slot == "hw" else ():
+                try:
+                    apply(self.base_hw, v, self.base_hw).validate()
+                except SimError as exc:
+                    raise OptimizeError(f"{name} value {v!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -485,24 +474,12 @@ def _dominance_of(results, names) -> np.ndarray:
                      [r.objectives.as_tuple(names) for r in results])
 
 
-def dominates(a: EvalResult, b: EvalResult, names) -> bool:
-    """Feasibility-first Pareto dominance of a over b."""
-    return bool(_dominance_of((a, b), names)[0, 1])
-
-
 class ParetoArchive:
     """Elitist archive of mutually non-dominated results."""
 
     def __init__(self, names):
         self.names = tuple(names)
         self.members: list[EvalResult] = []
-
-    def add(self, res: EvalResult) -> bool:
-        """Offer one result; True when it joins the archive."""
-        if any(m.genome == res.genome for m in self.members):
-            return False
-        self.update([res])
-        return self.members[-1] is res
 
     def update(self, results) -> None:
         """Keep the non-dominated of members + results, the first of each

@@ -3,13 +3,14 @@
 Partitions are contiguous ranges along one axis (layer = single neurons,
 channel, height, width). Weights and biases are apportioned to partitions
 by cumulative proportional rounding so per-layer totals are conserved
-exactly. One layer per core set by default; co-location only through
-cluster_layers.
+exactly. build_mapping gives each layer cores of its own; a mapping read
+by load_mapping may put several layers on one core, and the simulator
+delivers their events on that core.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .configio import read_rows
 from .workload import Bitwidths, Layer, NetworkModel
@@ -218,57 +219,6 @@ def build_mapping(model: NetworkModel, spec: PartitionSpec,
     if enforce_cap:
         mapping.check_budget(m_max)
     return mapping
-
-
-def cluster_layers(mapping: Mapping, groups: list[set[int]],
-                   m_max: int = M_MAX_DEFAULT, *,
-                   enforce_cap: bool = True) -> Mapping:
-    """Co-locate each group's layers onto shared cores, part-by-part.
-
-    Every layer in a group must have the same partition count. Co-location
-    risks inter-layer event interleaving.
-    """
-    if not groups:
-        return mapping
-    flat: set[int] = set()
-    for g in groups:
-        if flat & g:
-            raise PartitionError("cluster groups must be disjoint")
-        flat |= g
-    group_of: dict[int, int] = {}
-    for gi, g in enumerate(groups):
-        for lid in g:
-            group_of[lid] = gi
-    parts: dict[int, list[CoreAssignment]] = {}
-    for a in mapping.assignments:
-        parts.setdefault(a.layer_id, []).append(a)
-    for g in groups:
-        sizes = {len(parts[lid]) for lid in g if lid in parts}
-        if len(sizes) > 1:
-            raise PartitionError(
-                f"layers in cluster group {sorted(g)} have unequal part counts {sizes}")
-
-    # rebuild core ids: a group's cores are claimed when its first layer
-    # appears; later layers in the group reuse them part-by-part
-    next_core = 0
-    group_cores: dict[int, list[int]] = {}
-    remapped: list[CoreAssignment] = []
-    for a in sorted(mapping.assignments, key=lambda a: (a.layer_id, a.range_start)):
-        gi = group_of.get(a.layer_id)
-        part_index = parts[a.layer_id].index(a)
-        if gi is None:
-            remapped.append(replace(a, core_id=next_core))
-            next_core += 1
-        else:
-            cores = group_cores.setdefault(gi, [])
-            if part_index >= len(cores):
-                cores.append(next_core)
-                next_core += 1
-            remapped.append(replace(a, core_id=cores[part_index]))
-    out = Mapping(tuple(sorted(remapped, key=lambda a: (a.core_id, a.layer_id))))
-    if enforce_cap:
-        out.check_budget(m_max)
-    return out
 
 
 _CSV_HEADER = "core_id,layer_id,axis,range_start,range_end,N_npc,N_wpc,N_bpc,N_tpc,M_pc_bits"

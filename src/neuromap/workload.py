@@ -56,10 +56,6 @@ class Layer:
     def neurons(self) -> int:
         return self.channels * self.height * self.width
 
-    @property
-    def thresholds(self) -> int:
-        return self.neurons if self.is_snn else 0
-
     def axis_extent(self, axis: str) -> int:
         if axis == "layer":
             return self.neurons
@@ -442,10 +438,10 @@ def _threshold(rate: float) -> int:
 
 
 def firing_masks(layer: Layer, frames):
-    """firing_mask(layer, f) for each frame f, one fresh array each. The
-    draws run in blocks of _MASK_BLOCK neurons, so the mixer's buffers stay
-    that small whatever the layer's size; the blocks' keys are shared by
-    the frames."""
+    """For each frame f, a fresh boolean mask over the layer's flat neuron
+    index: which neurons fire in frame f. The draws run in blocks of
+    _MASK_BLOCK neurons, so the mixer's buffers stay that small whatever
+    the layer's size; the blocks' keys are shared by the frames."""
     rate = layer.avg_event_rate
     n = layer.neurons
     if rate <= 0 or rate >= 1:
@@ -472,11 +468,6 @@ def firing_masks(layer: Layer, frames):
             xs ^= ts
             np.less(xs, limit, out=mask[s:s + m])
         yield mask
-
-
-def firing_mask(layer: Layer, frame: int) -> np.ndarray:
-    """Boolean mask over the layer's flat neuron index: fires this frame?"""
-    return next(firing_masks(layer, (frame,)))
 
 
 def packaged_config(name: str) -> Path:

@@ -13,6 +13,24 @@ def uniform_spec(model: NetworkModel, n_cores: int = 1, axis: str = "layer",
     return PartitionSpec(tuple(LayerSplit(n_cores, axis, style) for _ in model.layers))
 
 
+def colocate(mapping: Mapping, groups) -> Mapping:
+    """Copy of a mapping with each group's layers sharing cores part by
+    part: part i of every layer in a group goes on one core. Core ids are
+    renumbered in (layer, range start) order, a group's cores taken where
+    its first layer comes, and the assignments are listed by core, then
+    layer. The groups are disjoint sets of layer ids whose layers have
+    equal part counts; the memory cap is not checked."""
+    group_of = {lid: ("group", gi) for gi, group in enumerate(groups) for lid in group}
+    cores: dict[tuple, int] = {}
+    parts: dict[int, int] = {}
+    out = []
+    for a in sorted(mapping.assignments, key=lambda a: (a.layer_id, a.range_start)):
+        part = parts[a.layer_id] = parts.get(a.layer_id, -1) + 1
+        owner = group_of.get(a.layer_id, ("layer", a.layer_id))
+        out.append(replace(a, core_id=cores.setdefault((owner, part), len(cores))))
+    return Mapping(tuple(sorted(out, key=lambda a: (a.core_id, a.layer_id))))
+
+
 def of_layer(mapping: Mapping, layer_id: int) -> list:
     """The layer's core assignments, in mapping order."""
     return [a for a in mapping.assignments if a.layer_id == layer_id]

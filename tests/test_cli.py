@@ -13,7 +13,6 @@ from neuromap.partition import (
     PartitionError,
     PartitionSpec,
     build_mapping,
-    cluster_layers,
     save_mapping,
 )
 from neuromap.simcost import load_hw_config, simulate
@@ -225,14 +224,12 @@ def test_over_budget_is_one_message_on_every_path(net_path, tmp_path, capsys):
             "M_max = 2000 bits (2 core(s) over budget)")
     with pytest.raises(PartitionError) as built:
         build_mapping(model, spec, m_max=cap)
-    with pytest.raises(PartitionError) as clustered:
-        cluster_layers(mapping, [{0}], m_max=cap)
     placement = place(mapping.n_cores_total, compress(mapping.n_cores_total,
                                                       "strict-area"))
     with pytest.raises(simcost.SimError) as simulated:
         simulate(model, mapping, placement, simcost.HardwareConfig(mem_per_core=cap),
                  synth_trace(model, n_frames=2, fps=0, seed=0))
-    assert str(built.value) == str(clustered.value) == str(simulated.value) == text
+    assert str(built.value) == str(simulated.value) == text
     hw_path = tmp_path / "hw.prm"
     hw_path.write_text(f"[hardware]\nmem_per_core = {cap}\n")
     map_path = tmp_path / "map.csv"
@@ -643,15 +640,19 @@ def test_optimize_zero_workers_fails_before_the_run_tree(algo, net_path, tmp_pat
     assert not (tmp_path / "w" / "toychain_app").exists()
 
 
-@pytest.mark.parametrize("objectives, named", [
-    ("energy", "nsga2 needs at least 2 objectives"),
-    ("energy,fidelity_penalty", "fidelity_penalty needs a reference end signal"),
-], ids=["single-objective", "fidelity-without-reference"])
-def test_optimize_search_errors_fail_before_the_run_tree(objectives, named, net_path,
+@pytest.mark.parametrize("algo, flags, named", [
+    ("nsga2", ["--objectives", "energy"], "nsga2 needs at least 2 objectives"),
+    ("nsga2", ["--objectives", "energy,fidelity_penalty"],
+     "fidelity_penalty needs a reference end signal"),
+    ("nsga2", ["--objectives", "energy,energy"], "objective 'energy' given twice"),
+    ("ga", ["--npes-menu", "0,4"], "npes_menu value 0: npes_per_core must be >= 1"),
+], ids=["single-objective", "fidelity-without-reference", "repeated-objective",
+        "unusable-menu-value"])
+def test_optimize_search_errors_fail_before_the_run_tree(algo, flags, named, net_path,
                                                          tmp_path, capsys):
     rc, stdout, stderr = run_cli(
-        ["optimize", "--workload", net_path, "--algo", "nsga2",
-         "--objectives", objectives, "--frames", 2, "--out", tmp_path / "o"], capsys)
+        ["optimize", "--workload", net_path, "--algo", algo, *flags,
+         "--frames", 2, "--out", tmp_path / "o"], capsys)
     assert (rc, stdout, stderr) == (1, "", f"error: {named}\n")
     assert not (tmp_path / "o" / "toychain_app").exists()
 

@@ -1,9 +1,16 @@
-"""Private code that nothing in the package reads is dead: it is kept in
-step with the rest and pays for nothing. Public names are the API and are
-exempt. A reader is a load of the name, or of an attribute by that name,
-anywhere in the package other than its own definition."""
+"""Code that nothing in the package reads is dead: it is kept in step with
+the rest and pays for nothing. A reader is a load of the name, or of an
+attribute by that name, anywhere in the package outside the definition
+itself. Every private module-level name and private dataclass field needs
+one, and so does every public function, class and method, unless ALLOWED
+names it.
+
+The scan goes by name alone, so a method that shares its name with a
+method of a builtin type (add, update, get, ...) counts as read wherever
+a set or dict calls that method; an unread one of those goes unnoticed."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import neuromap
@@ -11,20 +18,29 @@ import neuromap
 MODULES = sorted(Path(neuromap.__file__).parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
 
+# public definitions with no reader in the package, and why each stays
+ALLOWED = {
+    # writers that the snapshot directories are to call (ROADMAP item 7)
+    "partition.save_mapping", "simcost.save_hw_config",
+    "workload.save_network", "workload.save_trace",
+    # perfbench counts each report's charges with len(report.cost_log)
+    "simcost.CostReport.cost_log",
+}
+
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
-def _read_names() -> set[str]:
-    names = set()
-    for tree in TREES.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
-    return names
+def _reads(node) -> Counter:
+    """How often each name is loaded, as a name or an attribute, in node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+READS = sum((_reads(tree) for tree in TREES.values()), Counter())
 
 
 def _bound_names(node) -> list[str]:
@@ -45,28 +61,60 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(ast.unparse(dec).startswith("dataclass") for dec in node.decorator_list)
 
 
-def _private_definitions() -> list[str]:
-    """"<module>.<name>" of each private module-level name and each private
-    dataclass field, as "<module>.<class>.<field>"."""
-    out = []
+def _private_definitions():
+    """("<module>.<name>", node) of each private module-level name and each
+    private dataclass field, as "<module>.<class>.<field>"."""
     for module, tree in TREES.items():
         for node in tree.body:
-            out += [f"{module}.{name}" for name in _bound_names(node)
-                    if _private(name)]
+            yield from ((f"{module}.{name}", node) for name in _bound_names(node)
+                        if _private(name))
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                out += [f"{module}.{node.name}.{item.target.id}" for item in node.body
-                        if isinstance(item, ast.AnnAssign)
-                        and _private(item.target.id)]
-    return out
+                yield from ((f"{module}.{node.name}.{item.target.id}", item)
+                            for item in node.body if isinstance(item, ast.AnnAssign)
+                            and _private(item.target.id))
+
+
+def _public_definitions():
+    """("<module>.<name>", node) of each public module-level function and
+    class, and of each public method, as "<module>.<class>.<method>"."""
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{module}.{node.name}.{item.name}", item)
+                            for item in node.body if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_"))
+
+
+def _unread(definitions) -> list[str]:
+    """The qualified names whose every read lies in their own definition."""
+    return [qualname for qualname, node in definitions
+            if READS[name := qualname.rsplit(".", 1)[-1]] == _reads(node)[name]]
 
 
 def test_the_scan_finds_private_names_and_fields():
-    found = _private_definitions()
+    found = [qualname for qualname, _ in _private_definitions()]
     assert "analytics._fmt" in found
     assert "analytics.ExperimentRecord._opt_headers_written" in found
 
 
 def test_every_private_name_and_field_has_a_reader():
-    read = _read_names()
-    unread = [d for d in _private_definitions() if d.rsplit(".", 1)[-1] not in read]
-    assert unread == []
+    assert _unread(_private_definitions()) == []
+
+
+def test_the_scan_finds_public_functions_classes_and_methods():
+    found = [qualname for qualname, _ in _public_definitions()]
+    assert {"optimize.decode", "optimize.ParetoArchive",
+            "optimize.ParetoArchive.update", "simcost.CostReport.cost_log"} <= set(found)
+    assert not [q for q in found if q.rsplit(".", 1)[-1].startswith("_")]
+
+
+def test_every_public_function_class_and_method_has_a_reader():
+    assert sorted(set(_unread(_public_definitions())) - ALLOWED) == []
+
+
+def test_every_allowed_name_is_an_unread_public_definition():
+    assert sorted(ALLOWED - set(_unread(_public_definitions()))) == []

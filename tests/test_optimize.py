@@ -27,8 +27,6 @@ from neuromap.optimize import (
     crowding_distance,
     decode,
     decode_model,
-    dominates,
-    encode,
     evaluate,
     evaluate_batch,
     hypervolume_2d,
@@ -134,9 +132,9 @@ def test_validate_genome_rejects_bad_length_and_range():
         space.validate_genome((1, 4, 1, 0))
 
 
-# --- decode / encode ---
+# --- decode ---
 
-def test_encode_decode_round_trip_1000_random_genomes():
+def test_decode_takes_what_the_genes_index_1000_random_genomes():
     m = toy_model()
     space = full_space()
     rng = np.random.default_rng(0)
@@ -144,7 +142,12 @@ def test_encode_decode_round_trip_1000_random_genomes():
         g = space.sample(rng)
         mm = decode_model(g, m, space)
         spec, hw, scheme, fps = decode(g, mm, HW, space)
-        assert encode(spec, hw, scheme, fps, HW, space, model=mm) == g
+        assert [(s.n_cores, s.axis) for s in spec.splits] == [
+            (g[2 * i], space.axes_menu[g[2 * i + 1]]) for i in range(3)]
+        menus = [getattr(space, name) for name in optimize.MENU_GENES]
+        assert [menu[v] for menu, v in zip(menus, g[6:])] == [
+            hw.npes_per_core, mm.bitwidths.weights, hw.mem_per_core,
+            hw.clock_period, hw.flit_bits, fps, scheme]
 
 
 def test_decode_semantics():
@@ -376,6 +379,26 @@ def test_unknown_objective_rejected(ctx):
     with pytest.raises(OptimizeError):
         EvalContext(model=ctx.model, trace=ctx.trace, base_hw=HW,
                     space=ctx.space, objective_names=("energy", "power"))
+
+
+@pytest.mark.parametrize("names", [("energy", "energy"),
+                                   ("energy", "latency", "energy")])
+def test_repeated_objective_rejected(ctx, names):
+    with pytest.raises(OptimizeError, match="^objective 'energy' given twice$"):
+        replace(ctx, objective_names=names)
+
+
+@pytest.mark.parametrize("menu, value, named", [
+    ("npes_menu", 0, "npes_per_core must be >= 1"),
+    ("flit_menu", 0, "flit_bits must be >= 1"),
+    ("mem_menu", 2**63, "mem_per_core must be < 2**63, got 9223372036854775808"),
+    ("clock_menu", -1.0, "clock_period must be finite and >= 0, got -1.0"),
+])
+def test_hardware_menu_value_no_design_can_use_is_rejected(ctx, menu, value, named):
+    space = replace(ctx.space, **{menu: (4, value)})
+    with pytest.raises(OptimizeError) as exc:
+        replace(ctx, space=space)
+    assert str(exc.value) == f"{menu} value {value!r}: {named}"
 
 
 def test_fidelity_objective_without_reference_rejected(ctx):
@@ -705,23 +728,29 @@ def _mk(energy, latency, violation=0.0, genome=None):
 NAMES = ("energy", "latency")
 
 
+def _dominance(*results):
+    return optimize.dominance([r.violation for r in results],
+                              [r.objectives.as_tuple(NAMES) for r in results]).tolist()
+
+
 def test_feasibility_first_dominance():
     feas_bad = _mk(1e9, 1e9)
     infeas_good = _mk(1.0, 1.0, violation=5.0)
-    assert dominates(feas_bad, infeas_good, NAMES)
-    assert not dominates(infeas_good, feas_bad, NAMES)
     worse_violation = _mk(1.0, 1.0, violation=9.0)
-    assert dominates(infeas_good, worse_violation, NAMES)
-    assert not dominates(worse_violation, infeas_good, NAMES)
+    assert _dominance(feas_bad, infeas_good, worse_violation) == [
+        [False, True, True],
+        [False, False, True],
+        [False, False, False]]
 
 
 def test_pareto_dominance_rules():
-    a, b = _mk(1.0, 2.0), _mk(2.0, 1.0)
-    assert not dominates(a, b, NAMES) and not dominates(b, a, NAMES)
-    c = _mk(1.0, 1.0)
-    assert dominates(c, a, NAMES) and dominates(c, b, NAMES)
-    twin = _mk(1.0, 2.0)
-    assert not dominates(a, twin, NAMES) and not dominates(twin, a, NAMES)
+    a, b, c, twin = _mk(1.0, 2.0), _mk(2.0, 1.0), _mk(1.0, 1.0), _mk(1.0, 2.0)
+    # only c beats anyone: it beats a, b and a's twin
+    assert _dominance(a, b, c, twin) == [
+        [False, False, False, False],
+        [False, False, False, False],
+        [True, True, False, True],
+        [False, False, False, False]]
 
 
 def test_rank_key_orders_feasible_first():
@@ -734,13 +763,14 @@ def test_rank_key_orders_feasible_first():
 
 def test_archive_prunes_dominated_and_dedups():
     arch = ParetoArchive(NAMES)
-    assert arch.add(_mk(3.0, 3.0, genome=(1,)))
-    assert arch.add(_mk(1.0, 4.0, genome=(2,)))
-    assert not arch.add(_mk(3.0, 3.0, genome=(1,)))  # duplicate genome
-    assert not arch.add(_mk(4.0, 4.0, genome=(3,)))  # dominated
-    assert arch.add(_mk(2.0, 2.0, genome=(4,)))       # kills (3,3)
-    genomes = {m.genome for m in arch.members}
-    assert genomes == {(2,), (4,)}
+    steps = [(_mk(3.0, 3.0, genome=(1,)), [(1,)]),
+             (_mk(1.0, 4.0, genome=(2,)), [(1,), (2,)]),
+             (_mk(3.0, 3.0, genome=(1,)), [(1,), (2,)]),  # duplicate genome
+             (_mk(4.0, 4.0, genome=(3,)), [(1,), (2,)]),  # dominated
+             (_mk(2.0, 2.0, genome=(4,)), [(2,), (4,)])]  # kills (3,3)
+    for res, members in steps:
+        arch.update([res])
+        assert [m.genome for m in arch.members] == members
     arch.check_invariant()
     front = arch.front()
     assert front[0].objectives.energy <= front[-1].objectives.energy
@@ -748,10 +778,10 @@ def test_archive_prunes_dominated_and_dedups():
 
 def test_archive_infeasible_only_keeps_least_violating():
     arch = ParetoArchive(NAMES)
-    arch.add(_mk(1.0, 1.0, violation=9.0, genome=(1,)))
-    arch.add(_mk(5.0, 5.0, violation=2.0, genome=(2,)))
+    arch.update([_mk(1.0, 1.0, violation=9.0, genome=(1,))])
+    arch.update([_mk(5.0, 5.0, violation=2.0, genome=(2,))])
     assert [m.genome for m in arch.members] == [(2,)]
-    arch.add(_mk(7.0, 7.0, genome=(3,)))
+    arch.update([_mk(7.0, 7.0, genome=(3,))])
     assert [m.genome for m in arch.members] == [(3,)]
 
 
@@ -873,7 +903,7 @@ def test_archive_update_in_chunks_matches_sequential_add(results, cuts):
         chunked.check_invariant()
     one_by_one = ParetoArchive(NAMES)
     for r in results:
-        one_by_one.add(r)
+        one_by_one.update([r])
     expected = _pairwise_archive(results, NAMES)
     assert [id(m) for m in chunked.members] == [id(m) for m in expected]
     assert [id(m) for m in one_by_one.members] == [id(m) for m in expected]
@@ -952,7 +982,8 @@ def test_nsga2_recovers_true_front(small_ctx, enum_results):
     true_set = {r.genome for r in truth.members}
     by_genome = {r.genome: r for r in enum_results}
     for m in archive.members:
-        assert not any(dominates(by_genome[g], m, NAMES) for g in true_set)
+        assert not any(_pairwise_dominates(by_genome[g], m, NAMES)
+                       for g in true_set)
 
 
 def test_nsga2_requires_two_objectives(small_ctx):

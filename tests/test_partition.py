@@ -14,7 +14,6 @@ from neuromap.partition import (
     PartitionSpec,
     axis_unit,
     build_mapping,
-    cluster_layers,
     load_mapping,
     memory_per_core,
     partition_layer,
@@ -22,7 +21,7 @@ from neuromap.partition import (
     split_homogeneous,
 )
 from neuromap.workload import Bitwidths, Layer, NetworkModel
-from helpers import of_layer, pilotnet_like, uniform_spec
+from helpers import colocate, of_layer, pilotnet_like, uniform_spec
 
 
 def dense(n, lid=0, weights=0, biases=0, snn=True, rate=0.1):
@@ -253,12 +252,12 @@ def test_pilotnet_channelwise_fits_1mb_cap():
         assert a.m_pc <= M_MAX_DEFAULT
 
 
-# --- cluster_layers ---
+# --- co-located layers (tests/helpers.colocate) ---
 
 def test_cluster_merges_layers_3_and_4():
     model = chain_model([8] * 10)
     mapping = build_mapping(model, uniform_spec(model))
-    merged = cluster_layers(mapping, [{3, 4}])
+    merged = colocate(mapping, [{3, 4}])
     per_core = merged.layers_per_core
     assert (3, 4) in per_core.values()
     assert merged.n_cores_total == 9
@@ -266,33 +265,11 @@ def test_cluster_merges_layers_3_and_4():
     assert core_ids == list(range(9))
 
 
-def test_cluster_empty_groups_identity():
-    model = chain_model([8, 8])
-    mapping = build_mapping(model, uniform_spec(model))
-    assert cluster_layers(mapping, []) is mapping
-
-
-def test_cluster_overflow_rejected():
-    model = chain_model([100, 100])
-    mapping = build_mapping(model, uniform_spec(model), m_max=13_000)
-    # each layer alone is 100*2*2*32 = 12800 bits; together they overflow
-    with pytest.raises(PartitionError):
-        cluster_layers(mapping, [{0, 1}], m_max=13_000)
-
-
-def test_cluster_unequal_part_counts_rejected():
-    model = chain_model([10, 10])
-    spec = PartitionSpec((LayerSplit(2, "layer"), LayerSplit(1, "layer")))
-    mapping = build_mapping(model, spec)
-    with pytest.raises(PartitionError):
-        cluster_layers(mapping, [{0, 1}])
-
-
 def test_cluster_multi_part_groups_pair_by_part():
     model = chain_model([10, 10])
     spec = PartitionSpec((LayerSplit(2, "layer"), LayerSplit(2, "layer")))
     mapping = build_mapping(model, spec)
-    merged = cluster_layers(mapping, [{0, 1}])
+    merged = colocate(mapping, [{0, 1}])
     assert merged.n_cores_total == 2
     assert all(ls == (0, 1) for ls in merged.layers_per_core.values())
 
@@ -311,7 +288,7 @@ def test_mapping_roundtrip(tmp_path):
 
 def test_mapping_roundtrip_clustered(tmp_path):
     model = chain_model([8, 8])
-    mapping = cluster_layers(build_mapping(model, uniform_spec(model)), [{0, 1}])
+    mapping = colocate(build_mapping(model, uniform_spec(model)), [{0, 1}])
     p = tmp_path / "mapc.csv"
     save_mapping(mapping, p)
     back = load_mapping(p)

@@ -20,7 +20,6 @@ from neuromap.partition import (
     LayerSplit,
     PartitionSpec,
     build_mapping,
-    cluster_layers,
 )
 from neuromap.simcost import (
     ChargeLog,
@@ -42,10 +41,10 @@ from neuromap.workload import (
     EventTrace,
     Layer,
     NetworkModel,
-    firing_mask,
+    firing_masks,
     synth_trace,
 )
-from helpers import of_layer, pilotnet_like, reference_snapshot, uniform_spec
+from helpers import colocate, of_layer, pilotnet_like, reference_snapshot, uniform_spec
 from test_partition import flat_slices
 
 HW = HardwareConfig(npes_per_core=4, e_npe_op=3.0, e_ctrl_event=7.0,
@@ -84,9 +83,12 @@ def full_trace(model, n_frames, fps):
 def run(model, spec, trace, hw=HW, cluster=None, scheme="strict-area"):
     mapping = build_mapping(model, spec, m_max=hw.mem_per_core)
     if cluster:
-        mapping = cluster_layers(mapping, cluster, m_max=hw.mem_per_core)
+        mapping = colocate(mapping, cluster)
     n = mapping.n_cores_total
     placement = place(n, compress(n, scheme))
+    if cluster:
+        # co-located layers hand their events over on the shared core
+        assert any(build_plan(model, mapping, placement, hw, trace).local)
     return simulate(model, mapping, placement, hw, trace)
 
 
@@ -170,14 +172,15 @@ def assert_energy_matches_plan(model, mapping, placement, hw, trace):
     for layer in model.layers:
         parts = [i for i, a in enumerate(mapping.assignments)
                  if a.layer_id == layer.id]
-        for f in range(trace.n_frames):
+        masks = firing_masks(layer, range(trace.n_frames))
+        for f, mask in enumerate(masks):
             events = sum(plan.loads[i][f][0] for i in parts)
             if layer.id == 0:
                 assert events == len(frames[f])
                 assert sum(plan.loads[i][f][1] for i in parts) == sum(
                     -(-bits // hw.flit_bits) for (_, _, bits) in frames[f])
             else:
-                assert events == firing_mask(layer, f).sum()
+                assert events == mask.sum()
 
 
 @st.composite
@@ -211,7 +214,7 @@ def designs(draw):
     pairs = [{a, b} for a in range(n_layers) for b in range(a + 1, n_layers)
              if counts[a] == counts[b]]
     if pairs and draw(st.booleans()):
-        mapping = cluster_layers(mapping, [draw(st.sampled_from(pairs))])
+        mapping = colocate(mapping, [draw(st.sampled_from(pairs))])
     n = mapping.n_cores_total
     scheme = draw(st.sampled_from(["strict-area", "strict-square"]))
     fps = draw(st.sampled_from([0.0, 0.05, 1.0, 30.0]))
@@ -597,13 +600,13 @@ def test_plan_loads_match_flat_slices(design):
     for i, a in enumerate(mapping.assignments):
         layer = model.layers[a.layer_id]
         slices = flat_slices(layer, a.axis, a.range_start, a.range_end)
-        for f in range(trace.n_frames):
+        masks = firing_masks(layer, range(trace.n_frames))
+        for f, mask in enumerate(masks):
             if layer.id == 0:
                 bits = [b for (_, n, b) in frames[f]
                         if any(s <= n < e for (s, e) in slices)]
                 expected = (len(bits), sum(-(-b // hw.flit_bits) for b in bits))
             else:
-                mask = firing_mask(layer, f)
                 m = sum(int(mask[s:e].sum()) for (s, e) in slices)
                 expected = (m, m * per_event)
             assert plan.loads[i][f] == expected
@@ -722,7 +725,7 @@ def test_event_conservation_single_partitions():
     trace = synth_trace(model, 3, 0, seed=9)
     report = run(model, uniform_spec(model), trace)
     n0 = len(trace.events)
-    k1 = sum(int(firing_mask(model.layers[1], f).sum()) for f in range(3))
+    k1 = sum(int(m.sum()) for m in firing_masks(model.layers[1], range(3)))
     assert report.events_processed == n0 + k1
 
 
@@ -735,7 +738,7 @@ def test_event_conservation_split_middle_layer():
     spec = PartitionSpec((LayerSplit(1), LayerSplit(2, "channel"), LayerSplit(1)))
     report = run(model, spec, trace)
     n0 = len(trace.events)
-    k1 = sum(int(firing_mask(model.layers[1], f).sum()) for f in range(3))
+    k1 = sum(int(m.sum()) for m in firing_masks(model.layers[1], range(3)))
     # both middle partitions consume every input event; output consumes k1
     assert report.events_processed == 2 * n0 + k1
 

@@ -17,7 +17,7 @@ import pytest
 from neuromap import optimize
 from neuromap.cli import packaged_config
 from neuromap.mesh import compress, place
-from neuromap.partition import build_mapping, cluster_layers
+from neuromap.partition import build_mapping
 from neuromap.simcost import (
     CongestionError,
     HardwareConfig,
@@ -26,7 +26,7 @@ from neuromap.simcost import (
     write_run_files,
 )
 from neuromap.workload import Layer, NetworkModel, load_network, synth_trace
-from helpers import uniform_spec
+from helpers import colocate, uniform_spec
 
 NPES_MENU = (1, 2, 4, 8, 16, 32, 64)
 DESK_GENOMES = {
@@ -67,7 +67,7 @@ def toy_case(axis, fps, cluster=None):
     model = toy2_model()
     mapping = build_mapping(model, uniform_spec(model, 2, axis=axis))
     if cluster:
-        mapping = cluster_layers(mapping, cluster)
+        mapping = colocate(mapping, cluster)
     n = mapping.n_cores_total
     trace = synth_trace(model, 2 if fps == 0 else 4, fps=fps, seed=3)
     return model, mapping, place(n, compress(n, "strict-area")), TOY_HW, trace

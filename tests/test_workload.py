@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from neuromap import workload
 from neuromap.configio import ConfigFormatError
+from neuromap.partition import range_counts
 from neuromap.workload import (
     Bitwidths,
     EventTrace,
     Layer,
     NetworkModel,
     WorkloadError,
-    firing_mask,
     firing_masks,
     load_network,
     load_trace,
@@ -56,8 +56,9 @@ def test_snn_thresholds_track_neurons():
                 weights=0, biases=0, is_snn=True, avg_event_rate=0.1)
     ann = Layer(id=0, kind="dense", channels=1, height=1, width=40,
                 weights=0, biases=0, is_snn=False, avg_event_rate=0.1)
-    assert snn.thresholds == 40
-    assert ann.thresholds == 0
+    # N_tpc, the thresholds a core holds, of the whole layer on one core
+    assert range_counts(snn, "layer", 0, 40, Bitwidths())[3] == 40
+    assert range_counts(ann, "layer", 0, 40, Bitwidths())[3] == 0
 
 
 def test_spike_rate_above_one_rejected_for_snn():
@@ -278,14 +279,15 @@ def test_synth_trace_burst_spacing_matches_period(fps, n_frames):
 def test_firing_mask_deterministic_and_rate_bounded():
     l = Layer(id=2, kind="dense", channels=1, height=1, width=5000,
               weights=0, biases=0, is_snn=True, avg_event_rate=0.3)
-    m1 = firing_mask(l, frame=7)
-    m2 = firing_mask(l, frame=7)
+    (m1,) = firing_masks(l, (7,))
+    (m2,) = firing_masks(l, (7,))
     assert np.array_equal(m1, m2)
     count = int(m1.sum())
     mean = 5000 * 0.3
     sigma = (5000 * 0.3 * 0.7) ** 0.5
     assert abs(count - mean) <= 4 * sigma
-    assert firing_mask(l, frame=8).sum() != count or True  # frames differ in general
+    # another frame draws afresh
+    assert not np.array_equal(next(firing_masks(l, (8,))), m1)
 
 
 _MASK64 = (1 << 64) - 1
@@ -332,7 +334,8 @@ def test_firing_masks_match_the_float_formula(rate, layer_id, width, frames):
     for f, got in zip(frames, masks):
         want = reference_firing_mask(layer, f)
         assert got.dtype == bool and np.array_equal(got, want)
-        assert np.array_equal(firing_mask(layer, f), want)
+        # a frame drawn alone gets the mask it gets among others
+        assert np.array_equal(next(firing_masks(layer, (f,))), want)
 
 
 @given(rate=_rates.filter(lambda r: 0 < r < 1))
@@ -347,9 +350,8 @@ def test_threshold_is_the_least_draw_at_or_past_the_rate(rate):
 
 def test_firing_mask_pilotnet_layers_match_the_float_formula():
     for layer in pilotnet_like(0.3).layers:
-        for f in range(3):
-            assert np.array_equal(firing_mask(layer, f),
-                                  reference_firing_mask(layer, f))
+        for f, mask in enumerate(firing_masks(layer, range(3))):
+            assert np.array_equal(mask, reference_firing_mask(layer, f))
 
 
 def test_firing_mask_extremes():
@@ -357,8 +359,8 @@ def test_firing_mask_extremes():
                weights=0, biases=0, is_snn=True, avg_event_rate=0.0)
     l1 = Layer(id=0, kind="dense", channels=1, height=1, width=64,
                weights=0, biases=0, is_snn=True, avg_event_rate=1.0)
-    assert not firing_mask(l0, 0).any()
-    assert firing_mask(l1, 0).all()
+    assert not next(firing_masks(l0, (0,))).any()
+    assert next(firing_masks(l1, (0,))).all()
 
 
 def test_with_rate_replaces_all_layers():
