@@ -155,7 +155,7 @@ def cmd_optimize(args) -> int:
                         npes_menu=_parse_menu(args.npes_menu))
     ctx = EvalContext(model=model, trace=trace, base_hw=hw, space=space,
                       scheme=args.scheme, objective_names=objective_names)
-    check_search(args.algo, ctx, args.workers)
+    check_search(args.algo, ctx, params, args.workers)
 
     root = _out_root(args, "experiments")
     app = args.app or model.name

@@ -35,7 +35,7 @@ from .partition import (
     flat_range,
 )
 from .simcost import CostReport, HardwareConfig, SimError, simulate
-from .workload import EventTrace, NetworkModel, retime_trace
+from .workload import EventTrace, NetworkModel, WorkloadError, retime_trace
 
 PENALTY_BASE = 1e18
 STRUCTURAL_VIOLATION = 1e12
@@ -205,14 +205,20 @@ class EvalContext:
                 raise OptimizeError(f"objective {n!r} given twice")
         if "fidelity_penalty" in self.objective_names and self.reference is None:
             raise OptimizeError("fidelity_penalty needs a reference end signal")
-        # a hardware menu value that no design can use fails here, not as a
-        # penalty on every genome that picks it
+        # a menu value that no design can use fails here, not as a penalty
+        # or an error on every genome that picks it; the model and the trace
+        # check theirs when built
+        base = {"hw": self.base_hw, "model": self.model, "fps": None}
         for name, menu in self.space._menus():
             slot, apply = MENU_GENES[name]
-            for v in menu if slot == "hw" else ():
+            for v in menu if slot in base else ():
                 try:
-                    apply(self.base_hw, v, self.base_hw).validate()
-                except SimError as exc:
+                    value = apply(base[slot], v, self.base_hw)
+                    if slot == "hw":
+                        value.validate()
+                    elif slot == "fps":
+                        retime_trace(self.trace, value)
+                except (SimError, WorkloadError) as exc:
                     raise OptimizeError(f"{name} value {v!r}: {exc}") from None
 
 
@@ -603,7 +609,7 @@ def load_algo_params(path) -> AlgoParams:
     return params
 
 
-# --- search loops ---
+# --- search ---
 
 def _tournament(rng, pop_results, keys) -> EvalResult:
     """Binary tournament; keys[i] is pop_results[i]'s rank_key."""
@@ -611,27 +617,19 @@ def _tournament(rng, pop_results, keys) -> EvalResult:
     return pop_results[int(i) if keys[i] <= keys[j] else int(j)]
 
 
-def check_search(algo: str, ctx: EvalContext, workers: int) -> None:
-    """Raise OptimizeError where algo's search loop would before its first
+def check_search(algo: str, ctx: EvalContext, params: AlgoParams,
+                 workers: int) -> None:
+    """Raise OptimizeError where algo's search would before its first
     evaluation, so a caller can check before it opens a run directory."""
     evaluate_batch([], ctx, workers)  # the empty batch checks workers
     if algo == "nsga2" and len(ctx.objective_names) < 2:
         raise OptimizeError("nsga2 needs at least 2 objectives")
-
-
-def _initial_population(ctx: EvalContext, params: AlgoParams, seed: int,
-                        workers: int):
-    """Validated params, the seeded RNG, the run's batch evaluator (with
-    the run's genome and design memos) and the evaluated first population."""
-    params.validate()
-    rng = np.random.default_rng(seed)
-    pop = [ctx.space.sample(rng) for _ in range(params.population)]
-    memo: dict[tuple[int, ...], EvalResult] = {}
-    designs: dict[tuple, EvalResult] = {}
-
-    def batch(genomes) -> list[EvalResult]:
-        return evaluate_batch(genomes, ctx, workers, memo, designs)
-    return rng, batch, batch(pop)
+    # ga and pso rank by the weighted sum alone, which is 0 for every genome
+    # when no objective of the search carries a weight
+    if algo != "nsga2" and not any(params.weights.get(n, 0.0)
+                                   for n in ctx.objective_names):
+        raise OptimizeError(f"{algo} needs a nonzero weight_<objective> for one "
+                            f"of {', '.join(ctx.objective_names)}")
 
 
 def _breed(rng, results, n_children: int, lo, hi, params: AlgoParams,
@@ -654,45 +652,30 @@ def _breed(rng, results, n_children: int, lo, hi, params: AlgoParams,
     return children
 
 
-def run_ga(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
-           on_generation=None) -> tuple[EvalResult, list[float]]:
+def _ga(ctx: EvalContext, params: AlgoParams, rng, batch, results):
     """Elitist generational GA on the scalarized objective.
 
-    Returns (best result, best-so-far history per generation).
-    """
-    rng, batch, results = _initial_population(ctx, params, seed, workers)
+    Yields the best result and its scalar, the best so far."""
     lo, hi = ctx.space.bounds()
     names, weights = ctx.objective_names, params.weights
-    best = min(results, key=lambda r: rank_key(r, names, weights))
-    history = [scalarize(best, names, weights)]
-    if on_generation:
-        on_generation(0, results, best)
-    for gen in range(1, params.generations + 1):
-        offspring = _breed(rng, results, params.population, lo, hi, params,
-                           names)
-        child_results = batch(offspring)
-        merged = results + child_results
-        merged.sort(key=lambda r: rank_key(r, names, weights))
-        results = merged[:params.population]
-        gen_best = results[0]
-        if rank_key(gen_best, names, weights) < rank_key(best, names, weights):
-            best = gen_best
-        history.append(scalarize(best, names, weights))
-        if on_generation:
-            on_generation(gen, child_results, best)
-    return best, history
+    rank = partial(rank_key, names=names, weights=weights)
+    best = min(results, key=rank)
+    child_results = results
+    while True:
+        yield child_results, best, scalarize(best, names, weights)
+        child_results = batch(_breed(rng, results, params.population, lo, hi,
+                                     params, names))
+        results = sorted(results + child_results, key=rank)[:params.population]
+        best = min(best, results[0], key=rank)
 
 
-def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
-              on_generation=None) -> tuple[ParetoArchive, list[float]]:
+def _nsga2(ctx: EvalContext, params: AlgoParams, rng, batch, results):
     """(mu=population, lambda=offspring) NSGA-II with an elitist archive.
 
-    Returns (archive, hypervolume history). The hypervolume reference is
+    Yields the archive and its hypervolume. The hypervolume reference is
     fixed from the first generation's worst feasible corner, so the
     elitist archive makes the history non-decreasing.
     """
-    check_search("nsga2", ctx, workers)
-    rng, batch, results = _initial_population(ctx, params, seed, workers)
     lo, hi = ctx.space.bounds()
     names = ctx.objective_names
     archive = ParetoArchive(names)
@@ -703,79 +686,89 @@ def run_nsga2(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
                max(v[1] for v in feas) * 1.1 + 1.0)
     else:
         ref = (PENALTY_BASE, PENALTY_BASE)
-    history = [hypervolume_2d([r.objectives.as_tuple(names)[:2]
-                               for r in archive.members], ref)]
-    if on_generation:
-        on_generation(0, results, archive)
-
-    def survival(cands: list[EvalResult]) -> list[EvalResult]:
-        fronts = non_dominated_sort(cands, names)
-        keep: list[EvalResult] = []
-        for front in fronts:
-            if len(keep) + len(front) <= params.population:
-                keep.extend(cands[i] for i in front)
+    child_results = results
+    while True:
+        yield child_results, archive, hypervolume_2d(
+            [r.objectives.as_tuple(names)[:2] for r in archive.members], ref)
+        child_results = batch(_breed(rng, results, params.offspring, lo, hi,
+                                     params, names))
+        archive.update(r for r in child_results if r.feasible)
+        archive.check_invariant()
+        # survival: whole fronts while they fit, then the most crowded-apart
+        cands, results = results + child_results, []
+        for front in non_dominated_sort(cands, names):
+            if len(results) + len(front) <= params.population:
+                results.extend(cands[i] for i in front)
             else:
                 dist = crowding_distance(cands, front, names)
                 ranked = sorted(front, key=lambda i: -dist[i])
-                keep.extend(cands[i] for i in
-                            ranked[:params.population - len(keep)])
+                results.extend(cands[i] for i in
+                               ranked[:params.population - len(results)])
                 break
-        return keep
-
-    for gen in range(1, params.generations + 1):
-        offspring = _breed(rng, results, params.offspring, lo, hi, params,
-                           names)
-        child_results = batch(offspring)
-        archive.update(r for r in child_results if r.feasible)
-        archive.check_invariant()
-        results = survival(results + child_results)
-        history.append(hypervolume_2d([r.objectives.as_tuple(names)[:2]
-                                       for r in archive.members], ref))
-        if on_generation:
-            on_generation(gen, child_results, archive)
-    return archive, history
 
 
-def run_pso(ctx: EvalContext, params: AlgoParams, seed: int, workers: int = 1,
-            on_generation=None) -> tuple[EvalResult, list[float]]:
-    """Integer PSO: real-valued velocities, positions rounded and reflected."""
-    rng, batch, results = _initial_population(ctx, params, seed, workers)
+def _pso(ctx: EvalContext, params: AlgoParams, rng, batch, results):
+    """Integer PSO: real-valued velocities, positions rounded and reflected.
+
+    Yields the global best and its scalar."""
     lo, hi = ctx.space.bounds()
     names, weights = ctx.objective_names, params.weights
+    rank = partial(rank_key, names=names, weights=weights)
     n = params.population
     dim = ctx.space.n_genes
     pos = np.array([r.genome for r in results], dtype=np.int64)
     vel = np.zeros((n, dim), dtype=np.float64)
     pbest = list(results)
-    gbest = min(results, key=lambda r: rank_key(r, names, weights))
-    history = [scalarize(gbest, names, weights)]
-    if on_generation:
-        on_generation(0, results, gbest)
-    for gen in range(1, params.generations + 1):
+    gbest = min(results, key=rank)
+    while True:
+        yield results, gbest, scalarize(gbest, names, weights)
         r1 = rng.random((n, dim))
         r2 = rng.random((n, dim))
-        pb = np.stack([np.array(p.genome) for p in pbest]).astype(np.float64)
+        pb = np.array([p.genome for p in pbest], dtype=np.float64)
         gb = np.array(gbest.genome, dtype=np.float64)
         vel = (params.omega * vel + params.c1 * r1 * (pb - pos)
                + params.c2 * r2 * (gb - pos))
-        raw = pos + vel
-        new_pos = np.empty_like(pos)
-        for i in range(n):
-            for d in range(dim):
-                new_pos[i, d] = _reflect(float(raw[i, d]), int(lo[d]), int(hi[d]))
-        pos = new_pos
-        results = batch([tuple(int(v) for v in p) for p in pos])
-        for i, r in enumerate(results):
-            if rank_key(r, names, weights) < rank_key(pbest[i], names, weights):
-                pbest[i] = r
-        cand = min(results, key=lambda r: rank_key(r, names, weights))
-        if rank_key(cand, names, weights) < rank_key(gbest, names, weights):
-            gbest = cand
-        history.append(scalarize(gbest, names, weights))
+        genomes = [tuple(_reflect(float(x), int(a), int(b))
+                         for x, a, b in zip(row, lo, hi)) for row in pos + vel]
+        pos = np.array(genomes, dtype=np.int64)
+        results = batch(genomes)
+        pbest = [min(p, r, key=rank) for p, r in zip(pbest, results)]
+        gbest = min([gbest, *results], key=rank)
+
+
+_STEPS = {"ga": _ga, "nsga2": _nsga2, "pso": _pso}
+
+
+def run_search(algo: str, ctx: EvalContext, params: AlgoParams, seed: int,
+               workers: int = 1, on_generation=None):
+    """Search with algo's step, a generator (ctx, params, rng, batch, the
+    first population's results) that yields once per generation (results
+    evaluated this generation, best result or archive, progress). Each of
+    generations 0..params.generations reaches on_generation(gen, results,
+    best or archive).
+
+    Returns (best result or archive, progress history per generation).
+    """
+    check_search(algo, ctx, params, workers)
+    params.validate()
+    rng = np.random.default_rng(seed)
+    pop = [ctx.space.sample(rng) for _ in range(params.population)]
+    memo, designs = {}, {}  # the genome and design memos of evaluate_batch
+
+    def batch(genomes) -> list[EvalResult]:
+        return evaluate_batch(genomes, ctx, workers, memo, designs)
+
+    steps = _STEPS[algo](ctx, params, rng, batch, batch(pop))
+    history = []
+    # the range goes first, so zip never asks for a step past the last
+    for gen, (results, found, progress) in zip(range(params.generations + 1),
+                                               steps):
+        history.append(progress)
         if on_generation:
-            on_generation(gen, results, gbest)
-    return gbest, history
+            on_generation(gen, results, found)
+    return found, history
 
 
-RUNNERS = {"ga": run_ga, "nsga2": run_nsga2, "pso": run_pso}
+RUNNERS = {algo: partial(run_search, algo) for algo in _STEPS}
 ALGOS = tuple(RUNNERS)
+run_ga, run_nsga2, run_pso = RUNNERS.values()

@@ -646,8 +646,12 @@ def test_optimize_zero_workers_fails_before_the_run_tree(algo, net_path, tmp_pat
      "fidelity_penalty needs a reference end signal"),
     ("nsga2", ["--objectives", "energy,energy"], "objective 'energy' given twice"),
     ("ga", ["--npes-menu", "0,4"], "npes_menu value 0: npes_per_core must be >= 1"),
+    ("ga", ["--objectives", "latency"],
+     "ga needs a nonzero weight_<objective> for one of latency"),
+    ("pso", ["--objectives", "latency,area"],
+     "pso needs a nonzero weight_<objective> for one of latency, area"),
 ], ids=["single-objective", "fidelity-without-reference", "repeated-objective",
-        "unusable-menu-value"])
+        "unusable-menu-value", "ga-unweighted-objective", "pso-unweighted-objectives"])
 def test_optimize_search_errors_fail_before_the_run_tree(algo, flags, named, net_path,
                                                          tmp_path, capsys):
     rc, stdout, stderr = run_cli(

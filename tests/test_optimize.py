@@ -1,4 +1,5 @@
 import itertools
+import math
 import signal
 import subprocess
 import sys
@@ -13,7 +14,9 @@ from neuromap import optimize
 from neuromap.configio import ConfigFormatError
 from neuromap.mesh import compress, place
 from neuromap.optimize import (
+    ALGOS,
     PENALTY_BASE,
+    RUNNERS,
     STRUCTURAL_VIOLATION,
     AlgoParams,
     EvalContext,
@@ -393,6 +396,9 @@ def test_repeated_objective_rejected(ctx, names):
     ("flit_menu", 0, "flit_bits must be >= 1"),
     ("mem_menu", 2**63, "mem_per_core must be < 2**63, got 9223372036854775808"),
     ("clock_menu", -1.0, "clock_period must be finite and >= 0, got -1.0"),
+    ("fps_menu", -1.0, "trace fps must be >= 0 and finite, got -1.0"),
+    ("fps_menu", math.nan, "trace fps must be >= 0 and finite, got nan"),
+    ("bw_weights_menu", 0, "bw_weights must be one of (4, 8, 16), got 0"),
 ])
 def test_hardware_menu_value_no_design_can_use_is_rejected(ctx, menu, value, named):
     space = replace(ctx.space, **{menu: (4, value)})
@@ -408,13 +414,19 @@ def test_fidelity_objective_without_reference_rejected(ctx):
 
 
 def test_check_search_names_what_cannot_run(ctx):
+    params = AlgoParams(weights={"energy": 1.0})
     with pytest.raises(OptimizeError, match="^workers must be >= 1$"):
-        check_search("ga", ctx, 0)
+        check_search("ga", ctx, params, 0)
     one = replace(ctx, objective_names=("energy",))
     with pytest.raises(OptimizeError, match="^nsga2 needs at least 2 objectives$"):
-        check_search("nsga2", one, 1)
-    check_search("ga", one, 1)
-    check_search("nsga2", ctx, 2)
+        check_search("nsga2", one, params, 1)
+    check_search("ga", one, params, 1)
+    check_search("nsga2", ctx, params, 2)
+    unweighted = replace(ctx, objective_names=("latency", "area"))
+    with pytest.raises(OptimizeError, match="^pso needs a nonzero weight_<objective> "
+                                            "for one of latency, area$"):
+        check_search("pso", unweighted, params, 1)
+    check_search("nsga2", unweighted, params, 1)
 
 
 def test_retime_trace_preserves_content():
@@ -1055,15 +1067,36 @@ def test_search_streams_are_pinned(small_ctx, algo):
     assert history == want_history
 
 
-def test_on_generation_callback_sees_every_generation(small_ctx):
+@pytest.mark.parametrize("generations", [0, 4])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_on_generation_callback_sees_every_generation(small_ctx, algo, generations,
+                                                      monkeypatch):
+    """One callback per generation 0..G and one evaluated batch for each, so
+    the loop never steps past the last generation; workers are checked before
+    anything is simulated."""
+    batches, simulated = [], []
+
+    def counted_batch(genomes, *args):
+        batches.append(len(genomes))
+        return evaluate_batch(genomes, *args)
+
+    def counted_simulate(*args, **kwargs):
+        simulated.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "evaluate_batch", counted_batch)
+    monkeypatch.setattr(optimize, "simulate", counted_simulate)
+    params = AlgoParams(algo=algo, population=6, generations=generations,
+                        offspring=4, weights={"energy": 1.0})
+    with pytest.raises(OptimizeError, match="^workers must be >= 1$"):
+        RUNNERS[algo](small_ctx, params, 0, 0)
+    assert simulated == []
     seen = []
-    params = AlgoParams(algo="ga", population=6, generations=4,
-                        weights={"energy": 1.0})
-    run_ga(small_ctx, params, seed=0,
-           on_generation=lambda gen, results, best: seen.append(
-               (gen, len(results))))
-    assert [g for (g, _) in seen] == [0, 1, 2, 3, 4]
+    RUNNERS[algo](small_ctx, params, 0, 1,
+                  lambda gen, results, best: seen.append((gen, len(results))))
+    assert [g for (g, _) in seen] == list(range(generations + 1))
     assert seen[0][1] == 6
+    assert len([n for n in batches if n]) == generations + 1
 
 
 # --- parameter files ---
