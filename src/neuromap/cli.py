@@ -147,7 +147,6 @@ def cmd_optimize(args) -> int:
     if args.population is not None:
         overrides["population"] = args.population
     params = replace(params, **overrides)
-    params.validate()
 
     objective_names = tuple(p.strip() for p in args.objectives.split(",")
                             if p.strip())

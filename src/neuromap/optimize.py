@@ -59,8 +59,7 @@ MENU_GENES = {
     "bw_weights_menu": ("model", lambda m, bw, _: replace(
         m, bitwidths=replace(m.bitwidths, weights=int(bw)))),
     "mem_menu": ("hw", lambda hw, v, _: replace(hw, mem_per_core=int(v))),
-    "clock_menu": ("hw", lambda hw, v, _: replace(
-        hw.scaled_times(float(v)), clock_period=float(v))),
+    "clock_menu": ("hw", lambda hw, v, _: hw.scaled_times(float(v))),
     "flit_menu": ("hw", lambda hw, v, _: replace(hw, flit_bits=int(v))),
     "fps_menu": ("fps", lambda _, v, __: float(v)),
     "scheme_menu": ("scheme", lambda _, v, __: str(v)),
@@ -206,17 +205,15 @@ class EvalContext:
         if "fidelity_penalty" in self.objective_names and self.reference is None:
             raise OptimizeError("fidelity_penalty needs a reference end signal")
         # a menu value that no design can use fails here, not as a penalty
-        # or an error on every genome that picks it; the model and the trace
-        # check theirs when built
+        # or an error on every genome that picks it; the hardware, the model
+        # and the trace check theirs when built
         base = {"hw": self.base_hw, "model": self.model, "fps": None}
         for name, menu in self.space._menus():
             slot, apply = MENU_GENES[name]
             for v in menu if slot in base else ():
                 try:
                     value = apply(base[slot], v, self.base_hw)
-                    if slot == "hw":
-                        value.validate()
-                    elif slot == "fps":
+                    if slot == "fps":
                         retime_trace(self.trace, value)
                 except (SimError, WorkloadError) as exc:
                     raise OptimizeError(f"{name} value {v!r}: {exc}") from None
@@ -557,6 +554,9 @@ def crowding_distance(results, idxs, names) -> dict[int, float]:
 
 @dataclass(frozen=True)
 class AlgoParams:
+    """Search settings. Construction, dataclasses.replace included, raises
+    OptimizeError for a value no search can use."""
+
     algo: str = "nsga2"
     population: int = 40
     generations: int = 30
@@ -570,7 +570,7 @@ class AlgoParams:
     c2: float = 1.5
     weights: dict[str, float] = field(default_factory=lambda: {"energy": 1.0})
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.algo not in ALGOS:
             raise OptimizeError(f"unknown algorithm {self.algo!r}")
         if self.population < 1 or self.generations < 0:
@@ -604,9 +604,7 @@ def load_algo_params(path) -> AlgoParams:
                for key in fields_ if key in weight_keys}
     if weights:
         kwargs["weights"] = weights
-    params = AlgoParams(**kwargs)
-    params.validate()
-    return params
+    return AlgoParams(**kwargs)
 
 
 # --- search ---
@@ -750,7 +748,6 @@ def run_search(algo: str, ctx: EvalContext, params: AlgoParams, seed: int,
     Returns (best result or archive, progress history per generation).
     """
     check_search(algo, ctx, params, workers)
-    params.validate()
     rng = np.random.default_rng(seed)
     pop = [ctx.space.sample(rng) for _ in range(params.population)]
     memo, designs = {}, {}  # the genome and design memos of evaluate_batch

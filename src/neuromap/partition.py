@@ -119,7 +119,7 @@ class LayerSplit:
     axis: str = "layer"
     style: str = "homogeneous"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_cores < 1:
             raise PartitionError("n_cores must be >= 1")
         if self.axis not in AXES:
@@ -133,13 +133,6 @@ class PartitionSpec:
     """One LayerSplit per layer, in layer-id order."""
 
     splits: tuple[LayerSplit, ...]
-
-    def validate(self, model: NetworkModel) -> None:
-        if len(self.splits) != len(model.layers):
-            raise PartitionError(
-                f"spec covers {len(self.splits)} layers, model has {len(model.layers)}")
-        for s in self.splits:
-            s.validate()
 
 
 @dataclass(frozen=True)
@@ -208,7 +201,9 @@ def build_mapping(model: NetworkModel, spec: PartitionSpec,
     enforce_cap=False skips the M_pc <= m_max check so callers can score
     the violation instead of failing.
     """
-    spec.validate(model)
+    if len(spec.splits) != len(model.layers):
+        raise PartitionError(
+            f"spec covers {len(spec.splits)} layers, model has {len(model.layers)}")
     assignments: list[CoreAssignment] = []
     core = 0
     for layer, split in zip(model.layers, spec.splits):

@@ -56,6 +56,9 @@ class CongestionError(SimError):
 
 @dataclass(frozen=True)
 class HardwareConfig:
+    """Per-core resources and unit costs. Construction, dataclasses.replace
+    included, raises SimError for a value no simulation can use."""
+
     npes_per_core: int = 8
     mem_per_core: int = 8 * 2**20
     clock_period: float = 1.0
@@ -70,7 +73,7 @@ class HardwareConfig:
     t_inject: float = 1.0
     queue_depth: int = 1024
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.npes_per_core < 1:
             raise SimError("npes_per_core must be >= 1")
         if self.flit_bits < 1:
@@ -80,8 +83,10 @@ class HardwareConfig:
         check_numbers(self, SimError)
 
     def scaled_times(self, factor: float) -> "HardwareConfig":
-        """Copy with every time constant multiplied by factor."""
-        return replace(self, t_npe_op=self.t_npe_op * factor,
+        """Copy with every time constant multiplied by factor, which it
+        records as clock_period."""
+        return replace(self, clock_period=factor,
+                       t_npe_op=self.t_npe_op * factor,
                        t_hop=self.t_hop * factor,
                        t_inject=self.t_inject * factor)
 
@@ -89,9 +94,7 @@ class HardwareConfig:
 def load_hw_config(path) -> HardwareConfig:
     hw_fields = read_section(path, "hardware",
                              {f.name for f in fields(HardwareConfig)}, SimError)
-    hw = HardwareConfig(**get_numbers(hw_fields, HardwareConfig(), str(path)))
-    hw.validate()
-    return hw
+    return HardwareConfig(**get_numbers(hw_fields, HardwareConfig(), str(path)))
 
 
 def save_hw_config(hw: HardwareConfig, path) -> None:
@@ -291,7 +294,6 @@ class SimPlan(NamedTuple):
 def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                hw: HardwareConfig, trace: EventTrace) -> SimPlan:
     """Check the simulation inputs and fix everything timing cannot change."""
-    hw.validate()
     if placement.n_cores < mapping.n_cores_total:
         raise SimError("placement has fewer slots than mapped cores")
 
@@ -588,7 +590,7 @@ def snapshot(report: CostReport, every: float):
     n = duration // every + 1
     if n > MAX_SNAPSHOT_SAMPLES:
         raise SimError(f"snapshot interval {every!r} over duration {duration!r} "
-                       f"needs {n:.0f} samples, more than {MAX_SNAPSHOT_SAMPLES}")
+                       f"needs {n:.16g} samples, more than {MAX_SNAPSHOT_SAMPLES}")
     times = [i * every for i in range(int(n))]
     if not times or times[-1] < duration:
         times.append(duration)

@@ -67,7 +67,7 @@ class Layer:
             return self.width
         raise ValueError(f"unknown partition axis {axis!r}")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_kind(self.id, self.kind)
         if min(self.channels, self.height, self.width) < 1:
             raise WorkloadError(f"layer {self.id}: channels/height/width must be >= 1")
@@ -96,7 +96,7 @@ class Bitwidths:
     outputs: int = 16
     weights: int = 8
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, value in (("states", self.states), ("outputs", self.outputs), ("weights", self.weights)):
             if value not in ALLOWED_BITWIDTHS:
                 raise WorkloadError(f"bw_{name} must be one of {ALLOWED_BITWIDTHS}, got {value}")
@@ -109,9 +109,6 @@ class NetworkModel:
     edges: tuple[tuple[int, int], ...]
     bitwidths: Bitwidths = Bitwidths()
     frame_rate_fps: int = 0
-
-    def __post_init__(self):
-        self.validate()
 
     @property
     def input_layer(self) -> Layer:
@@ -128,14 +125,12 @@ class NetworkModel:
     def predecessors(self, layer_id: int) -> list[int]:
         return [s for (s, d) in self.edges if d == layer_id]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.layers:
             raise WorkloadError("model has no layers")
         for i, layer in enumerate(self.layers):
             if layer.id != i:
                 raise WorkloadError(f"layer ids must be 0..n-1 in order, got {layer.id} at position {i}")
-            layer.validate()
-        self.bitwidths.validate()
         if self.frame_rate_fps < 0:
             raise WorkloadError("frame_rate_fps must be >= 0")
         n = len(self.layers)
@@ -355,8 +350,6 @@ def synth_trace(model: NetworkModel, n_frames: int, fps: float, seed: int) -> Ev
         raise ValueError("n_frames must be >= 1")
     if n_frames > MAX_SNAPSHOT_SAMPLES:
         raise ValueError(f"n_frames must be <= {MAX_SNAPSHOT_SAMPLES}, got {n_frames}")
-    if fps < 0:
-        raise ValueError("fps must be >= 0")
     layer = model.input_layer
     rate = layer.avg_event_rate
     payload = model.bitwidths.outputs

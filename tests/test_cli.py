@@ -1,6 +1,9 @@
 import csv
+import importlib
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -373,6 +376,14 @@ def test_infinite_trace_fps_is_domain_error(net_path, tmp_path, capsys):
                              "--out", tmp_path / "m"], capsys)
     assert (rc, stderr) == (1, f"error: {path}: trace fps must be >= 0 and "
                                f"finite, got inf\n")
+
+
+def test_negative_synthesized_fps_is_the_trace_error(net_path, tmp_path, capsys):
+    rc, _, stderr = run_cli(["simulate", "--workload", net_path, "--fps", -1,
+                             "--frames", 2, "--out", tmp_path / "m"], capsys)
+    assert (rc, stderr) == (1, "error: trace fps must be >= 0 and finite, "
+                               "got -1.0\n")
+    assert not (tmp_path / "m").exists()
 
 
 def test_simulate_missing_workload(tmp_path, capsys):
@@ -822,3 +833,18 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_packaging_metadata_matches_the_tree():
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        meta = tomllib.load(fh)
+    package = root / "src" / "neuromap"
+    globs = meta["tool"]["setuptools"]["package-data"]["neuromap"]
+    shipped = [p.relative_to(package) for p in (package / "configs").rglob("*")
+               if p.is_file()]
+    assert shipped
+    for path in shipped:
+        assert any(path.match(g) for g in globs), f"{path} is not package data"
+    module, _, attr = meta["project"]["scripts"]["neuromap"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import signal
 import subprocess
 import sys
@@ -45,9 +46,16 @@ from neuromap.optimize import (
     scalarize,
     simulate_genome,
 )
-from neuromap.partition import PartitionError, build_mapping
-from neuromap.simcost import HardwareConfig, simulate
-from neuromap.workload import EventTrace, Layer, NetworkModel, synth_trace
+from neuromap.partition import LayerSplit, PartitionError, build_mapping
+from neuromap.simcost import HardwareConfig, SimError, simulate
+from neuromap.workload import (
+    Bitwidths,
+    EventTrace,
+    Layer,
+    NetworkModel,
+    WorkloadError,
+    synth_trace,
+)
 
 
 def toy_model(width2=5):
@@ -1141,6 +1149,25 @@ def test_load_algo_params_rejects_unknown_key(tmp_path, line):
 
 def test_algo_params_validation():
     with pytest.raises(OptimizeError):
-        AlgoParams(algo="sa").validate()
+        AlgoParams(algo="sa")
     with pytest.raises(OptimizeError):
-        AlgoParams(population=0).validate()
+        AlgoParams(population=0)
+
+
+@pytest.mark.parametrize("valid, field, bad, error, message", [
+    (HardwareConfig(), "npes_per_core", 0, SimError, "npes_per_core must be >= 1"),
+    (AlgoParams(), "population", 0, OptimizeError,
+     "population >= 1 and generations >= 0 required"),
+    (LayerSplit(), "n_cores", 0, PartitionError, "n_cores must be >= 1"),
+    (toy_model().layers[0], "avg_event_rate", 1.5, WorkloadError,
+     "layer 0: binary-spike layers need avg_event_rate <= 1, got 1.5"),
+    (Bitwidths(), "weights", 0, WorkloadError,
+     "bw_weights must be one of (4, 8, 16), got 0"),
+], ids=["HardwareConfig", "AlgoParams", "LayerSplit", "Layer", "Bitwidths"])
+def test_building_a_config_checks_it(valid, field, bad, error, message):
+    """Construction and dataclasses.replace, the menus' path, both reject
+    the bad field; no later call is needed to find it."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        type(valid)(**{**vars(valid), field: bad})
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        replace(valid, **{field: bad})

@@ -947,6 +947,10 @@ def test_snapshot_grid_is_bounded(monkeypatch):
     with pytest.raises(SimError, match=r"^snapshot interval 1e-310 over duration "
                        r"\S+ needs inf samples, more than 1000000$"):
         snapshot(report, 1e-310)
+    # a finite count too large to print in full reads in exponent form
+    with pytest.raises(SimError, match=r"^snapshot interval 1e-300 over duration "
+                       r"\S+ needs \d(\.\d+)?e\+3\d\d samples, more than 1000000$"):
+        snapshot(report, 1e-300)
     # the bound itself, on a grid small enough to build if it failed
     monkeypatch.setattr(simcost, "MAX_SNAPSHOT_SAMPLES", 10)
     every = report.duration / 20
@@ -1147,6 +1151,6 @@ def test_link_label():
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(HardwareConfig)
                                   if isinstance(f.default, int)])
 def test_integer_hardware_field_must_fit_int64(name):
-    HardwareConfig(**{name: 2**63 - 1}).validate()
+    HardwareConfig(**{name: 2**63 - 1})
     with pytest.raises(SimError, match=rf"^{name} must be < 2\*\*63, got {2**63}$"):
-        HardwareConfig(**{name: 2**63}).validate()
+        HardwareConfig(**{name: 2**63})

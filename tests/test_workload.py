@@ -64,12 +64,12 @@ def test_snn_thresholds_track_neurons():
 def test_spike_rate_above_one_rejected_for_snn():
     with pytest.raises(WorkloadError):
         Layer(id=0, kind="dense", channels=1, height=1, width=4,
-              weights=0, biases=0, is_snn=True, avg_event_rate=1.5).validate()
+              weights=0, biases=0, is_snn=True, avg_event_rate=1.5)
 
 
 def test_ann_rate_above_one_allowed():
     Layer(id=0, kind="dense", channels=1, height=1, width=4,
-          weights=0, biases=0, is_snn=False, avg_event_rate=2.5).validate()
+          weights=0, biases=0, is_snn=False, avg_event_rate=2.5)
 
 
 def test_model_rejects_cycle_and_orphan():
