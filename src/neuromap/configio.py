@@ -167,13 +167,20 @@ def parse_row(line: str, columns, where: str, error=ConfigFormatError) -> tuple:
 
 
 def read_rows(path, columns, error, what: str = "header") -> list[tuple]:
-    """The data rows of a CSV file whose first line must be the header
-    naming columns, each read by parse_row; rows are numbered from line 2
-    and blank lines are skipped. A different first line raises
-    error('<path>: unexpected <what> <line>')."""
+    """parse_rows over the lines of the CSV file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != ",".join(name for name, _ in columns):
-            raise error(f"{path}: unexpected {what} {header!r}")
-        return [parse_row(line.strip(), columns, f"{path}:{lineno}", error)
-                for lineno, line in enumerate(fh, start=2) if line.strip()]
+        return parse_rows(fh, path, columns, error, what)
+
+
+def parse_rows(lines, path, columns, error, what: str = "header",
+               start: int = 1) -> list[tuple]:
+    """The data rows of CSV lines numbered from start, the first of which
+    must be the header naming columns, each read by parse_row; blank lines
+    are skipped. A different first line raises error('<path>: unexpected
+    <what> <line>')."""
+    lines = iter(lines)
+    header = next(lines, "").strip()
+    if header != ",".join(name for name, _ in columns):
+        raise error(f"{path}: unexpected {what} {header!r}")
+    return [parse_row(line.strip(), columns, f"{path}:{lineno}", error)
+            for lineno, line in enumerate(lines, start=start + 1) if line.strip()]

@@ -50,19 +50,20 @@ class OptimizeError(ValueError):
 
 # Optional architecture genes, in gene order; a space carries one gene per
 # non-None menu. Each entry is GenomeSpace menu field -> (decoded slot it
-# sets, apply(slot value, menu value, base hw) -> slot value). The slots are
-# "hw", "model", "scheme" and "fps".
+# sets, apply(slot value, menu value) -> slot value). The slots are "hw",
+# "model", "scheme" and "fps". Only the NPE row writes e_npe_op and
+# p_static_core, so scaling the slot's hw scales the base's figures.
 MENU_GENES = {
-    "npes_menu": ("hw", lambda hw, n, base: replace(
-        hw, npes_per_core=int(n), e_npe_op=base.e_npe_op * int(n),
-        p_static_core=base.p_static_core * int(n))),
-    "bw_weights_menu": ("model", lambda m, bw, _: replace(
+    "npes_menu": ("hw", lambda hw, n: replace(
+        hw, npes_per_core=int(n), e_npe_op=hw.e_npe_op * int(n),
+        p_static_core=hw.p_static_core * int(n))),
+    "bw_weights_menu": ("model", lambda m, bw: replace(
         m, bitwidths=replace(m.bitwidths, weights=int(bw)))),
-    "mem_menu": ("hw", lambda hw, v, _: replace(hw, mem_per_core=int(v))),
-    "clock_menu": ("hw", lambda hw, v, _: hw.scaled_times(float(v))),
-    "flit_menu": ("hw", lambda hw, v, _: replace(hw, flit_bits=int(v))),
-    "fps_menu": ("fps", lambda _, v, __: float(v)),
-    "scheme_menu": ("scheme", lambda _, v, __: str(v)),
+    "mem_menu": ("hw", lambda hw, v: replace(hw, mem_per_core=int(v))),
+    "clock_menu": ("hw", lambda hw, v: hw.scaled_times(float(v))),
+    "flit_menu": ("hw", lambda hw, v: replace(hw, flit_bits=int(v))),
+    "fps_menu": ("fps", lambda _, v: float(v)),
+    "scheme_menu": ("scheme", lambda _, v: str(v)),
 }
 
 
@@ -132,13 +133,12 @@ class GenomeSpace:
                 raise OptimizeError(f"gene {g} outside [{a}, {b}]")
 
 
-def _apply_menus(genome, space: GenomeSpace, slots: dict,
-                 base_hw: HardwareConfig | None = None) -> dict:
+def _apply_menus(genome, space: GenomeSpace, slots: dict) -> dict:
     """Apply the genome's menu genes to the given slots; others are skipped."""
     for pos, (name, menu) in enumerate(space._menus(), 2 * space.n_layers):
         slot, apply = MENU_GENES[name]
         if slot in slots:
-            slots[slot] = apply(slots[slot], menu[int(genome[pos])], base_hw)
+            slots[slot] = apply(slots[slot], menu[int(genome[pos])])
     return slots
 
 
@@ -147,8 +147,8 @@ def decode(genome, model: NetworkModel, base_hw: HardwareConfig,
     """(PartitionSpec, HardwareConfig, scheme, fps_override).
 
     fps_override is None unless the space carries an fps gene. Clock menu
-    values multiply every base time constant. NPE count scales e_npe_op
-    and p_static_core relative to the base's per-lane figures. The weight
+    values multiply the base clock_period. NPE count scales e_npe_op and
+    p_static_core relative to the base's per-lane figures. The weight
     bit-width gene is left to decode_model.
     """
     space.validate_genome(genome)
@@ -158,7 +158,7 @@ def decode(genome, model: NetworkModel, base_hw: HardwareConfig,
         axis = space.axes_menu[int(genome[2 * i + 1])]
         splits.append(LayerSplit(n_cores=n_cores, axis=axis))
     slots = _apply_menus(genome, space, {"hw": base_hw, "scheme": default_scheme,
-                                         "fps": None}, base_hw)
+                                         "fps": None})
     return PartitionSpec(tuple(splits)), slots["hw"], slots["scheme"], slots["fps"]
 
 
@@ -212,7 +212,7 @@ class EvalContext:
             slot, apply = MENU_GENES[name]
             for v in menu if slot in base else ():
                 try:
-                    value = apply(base[slot], v, self.base_hw)
+                    value = apply(base[slot], v)
                     if slot == "fps":
                         retime_trace(self.trace, value)
                 except (SimError, WorkloadError) as exc:

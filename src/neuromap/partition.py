@@ -1,11 +1,13 @@
 """Layer partitioning onto cores and the per-core memory bound.
 
 Partitions are contiguous ranges along one axis (layer = single neurons,
-channel, height, width). Weights and biases are apportioned to partitions
-by cumulative proportional rounding so per-layer totals are conserved
-exactly. build_mapping gives each layer cores of its own; a mapping read
-by load_mapping may put several layers on one core, and the simulator
-delivers their events on that core.
+channel, height, width). This module alone owns the axis layout: the
+extent and flat-index stride of each axis come from one table. Weights
+and biases are apportioned to partitions by cumulative proportional
+rounding so per-layer totals are conserved exactly. build_mapping gives
+each layer cores of its own; a mapping read by load_mapping may put
+several layers on one core, and the simulator delivers their events on
+that core.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ from dataclasses import dataclass
 from .configio import read_rows
 from .workload import Bitwidths, Layer, NetworkModel
 
-AXES = ("layer", "channel", "height", "width")
+# axis -> (extent, stride) of a layer. Flat neuron order is channel-major,
+# flat = (channel*height + row)*width + col, so an axis's stride is the
+# product of the extents after it
+_AXIS_SHAPES = {
+    "layer": lambda l: (l.neurons, 1),
+    "channel": lambda l: (l.channels, l.height * l.width),
+    "height": lambda l: (l.height, l.width),
+    "width": lambda l: (l.width, 1),
+}
+AXES = tuple(_AXIS_SHAPES)
 STYLES = ("homogeneous", "greedy")
 
 # 1 MB node, expressed in bits
@@ -24,6 +35,18 @@ M_MAX_DEFAULT = 8 * 2**20
 
 class PartitionError(ValueError):
     """Raised when a requested split is malformed or exceeds the memory cap."""
+
+
+def _check_axis(axis: str) -> None:
+    if axis not in _AXIS_SHAPES:
+        raise PartitionError(f"unknown axis {axis!r}, expected one of {AXES}")
+
+
+def axis_shape(layer: Layer, axis: str) -> tuple[int, int]:
+    """(extent, stride) of the axis: its unit count, and the flat-index
+    distance between neighbouring units."""
+    _check_axis(axis)
+    return _AXIS_SHAPES[axis](layer)
 
 
 def memory_per_core(n_npc: int, n_wpc: int, n_bpc: int, n_tpc: int, f_snn: bool,
@@ -54,7 +77,7 @@ def _share(total: int, lo: int, hi: int, whole: int) -> int:
 def range_counts(layer: Layer, axis: str, start: int, end: int,
                  bitwidths: Bitwidths) -> tuple[int, int, int, int, int]:
     """(N_npc, N_wpc, N_bpc, N_tpc, M_pc) for axis units [start, end)."""
-    per_unit = layer.neurons // layer.axis_extent(axis)
+    per_unit = layer.neurons // axis_shape(layer, axis)[0]
     n_npc = (end - start) * per_unit
     n_wpc = _share(layer.weights, start * per_unit, end * per_unit, layer.neurons)
     n_bpc = _share(layer.biases, start * per_unit, end * per_unit, layer.neurons)
@@ -64,27 +87,36 @@ def range_counts(layer: Layer, axis: str, start: int, end: int,
         bitwidths.states, bitwidths.outputs, bitwidths.weights)
 
 
-def partition_layer(layer: Layer, n_parts: int, axis: str,
-                    style: str = "homogeneous", *,
+@dataclass(frozen=True)
+class LayerSplit:
+    n_cores: int = 1
+    axis: str = "layer"
+    style: str = "homogeneous"
+
+    def __post_init__(self):
+        if self.n_cores < 1:
+            raise PartitionError("n_cores must be >= 1")
+        _check_axis(self.axis)
+        if self.style not in STYLES:
+            raise PartitionError(f"unknown style {self.style!r}")
+
+
+def partition_layer(layer: Layer, split: LayerSplit, *,
                     m_max: int = M_MAX_DEFAULT,
                     bitwidths: Bitwidths = Bitwidths()) -> list[tuple[int, int]]:
-    """Split a layer into contiguous axis ranges [(start, end), ...].
+    """Split a layer into contiguous ranges [(start, end), ...] along
+    split.axis.
 
-    homogeneous: n_parts groups whose sizes differ by at most 1, larger
-    groups first. greedy: n_parts is ignored; groups are filled in axis
-    order until the next unit would push the group past m_max.
-    An axis of extent 1 yields a single group for any n_parts.
+    homogeneous: split.n_cores groups whose sizes differ by at most 1,
+    larger groups first. greedy: n_cores is ignored; groups are filled in
+    axis order until the next unit would push the group past m_max.
+    An axis of extent 1 yields a single group for any n_cores.
     """
-    if axis not in AXES:
-        raise PartitionError(f"unknown axis {axis!r}")
-    if style not in STYLES:
-        raise PartitionError(f"unknown style {style!r}")
-    if n_parts < 1:
-        raise PartitionError("n_parts must be >= 1")
-    extent = layer.axis_extent(axis)
+    axis, n_parts = split.axis, split.n_cores
+    extent = axis_shape(layer, axis)[0]
     if extent == 1:
         return [(0, 1)]
-    if style == "homogeneous":
+    if split.style == "homogeneous":
         if n_parts > extent:
             raise PartitionError(
                 f"layer {layer.id}: {n_parts} parts exceed axis {axis} extent {extent}")
@@ -111,21 +143,6 @@ def partition_layer(layer: Layer, n_parts: int, axis: str,
             end += 1
     ranges.append((start, end))
     return ranges
-
-
-@dataclass(frozen=True)
-class LayerSplit:
-    n_cores: int = 1
-    axis: str = "layer"
-    style: str = "homogeneous"
-
-    def __post_init__(self):
-        if self.n_cores < 1:
-            raise PartitionError("n_cores must be >= 1")
-        if self.axis not in AXES:
-            raise PartitionError(f"unknown axis {self.axis!r}")
-        if self.style not in STYLES:
-            raise PartitionError(f"unknown style {self.style!r}")
 
 
 @dataclass(frozen=True)
@@ -186,8 +203,7 @@ class Mapping:
 
 def _assignments_for_layer(layer: Layer, split: LayerSplit, bitwidths: Bitwidths,
                            m_max: int, first_core: int) -> list[CoreAssignment]:
-    ranges = partition_layer(layer, split.n_cores, split.axis, split.style,
-                             m_max=m_max, bitwidths=bitwidths)
+    ranges = partition_layer(layer, split, m_max=m_max, bitwidths=bitwidths)
     return [CoreAssignment(first_core + i, layer.id, split.axis, a, b,
                            *range_counts(layer, split.axis, a, b, bitwidths))
             for i, (a, b) in enumerate(ranges)]
@@ -236,24 +252,11 @@ def load_mapping(path) -> Mapping:
     return Mapping(tuple(assignments))
 
 
-def _stride(layer: Layer, axis: str) -> int:
-    """Flat-index distance between neighbouring units of the axis: the
-    product of the extents after it."""
-    h, w = layer.height, layer.width
-    stride = {"layer": 1, "channel": h * w, "height": w, "width": 1}.get(axis)
-    if stride is None:
-        raise PartitionError(f"unknown axis {axis!r}")
-    return stride
-
-
 def axis_unit(layer: Layer, axis: str, flat):
-    """Axis unit of each flat neuron index (an int or an integer array).
-
-    Flat order is channel-major: flat = (channel*height + row)*width + col,
-    so the unit is flat // stride % extent, stride being the product of
-    the extents after the axis.
-    """
-    return flat // _stride(layer, axis) % layer.axis_extent(axis)
+    """Axis unit of each flat neuron index (an int or an integer array):
+    flat // stride % extent."""
+    extent, stride = axis_shape(layer, axis)
+    return flat // stride % extent
 
 
 def flat_range(layer: Layer, axis: str, start: int,
@@ -263,7 +266,7 @@ def flat_range(layer: Layer, axis: str, start: int,
     the whole axis or the extents before the axis are all 1: the whole
     layer, any channel range, a height range when channels = 1, a width
     range when channels = height = 1."""
-    stride, extent = _stride(layer, axis), layer.axis_extent(axis)
+    extent, stride = axis_shape(layer, axis)
     if start == 0 and end == extent:
         return (0, layer.neurons)
     if stride * extent == layer.neurons:

@@ -42,7 +42,7 @@ from .configio import (
     read_section,
 )
 from .mesh import MeshPlacement
-from .partition import AXES, Mapping, axis_unit, range_counts
+from .partition import Mapping, PartitionError, axis_shape, axis_unit, range_counts
 from .workload import EventTrace, Layer, NetworkModel, firing_masks, frame_time
 
 
@@ -81,14 +81,16 @@ class HardwareConfig:
         if self.queue_depth < 1:
             raise SimError("queue_depth must be >= 1")
         check_numbers(self, SimError)
+        for name in ("t_npe_op", "t_hop", "t_inject"):
+            t = getattr(self, name)
+            if not math.isfinite(t * self.clock_period):
+                raise SimError(f"{name} * clock_period must be finite, got "
+                               f"{t!r} * {self.clock_period!r}")
 
     def scaled_times(self, factor: float) -> "HardwareConfig":
-        """Copy with every time constant multiplied by factor, which it
-        records as clock_period."""
-        return replace(self, clock_period=factor,
-                       t_npe_op=self.t_npe_op * factor,
-                       t_hop=self.t_hop * factor,
-                       t_inject=self.t_inject * factor)
+        """Copy with clock_period, and so every time constant the
+        simulator uses, multiplied by factor."""
+        return replace(self, clock_period=self.clock_period * factor)
 
 
 def load_hw_config(path) -> HardwareConfig:
@@ -238,9 +240,10 @@ def check_mapping(model: NetworkModel, mapping: Mapping) -> dict[int, list[int]]
         if len(axes) != 1:
             raise SimError(f"layer {layer.id}: partitions mix axes {axes}")
         axis = axes[0]
-        if axis not in AXES:
-            raise SimError(f"layer {layer.id}: unknown axis {axis!r}")
-        extent = layer.axis_extent(axis)
+        try:
+            extent = axis_shape(layer, axis)[0]
+        except PartitionError as exc:
+            raise SimError(f"layer {layer.id}: {exc}") from None
         ranges = [(a.range_start, a.range_end) for a in parts]
         bounds = [0] + [e for (_, e) in ranges]
         if ([s for (s, _) in ranges] != bounds[:-1] or bounds[-1] != extent
@@ -388,7 +391,11 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     (core, upstream, loads, local, trees, work, fan_in, output, inputs,
      frame_times, fps, links) = plan
     depth = hw.queue_depth
-    t_npe_op, e_ctrl, e_npe_op = hw.t_npe_op, hw.e_ctrl_event, hw.e_npe_op
+    # the clock scales every time constant, once per call
+    clock = hw.clock_period
+    t_npe_op, t_hop, t_inject = (hw.t_npe_op * clock, hw.t_hop * clock,
+                                 hw.t_inject * clock)
+    e_ctrl, e_npe_op = hw.e_ctrl_event, hw.e_npe_op
     # per port: when it frees up, its pending done times (non-decreasing,
     # since busy only grows), its deepest queue and the energy charged to it
     n_cores = len(set(core))
@@ -506,7 +513,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                 unlisted[i] = False
                 charged.update(tree_links)
             # one injection serializes the whole multicast bundle
-            service = (max(1, mult) * hw.t_hop, max(1, mult) * hw.t_inject)
+            service = (max(1, mult) * t_hop, max(1, mult) * t_inject)
             charge = (flits * hw.e_hop_per_flit, mult * hw.e_inject)
             arrival = [t] * (n_nodes + 1)
             # no hop ends after the delivery it feeds, which moves sim_now

@@ -3,7 +3,8 @@
 Layers are conv-shaped (channels x height x width); dense layers use the
 degenerate shape channels=1, height=1, width=neurons so every partition
 axis is defined for every layer. Flat neuron indices are channel-major:
-flat = (channel * height + row) * width + col.
+flat = (channel * height + row) * width + col; partition alone maps them
+to axis units.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .configio import (
     format_blocks,
     get_value,
     parse_blocks_file,
-    parse_row,
+    parse_rows,
 )
 
 ALLOWED_BITWIDTHS = (4, 8, 16)
@@ -55,17 +56,6 @@ class Layer:
     @property
     def neurons(self) -> int:
         return self.channels * self.height * self.width
-
-    def axis_extent(self, axis: str) -> int:
-        if axis == "layer":
-            return self.neurons
-        if axis == "channel":
-            return self.channels
-        if axis == "height":
-            return self.height
-        if axis == "width":
-            return self.width
-        raise ValueError(f"unknown partition axis {axis!r}")
 
     def __post_init__(self):
         _check_kind(self.id, self.kind)
@@ -375,27 +365,19 @@ _TRACE_COLUMNS = (("timestamp", float), ("neuron_id", int), ("payload_bits", int
 
 
 def load_trace(path) -> EventTrace:
-    """Read a trace written by save_trace; its '# fps=<f> frames=<n>' line
-    is required, since the timestamps alone cannot tell the grid."""
-    fps = None
-    n_frames = None
-    events: list[tuple[float, int, int]] = []
+    """Read a trace written by save_trace. Line 1 must be its
+    '# fps=<f> frames=<n>' grid line, since the timestamps alone cannot
+    tell the grid, and line 2 its header."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("timestamp"):
-                continue
-            where = f"{path}:{lineno}"
-            if line.startswith("#"):
-                grid = dict(token.partition("=")[::2] for token in line[1:].split())
-                if "fps" in grid:
-                    fps = convert(grid["fps"], float, where, "fps")
-                if "frames" in grid:
-                    n_frames = convert(grid["frames"], int, where, "frames")
-                continue
-            events.append(parse_row(line, _TRACE_COLUMNS, where, WorkloadError))
-    if fps is None or n_frames is None:
-        raise WorkloadError(f"{path}: missing the '# fps=<f> frames=<n>' line")
+        line = fh.readline().strip()
+        grid = (dict(token.partition("=")[::2] for token in line[1:].split())
+                if line.startswith("#") else {})
+        if "fps" not in grid or "frames" not in grid:
+            raise WorkloadError(f"{path}: missing the '# fps=<f> frames=<n>' line")
+        fps = convert(grid["fps"], float, f"{path}:1", "fps")
+        n_frames = convert(grid["frames"], int, f"{path}:1", "frames")
+        events = parse_rows(fh, path, _TRACE_COLUMNS, WorkloadError,
+                            "trace header", start=2)
     try:
         return EventTrace(events=tuple(events), fps=fps, n_frames=n_frames)
     except WorkloadError as exc:

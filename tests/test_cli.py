@@ -434,6 +434,26 @@ def test_per_layer_flag_validation(net_path, tmp_path, capsys):
     assert rc == 1 and "axis" in stderr
 
 
+def test_prm_clock_period_scales_every_time_constant(tmp_path, capsys):
+    """clock_period in a .prm multiplies t_npe_op, t_hop and t_inject, so
+    at 2.0 a drain-mode run takes exactly twice as long."""
+    default = packaged_config("default_hw.prm")
+    slow = tmp_path / "slow.prm"
+    slow.write_text(default.read_text().replace("clock_period = 1.0",
+                                                "clock_period = 2.0"))
+    assert load_hw_config(slow).clock_period == 2.0
+    latency = []
+    for hw in (default, slow):
+        rc, stdout, _ = run_cli(["simulate", "--workload",
+                                 packaged_config("pilotnet_synth.net"), "--hw", hw,
+                                 "--fps", 0, "--frames", 3, "--out", tmp_path / hw.stem],
+                                capsys)
+        assert rc == 0
+        latency += [float(line.split(" = ")[1]) for line in stdout.splitlines()
+                    if line.startswith("latency = ")]
+    assert latency == [27870334.000000004, 55740668.00000001]
+
+
 # --- compare ---
 
 def write_signal(path, values, t0=0.0, dt=1.0):

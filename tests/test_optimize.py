@@ -182,9 +182,9 @@ def test_decode_semantics():
     assert hw.p_static_core == HW.p_static_core * 4
     assert hw.mem_per_core == 8 * 2**20
     assert hw.clock_period == 2.0
-    assert hw.t_npe_op == HW.t_npe_op * 2.0
-    assert hw.t_hop == HW.t_hop * 2.0
-    assert hw.t_inject == HW.t_inject * 2.0
+    assert hw.t_npe_op * hw.clock_period == HW.t_npe_op * 2.0
+    assert hw.t_hop * hw.clock_period == HW.t_hop * 2.0
+    assert hw.t_inject * hw.clock_period == HW.t_inject * 2.0
     assert hw.flit_bits == 16
     assert fps == 30.0
     assert scheme == "loose-area"
@@ -413,6 +413,14 @@ def test_hardware_menu_value_no_design_can_use_is_rejected(ctx, menu, value, nam
     with pytest.raises(OptimizeError) as exc:
         replace(ctx, space=space)
     assert str(exc.value) == f"{menu} value {value!r}: {named}"
+
+
+def test_clock_menu_value_overflowing_a_time_constant_is_rejected(ctx):
+    space = replace(ctx.space, clock_menu=(1.0, 1e308))
+    with pytest.raises(OptimizeError) as exc:
+        replace(ctx, base_hw=replace(HW, t_hop=2.0), space=space)
+    assert str(exc.value) == ("clock_menu value 1e+308: t_hop * clock_period "
+                              "must be finite, got 2.0 * 1e+308")
 
 
 def test_fidelity_objective_without_reference_rejected(ctx):

@@ -12,6 +12,7 @@ from neuromap.partition import (
     Mapping,
     PartitionError,
     PartitionSpec,
+    axis_shape,
     axis_unit,
     build_mapping,
     load_mapping,
@@ -81,12 +82,12 @@ def test_memory_monotone_in_every_argument(counts, widths, bump, which):
 # --- partition_layer ---
 
 def test_homogeneous_even_split():
-    assert partition_layer(dense(100), 4, "layer") == [
+    assert partition_layer(dense(100), LayerSplit(4, "layer")) == [
         (0, 25), (25, 50), (50, 75), (75, 100)]
 
 
 def test_channelwise_split_24_by_3():
-    ranges = partition_layer(conv(24, 31, 98), 3, "channel")
+    ranges = partition_layer(conv(24, 31, 98), LayerSplit(3, "channel"))
     assert [(b - a) for (a, b) in ranges] == [8, 8, 8]
 
 
@@ -105,7 +106,7 @@ def min_max_contiguous_split(extent, k):
 
 def test_homogeneous_10_by_3_front_loaded():
     assert min_max_contiguous_split(10, 3) == [4, 3, 3]
-    assert [(b - a) for (a, b) in partition_layer(dense(10), 3, "layer")] == [4, 3, 3]
+    assert [(b - a) for (a, b) in partition_layer(dense(10), LayerSplit(3, "layer"))] == [4, 3, 3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,25 +123,25 @@ def test_homogeneous_matches_minmax_oracle(extent, k):
 
 def test_parts_exceeding_extent_rejected():
     with pytest.raises(PartitionError):
-        partition_layer(dense(10), 11, "layer")
+        partition_layer(dense(10), LayerSplit(11, "layer"))
 
 
 def test_degenerate_axis_collapses_to_one_group():
-    assert partition_layer(dense(10), 5, "channel") == [(0, 1)]
-    assert partition_layer(dense(10), 5, "height") == [(0, 1)]
+    assert partition_layer(dense(10), LayerSplit(5, "channel")) == [(0, 1)]
+    assert partition_layer(dense(10), LayerSplit(5, "height")) == [(0, 1)]
 
 
 def test_greedy_fills_to_cap():
     # 10 ANN neurons, 64 bits each (2*1*(16+16)), cap 200 -> 3 per group
     layer = dense(10, snn=False)
-    ranges = partition_layer(layer, 1, "layer", "greedy", m_max=200)
+    ranges = partition_layer(layer, LayerSplit(1, "layer", "greedy"), m_max=200)
     assert ranges == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
 
 def test_greedy_unsplittable_unit_rejected():
     layer = dense(10, snn=False)
     with pytest.raises(PartitionError):
-        partition_layer(layer, 1, "layer", "greedy", m_max=50)
+        partition_layer(layer, LayerSplit(1, "layer", "greedy"), m_max=50)
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,10 +156,10 @@ def test_greedy_unsplittable_unit_rejected():
 )
 def test_coverage_and_conservation(c, h, w, weights, biases, k, axis):
     layer = conv(c, h, w, weights=weights, biases=biases)
-    extent = layer.axis_extent(axis)
+    extent = axis_shape(layer, axis)[0]
     if extent > 1 and k > extent:
         k = extent
-    ranges = partition_layer(layer, k, axis)
+    ranges = partition_layer(layer, LayerSplit(k, axis))
     # contiguous cover of the axis, no overlap, no gap
     assert ranges[0][0] == 0
     assert ranges[-1][1] == (extent if extent > 1 else 1)
@@ -352,11 +353,11 @@ def test_flat_slices_shapes():
 )
 def test_flat_slices_partition_the_layer(c, h, w, axis, k):
     layer = conv(c, h, w)
-    extent = layer.axis_extent(axis)
+    extent = axis_shape(layer, axis)[0]
     if extent > 1 and k > extent:
         k = extent
     covered = set()
-    for (a, b) in partition_layer(layer, k, axis):
+    for (a, b) in partition_layer(layer, LayerSplit(k, axis)):
         assert_units_match_slices(layer, axis, a, b)
         for (s, e) in flat_slices(layer, axis, a, b):
             span = set(range(s, e))

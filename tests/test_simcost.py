@@ -19,6 +19,7 @@ from neuromap.mesh import compress, place
 from neuromap.partition import (
     LayerSplit,
     PartitionSpec,
+    axis_shape,
     build_mapping,
 )
 from neuromap.simcost import (
@@ -200,7 +201,7 @@ def designs(draw):
     splits = []
     for layer in layers:
         axis = draw(st.sampled_from(["layer", "channel", "height", "width"]))
-        splits.append(LayerSplit(draw(st.integers(1, layer.axis_extent(axis))), axis))
+        splits.append(LayerSplit(draw(st.integers(1, axis_shape(layer, axis)[0])), axis))
     hw = HardwareConfig(
         npes_per_core=draw(st.integers(1, 8)),
         flit_bits=draw(st.sampled_from([8, 16, 32, 64])),

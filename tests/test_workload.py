@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from neuromap import workload
 from neuromap.configio import ConfigFormatError
-from neuromap.partition import range_counts
+from neuromap.partition import axis_shape, range_counts
 from neuromap.workload import (
     Bitwidths,
     EventTrace,
@@ -39,10 +39,10 @@ def test_dense_layer_shape_is_degenerate():
     l = Layer(id=0, kind="dense", channels=1, height=1, width=128,
               weights=0, biases=0, is_snn=True, avg_event_rate=0.1)
     assert l.neurons == 128
-    assert l.axis_extent("channel") == 1
-    assert l.axis_extent("height") == 1
-    assert l.axis_extent("width") == 128
-    assert l.axis_extent("layer") == 128
+    assert axis_shape(l, "channel")[0] == 1
+    assert axis_shape(l, "height")[0] == 1
+    assert axis_shape(l, "width")[0] == 128
+    assert axis_shape(l, "layer")[0] == 128
 
 
 def test_conv_layer_neuron_count():
@@ -251,6 +251,20 @@ def test_headerless_trace_is_rejected(tmp_path):
     p.write_text("timestamp,neuron_id,payload_bits\n0.0,0,16\n1.0,1,16\n")
     with pytest.raises(WorkloadError, match="fps=<f> frames=<n>"):
         load_trace(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# fps=30.0 frames=3\ntimestamp,neuron_id,payload_bits\n0.0,0,16\n"
+     "# fps=0.0 frames=3\n", "t.csv:4: expected 3 fields, got 1"),
+    ("timestamp,neuron_id,payload_bits\n0.0,0,16\n# fps=0.0 frames=1\n",
+     "t.csv: missing the '# fps=<f> frames=<n>' line"),
+], ids=["second-grid-line", "grid-line-after-rows"])
+def test_trace_grid_comes_from_line_1_only(tmp_path, text, message):
+    p = tmp_path / "t.csv"
+    p.write_text(text)
+    with pytest.raises(WorkloadError) as exc:
+        load_trace(p)
+    assert str(exc.value).endswith(message)
 
 
 def test_trace_roundtrip_keeps_a_silent_frame(tmp_path):
