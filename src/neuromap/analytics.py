@@ -9,13 +9,17 @@ Directory layout per optimization run:
         Latency/<stamp>_<idx>/
         <ALGO>_sum_<stamp>/
             algo.prm  sim.prm            parameter echoes, written first
-            energyOpt.csv  latOpt.csv    running best per generation
+            energyOpt.csv  latOpt.csv    running best, one row per generation
             plot_cores  plot_interconnect  pareto.csv  plot_relative_energy
 
-plus a master index at <root>/index.csv. Timestamps appear only in
-directory names and evaluations.csv; the Opt CSVs and every report file
-carry none, so identical (seed, config) runs produce byte-identical
-optimization traces. All files are plain CSV (or key = value echoes).
+plus a master index at <root>/index.csv. open_run writes the headers of
+evaluations.csv and the two Opt CSVs, and the search only appends rows,
+so a run stopped before its first generation leaves header-only files.
+Timestamps appear only in directory names and evaluations.csv; the Opt
+CSVs and every report file carry none, so identical (seed, config) runs
+produce byte-identical optimization traces. Every CSV here goes through
+_write_rows, so each has the csv module's CRLF line ends; the snapshot
+directories' files come from simcost.write_run_files, with LF ends.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import csv
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from functools import reduce
 from operator import add
@@ -53,6 +57,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_rows(path: Path, rows, header=None, mode: str = "w") -> None:
+    """The one CSV writer: header (if given), then rows."""
+    with open(path, mode, encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        if header is not None:
+            w.writerow(header)
+        w.writerows(rows)
+
+
 @dataclass
 class ExperimentRecord:
     """Single open run directory; the one writer for its lifetime."""
@@ -72,7 +85,6 @@ class ExperimentRecord:
     best_latency: EvalResult | None = None
     last_timestamp: float = 0.0
     closed: bool = False
-    _opt_headers_written: bool = field(default=False, repr=False)
 
     @property
     def evaluations_path(self) -> Path:
@@ -91,7 +103,8 @@ def open_run(root, app: str, algo: str, seed: int, params: AlgoParams,
              hw: HardwareConfig, run_settings: dict | None = None,
              gene_names=(), policy: str = "bests", sample_every: int = 10,
              when: datetime | None = None) -> ExperimentRecord:
-    """Create the run directory tree and write the parameter echoes."""
+    """Create the run directory tree, write the parameter echoes and the
+    headers of evaluations.csv, energyOpt.csv and latOpt.csv."""
     if policy not in SNAPSHOT_POLICIES:
         raise AnalyticsError(f"snapshot policy must be one of {SNAPSHOT_POLICIES}")
     if sample_every < 1:
@@ -122,8 +135,9 @@ def open_run(root, app: str, algo: str, seed: int, params: AlgoParams,
                               run_dir=run_dir, sum_dir=sum_dir,
                               gene_names=tuple(gene_names), policy=policy,
                               sample_every=sample_every)
-    with open(record.evaluations_path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(list(EVAL_FIXED_COLUMNS) + list(record.gene_names))
+    _write_rows(record.evaluations_path, (), EVAL_FIXED_COLUMNS + record.gene_names)
+    for path in (record.energy_opt_path, record.latency_opt_path):
+        _write_rows(path, (), ("generation", "energy", "latency", *record.gene_names))
     return record
 
 
@@ -180,8 +194,7 @@ def record_evaluation(record: ExperimentRecord, results, ctx=None) -> None:
         channels = _channels(record, result, idx)
         if channels:
             flagged.append((result, idx, now, channels))
-    with open(record.evaluations_path, "a", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    _write_rows(record.evaluations_path, rows, mode="a")
 
     for result, idx, now, channels in flagged:
         if ctx is None:
@@ -202,22 +215,12 @@ def record_generation(record: ExperimentRecord, generation: int) -> None:
     if record.closed:
         raise AnalyticsError("record is closed")
     record.generation = generation + 1
-    header = ["generation", "energy", "latency"] + list(record.gene_names)
-    mode = "a" if record._opt_headers_written else "w"
     for path, best in ((record.energy_opt_path, record.best_energy),
                        (record.latency_opt_path, record.best_latency)):
-        with open(path, mode, encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            if mode == "w":
-                w.writerow(header)
-            if best is None:
-                w.writerow([str(generation), "inf", "inf"]
-                           + [""] * len(record.gene_names))
-            else:
-                w.writerow([str(generation), _fmt(best.objectives.energy),
-                            _fmt(best.objectives.latency)]
-                           + [str(g) for g in best.genome])
-    record._opt_headers_written = True
+        cells = ([_fmt(best.objectives.energy), _fmt(best.objectives.latency),
+                  *map(str, best.genome)] if best else
+                 ["inf", "inf"] + [""] * len(record.gene_names))
+        _write_rows(path, [[str(generation), *cells]], mode="a")
 
 
 def attach(record: ExperimentRecord, ctx):
@@ -235,36 +238,26 @@ def finalize_run(record: ExperimentRecord) -> None:
     if record.best_energy is not None:
         report_run(record.run_dir)
     index_path = record.root / "index.csv"
-    new = not index_path.exists()
-    with open(index_path, "a", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        if new:
-            w.writerow(["run_id", "app", "algo", "seed", "path",
-                        "n_evaluations", "best_energy", "best_latency"])
-        w.writerow([record.run_dir.name, record.app, record.algo,
-                    str(record.seed), str(record.run_dir),
-                    str(record.eval_index),
-                    _fmt(record.best_energy.objectives.energy)
-                    if record.best_energy else "inf",
-                    _fmt(record.best_latency.objectives.latency)
-                    if record.best_latency else "inf"])
+    row = [record.run_dir.name, record.app, record.algo, str(record.seed),
+           str(record.run_dir), str(record.eval_index),
+           _fmt(record.best_energy.objectives.energy) if record.best_energy else "inf",
+           _fmt(record.best_latency.objectives.latency) if record.best_latency else "inf"]
+    _write_rows(index_path, [row], None if index_path.exists() else (
+        "run_id", "app", "algo", "seed", "path", "n_evaluations", "best_energy",
+        "best_latency"), mode="a")
     record.closed = True
 
 
 # --- report generation (pure functions of evaluations.csv) ---
 
-def _read_csv(path: Path) -> tuple[list[str], list[dict[str, str]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [dict(zip(header, r)) for r in reader]
-
-
 def read_evaluations(run_dir) -> tuple[list[str], list[dict[str, str]]]:
     path = Path(run_dir) / "evaluations.csv"
     if not path.exists():
         raise AnalyticsError(f"no evaluations.csv under {run_dir}")
-    return _read_csv(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        return header, [dict(zip(header, r)) for r in reader]
 
 
 def _sum_dir_of(run_dir: Path) -> Path:
@@ -280,18 +273,23 @@ def _aggregate(rows, key_of, out_path: Path, key_name: str,
     groups: dict = {}
     for r in rows:
         groups.setdefault(key_of(r), []).append(r)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([key_name, "count", "min_energy", "mean_energy",
-                    "min_latency", "mean_latency"])
-        for key in sorted(groups):
-            g = groups[key]
-            es = [float(r["energy"]) for r in g]
-            ls = [float(r["latency"]) for r in g]
-            # left folds: Python 3.12's sum() compensates, which moves means
-            w.writerow([label_of(key), str(len(g)), _fmt(min(es)),
-                        _fmt(reduce(add, es, 0.0) / len(es)), _fmt(min(ls)),
-                        _fmt(reduce(add, ls, 0.0) / len(ls))])
+    out = []
+    for key in sorted(groups):
+        g = groups[key]
+        es = [float(r["energy"]) for r in g]
+        ls = [float(r["latency"]) for r in g]
+        # left folds: Python 3.12's sum() compensates, which moves means
+        out.append([label_of(key), str(len(g)), _fmt(min(es)),
+                    _fmt(reduce(add, es, 0.0) / len(es)), _fmt(min(ls)),
+                    _fmt(reduce(add, ls, 0.0) / len(ls))])
+    _write_rows(out_path, out, [key_name, "count", "min_energy", "mean_energy",
+                                "min_latency", "mean_latency"])
+
+
+def _relative(mins: dict) -> list[tuple]:
+    """(key, min, min relative to the largest min) per key, in mins' order."""
+    worst = max(mins.values())
+    return [(k, m, m / worst if worst > 0 else 1.0) for k, m in mins.items()]
 
 
 def relative_energy_table(rows, group_key: str) -> list[tuple[str, float, float]]:
@@ -307,15 +305,12 @@ def relative_energy_table(rows, group_key: str) -> list[tuple[str, float, float]
         groups.setdefault(r[group_key], []).append(float(r["energy"]))
     if not groups:
         raise AnalyticsError("no feasible evaluations to report")
-    mins = {k: min(v) for k, v in groups.items()}
-    worst = max(mins.values())
     def sort_key(k):
         try:
             return (0, float(k))
         except ValueError:
             return (1, k)
-    return [(k, mins[k], mins[k] / worst if worst > 0 else 1.0)
-            for k in sorted(mins, key=sort_key)]
+    return _relative({k: min(groups[k]) for k in sorted(groups, key=sort_key)})
 
 
 def report_run(run_dir, group_key: str = "n_cores") -> dict[str, Path]:
@@ -341,13 +336,10 @@ def report_run(run_dir, group_key: str = "n_cores") -> dict[str, Path]:
                label_of=lambda k: f"{k[0]}x{k[1]}")
 
     out["plot_relative_energy"] = sum_dir / "plot_relative_energy"
-    table = relative_energy_table(feasible, group_key)
-    with open(out["plot_relative_energy"], "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([group_key, "energy", "relative_energy"])
-        for key, energy, rel in table:
-            w.writerow([key, _fmt(energy), _fmt(rel)])
+    _write_rows(out["plot_relative_energy"],
+                [(key, _fmt(energy), _fmt(rel)) for key, energy, rel
+                 in relative_energy_table(feasible, group_key)],
+                (group_key, "energy", "relative_energy"))
 
     out["pareto"] = sum_dir / "pareto.csv"
     gene_cols = [c for c in rows[0] if c not in EVAL_FIXED_COLUMNS]
@@ -356,28 +348,21 @@ def report_run(run_dir, group_key: str = "n_cores") -> dict[str, Path]:
                                tuple(r[c] for c in gene_cols)) for r in feasible))
     beaten = dominance([0.0] * len(keys), [k[:2] for k in keys]).any(axis=0)
     front = sorted((k for k, b in zip(keys, beaten) if not b), key=lambda k: k[:2])
-    with open(out["pareto"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["energy", "latency"] + gene_cols)
-        for (e, l, genes) in front:
-            w.writerow([_fmt(e), _fmt(l), *genes])
+    _write_rows(out["pareto"], [(_fmt(e), _fmt(l), *genes) for e, l, genes in front],
+                ("energy", "latency", *gene_cols))
     return out
 
 
 def sweep_report(records: dict[str, Path], out_path) -> None:
     """Cross-run comparison: one row per labeled run, energy relative to
     the worst run (the Fig-8 style pre/post table)."""
-    rows = []
+    mins = {}
     for label, run_dir in records.items():
         _, evals = read_evaluations(run_dir)
         feas = [float(r["energy"]) for r in evals
                 if float(r["violation"]) == 0.0]
         if not feas:
             raise AnalyticsError(f"run {label!r} has no feasible evaluations")
-        rows.append((label, min(feas)))
-    worst = max(e for (_, e) in rows)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "min_energy", "relative_energy"])
-        for (label, e) in rows:
-            w.writerow([label, _fmt(e), _fmt(e / worst if worst > 0 else 1.0)])
+        mins[label] = min(feas)
+    _write_rows(out_path, [(label, _fmt(e), _fmt(rel)) for label, e, rel in _relative(mins)],
+                ("run", "min_energy", "relative_energy"))

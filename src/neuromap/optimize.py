@@ -25,7 +25,7 @@ import numpy as np
 
 from .configio import MAX_SNAPSHOT_SAMPLES, check_numbers, convert, get_numbers, read_section
 from .fidelity import FidelityError, from_values, xcorr_score
-from .mesh import SCHEMES, compress, place
+from .mesh import SCHEMES, MeshError, compress, place
 from .partition import (
     AXES,
     LayerSplit,
@@ -34,7 +34,7 @@ from .partition import (
     build_mapping,
     flat_range,
 )
-from .simcost import CostReport, HardwareConfig, SimError, simulate
+from .simcost import CostReport, HardwareConfig, SimError, input_ids, simulate
 from .workload import EventTrace, NetworkModel, WorkloadError, retime_trace
 
 PENALTY_BASE = 1e18
@@ -204,9 +204,17 @@ class EvalContext:
                 raise OptimizeError(f"objective {n!r} given twice")
         if "fidelity_penalty" in self.objective_names and self.reference is None:
             raise OptimizeError("fidelity_penalty needs a reference end signal")
-        # a menu value that no design can use fails here, not as a penalty
-        # or an error on every genome that picks it; the hardware, the model
-        # and the trace check theirs when built
+        # a context or menu value that no design can use fails here, not as
+        # a penalty or an error on every genome; the hardware, the model and
+        # the trace check theirs when built
+        if self.space.n_layers != len(self.model.layers):
+            raise OptimizeError(f"genome space covers {self.space.n_layers} layers, "
+                                f"model has {len(self.model.layers)}")
+        try:
+            compress(1, self.scheme)
+            input_ids(self.model, self.trace)
+        except (MeshError, SimError) as exc:
+            raise OptimizeError(str(exc)) from None
         base = {"hw": self.base_hw, "model": self.model, "fps": None}
         for name, menu in self.space._menus():
             slot, apply = MENU_GENES[name]

@@ -294,6 +294,18 @@ class SimPlan(NamedTuple):
     links: dict[Link, int]
 
 
+def input_ids(model: NetworkModel, trace: EventTrace) -> np.ndarray:
+    """The trace's neuron ids as floats; SimError if one is not an input neuron."""
+    n_inputs = model.input_layer.neurons
+    # ids are range-checked as floats, which an id past int64 cannot overflow
+    ids = np.fromiter(map(itemgetter(1), trace.events), np.float64, len(trace.events))
+    bad = (ids < 0) | (ids >= n_inputs)
+    if bad.any():
+        raise SimError(f"trace event references input neuron "
+                       f"{trace.events[bad.argmax()][1]}, layer 0 has {n_inputs}")
+    return ids
+
+
 def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                hw: HardwareConfig, trace: EventTrace) -> SimPlan:
     """Check the simulation inputs and fix everything timing cannot change."""
@@ -306,15 +318,8 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
 
     n_frames = trace.n_frames
     frames = trace.frames()
-    n_inputs = model.input_layer.neurons
-    n_events = len(trace.events)
-    # ids are range-checked as floats, which an id past int64 cannot overflow
-    ids = np.fromiter(map(itemgetter(1), trace.events), np.float64, n_events)
-    bad = (ids < 0) | (ids >= n_inputs)
-    if bad.any():
-        raise SimError(f"trace event references input neuron "
-                       f"{trace.events[bad.argmax()][1]}, layer 0 has {n_inputs}")
-    bits = np.fromiter(map(itemgetter(2), trace.events), np.int64, n_events)
+    ids = input_ids(model, trace)
+    bits = np.fromiter(map(itemgetter(2), trace.events), np.int64, len(ids))
     # layer 0 fires the trace events, each its own flits
     input_firings = (np.repeat(np.arange(n_frames), [len(b) for b in frames]),
                      ids.astype(np.int64), -(-bits // hw.flit_bits))

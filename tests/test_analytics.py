@@ -452,6 +452,17 @@ def test_finalize_without_feasible_evaluation_indexes_inf(tmp_path):
     assert rec.energy_opt_path.read_text().splitlines()[1].startswith("0,inf,inf")
 
 
+def test_run_stopped_before_its_first_generation_keeps_header_only_files(tmp_path):
+    rec = open_toy_run(tmp_path)
+    finalize_run(rec)
+    genes = b"cores_l0,axis_l0,cores_l1,axis_l1\r\n"
+    assert rec.energy_opt_path.read_bytes() == b"generation,energy,latency," + genes
+    assert rec.latency_opt_path.read_bytes() == b"generation,energy,latency," + genes
+    assert rec.evaluations_path.read_bytes() == (
+        ",".join(EVAL_FIXED_COLUMNS).encode() + b"," + genes)
+    assert [r["n_evaluations"] for r in list_runs(tmp_path / "experiments")] == ["0"]
+
+
 def test_sweep_report_relative_to_worst(tmp_path, snap_ctx):
     recs = {}
     for (label, energy) in (("fps30", 60.0), ("fps0", 40.0)):

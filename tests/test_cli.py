@@ -681,10 +681,17 @@ def test_optimize_zero_workers_fails_before_the_run_tree(algo, net_path, tmp_pat
      "ga needs a nonzero weight_<objective> for one of latency"),
     ("pso", ["--objectives", "latency,area"],
      "pso needs a nonzero weight_<objective> for one of latency, area"),
+    ("nsga2", ["--trace", "far.csv"],
+     "trace event references input neuron 24, layer 0 has 24"),
 ], ids=["single-objective", "fidelity-without-reference", "repeated-objective",
-        "unusable-menu-value", "ga-unweighted-objective", "pso-unweighted-objectives"])
+        "unusable-menu-value", "ga-unweighted-objective", "pso-unweighted-objectives",
+        "trace-past-the-input-layer"])
 def test_optimize_search_errors_fail_before_the_run_tree(algo, flags, named, net_path,
-                                                         tmp_path, capsys):
+                                                         tmp_path, capsys, monkeypatch):
+    # far.csv fires the first neuron past the toy's 24 inputs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "far.csv").write_text(
+        "# fps=0.0 frames=1\ntimestamp,neuron_id,payload_bits\n0.0,24,16\n")
     rc, stdout, stderr = run_cli(
         ["optimize", "--workload", net_path, "--algo", algo, *flags,
          "--frames", 2, "--out", tmp_path / "o"], capsys)

@@ -3,7 +3,9 @@ the rest and pays for nothing. A reader is a load of the name, or of an
 attribute by that name, anywhere in the package outside the definition
 itself. Every private module-level name and private dataclass field needs
 one, and so does every public function, class, method and module-level
-assigned name, unless ALLOWED names it.
+assigned name, unless ALLOWED names it. Every function and lambda
+parameter other than self, cls and a name starting with "_" is read in
+its own body, unless ALLOWED_UNREAD_PARAMETERS names it.
 
 The scan goes by name alone, so a method that shares its name with a
 method of a builtin type (add, update, get, ...) counts as read wherever
@@ -28,6 +30,12 @@ ALLOWED = {
     # RUNNERS by name: perfbench calls and times optimize.run_nsga2, and
     # the tests call all three
     "optimize.run_ga", "optimize.run_nsga2", "optimize.run_pso",
+}
+
+# parameters no body reads, and why each stays
+ALLOWED_UNREAD_PARAMETERS = {
+    # perfbench/rep.py passes decode's arguments by position
+    "optimize.decode.model",
 }
 
 
@@ -64,10 +72,10 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(ast.unparse(dec).startswith("dataclass") for dec in node.decorator_list)
 
 
-def _private_definitions():
+def _private_definitions(trees=TREES):
     """("<module>.<name>", node) of each private module-level name and each
     private dataclass field, as "<module>.<class>.<field>"."""
-    for module, tree in TREES.items():
+    for module, tree in trees.items():
         for node in tree.body:
             yield from ((f"{module}.{name}", node) for name in _bound_names(node)
                         if _private(name))
@@ -97,10 +105,42 @@ def _unread(definitions) -> list[str]:
             if READS[name := qualname.rsplit(".", 1)[-1]] == _reads(node)[name]]
 
 
+def _parameters(node, scope: str):
+    """("<scope>.<function>.<parameter>", function) of each parameter of
+    each function and lambda under node; a lambda's name is <lambda>."""
+    for child in ast.iter_child_nodes(node):
+        name = scope
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            name = f"{scope}.{getattr(child, 'name', '<lambda>')}"
+            a = child.args
+            yield from ((f"{name}.{arg.arg}", child) for arg in
+                        [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                        if arg is not None and arg.arg not in ("self", "cls")
+                        and not arg.arg.startswith("_"))
+        elif isinstance(child, ast.ClassDef):
+            name = f"{scope}.{child.name}"
+        yield from _parameters(child, name)
+
+
+def _unread_parameters(trees=TREES) -> list[str]:
+    """The qualified parameters that no name in their function's body loads."""
+    unread = []
+    for module, tree in trees.items():
+        for qualname, function in _parameters(tree, module):
+            body = function.body if isinstance(function.body, list) else [function.body]
+            name = qualname.rsplit(".", 1)[-1]
+            if not any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                       and n.id == name for stmt in body for n in ast.walk(stmt)):
+                unread.append(qualname)
+    return unread
+
+
 def test_the_scan_finds_private_names_and_fields():
     found = [qualname for qualname, _ in _private_definitions()]
     assert "analytics._fmt" in found
-    assert "analytics.ExperimentRecord._opt_headers_written" in found
+    tree = ast.parse("@dataclass(frozen=True)\nclass Run:\n"
+                     "    name: str\n    _flag: bool = False\n")
+    assert [q for q, _ in _private_definitions({"m": tree})] == ["m.Run._flag"]
 
 
 def test_every_private_name_and_field_has_a_reader():
@@ -120,3 +160,19 @@ def test_every_public_function_class_and_method_has_a_reader():
 
 def test_every_allowed_name_is_an_unread_public_definition():
     assert sorted(ALLOWED - set(_unread(_public_definitions()))) == []
+
+
+def test_the_parameter_scan_finds_unread_parameters():
+    tree = ast.parse(
+        "def f(a, b, *args, c, _d, **kw):\n    return a + args[0] + kw['x']\n"
+        "class K:\n    def m(self, e, f=lambda g, h: g):\n        return self.f(e)\n")
+    assert _unread_parameters({"m": tree}) == ["m.f.b", "m.f.c", "m.K.m.f",
+                                               "m.K.m.<lambda>.h"]
+
+
+def test_every_parameter_is_read():
+    assert sorted(set(_unread_parameters()) - ALLOWED_UNREAD_PARAMETERS) == []
+
+
+def test_every_allowed_parameter_is_unread():
+    assert sorted(ALLOWED_UNREAD_PARAMETERS - set(_unread_parameters())) == []

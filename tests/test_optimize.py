@@ -348,13 +348,12 @@ def test_evaluate_structural_failure_is_penalty_not_crash():
     assert not res.feasible
 
 
-def test_evaluate_sim_error_is_penalty(ctx):
-    bad_trace = EventTrace(events=((0.0, 999, 16),), fps=0.0, n_frames=1)
-    bad_ctx = EvalContext(model=ctx.model, trace=bad_trace, base_hw=HW,
-                          space=ctx.space)
-    res = evaluate((1, 0, 1, 0, 1, 0), bad_ctx)
+def test_evaluate_sim_error_is_penalty(shallow_ctx):
+    # a trace that no design can replay fails the context instead (see
+    # test_context_no_genome_can_use_is_rejected); congestion is per design
+    res = evaluate((1, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0), shallow_ctx)
     assert res.violation == STRUCTURAL_VIOLATION
-    assert res.error is not None
+    assert res.error == "core 3 inbox exceeded depth 2"
 
 
 def test_evaluate_never_raises_across_space(ctx):
@@ -421,6 +420,20 @@ def test_clock_menu_value_overflowing_a_time_constant_is_rejected(ctx):
         replace(ctx, base_hw=replace(HW, t_hop=2.0), space=space)
     assert str(exc.value) == ("clock_menu value 1e+308: t_hop * clock_period "
                               "must be finite, got 2.0 * 1e+308")
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"space": GenomeSpace(n_layers=2, c_max=4)},
+     "genome space covers 2 layers, model has 3"),
+    ({"scheme": "bogus"}, "unknown scheme 'bogus', expected one of "
+                          "('strict-area', 'loose-area', 'strict-square')"),
+    ({"trace": EventTrace(events=((0.0, 3, 16), (0.0, 24, 16)), fps=0.0, n_frames=1)},
+     "trace event references input neuron 24, layer 0 has 24"),
+], ids=["space-of-another-model", "unknown-scheme", "trace-past-the-input-layer"])
+def test_context_no_genome_can_use_is_rejected(ctx, change, named):
+    with pytest.raises(OptimizeError) as exc:
+        replace(ctx, **change)
+    assert str(exc.value) == named
 
 
 def test_fidelity_objective_without_reference_rejected(ctx):

@@ -6,7 +6,8 @@ split, while the search repeats others. The pins hold the bytes of
 evaluations.csv (timestamp column removed), the running-best files and
 the report files, so any change to how a row or a report is formatted
 fails here, across commits; the worker-count tests compare two runs of
-one commit only.
+one commit only. The three runs together also pin the master index
+(run ids and paths removed) and a sweep table across them.
 """
 
 import csv
@@ -15,7 +16,13 @@ from dataclasses import replace
 
 import pytest
 
-from neuromap.analytics import EVAL_FIXED_COLUMNS, attach, finalize_run, open_run
+from neuromap.analytics import (
+    EVAL_FIXED_COLUMNS,
+    attach,
+    finalize_run,
+    open_run,
+    sweep_report,
+)
 from neuromap.optimize import RUNNERS, AlgoParams, EvalContext, GenomeSpace
 from neuromap.simcost import HardwareConfig
 from neuromap.workload import Layer, NetworkModel, synth_trace
@@ -77,6 +84,11 @@ PINNED = {
     },
 }
 
+# the index of the three runs above, and their sweep table (every run
+# reaches the same least energy, so each ratio is 1.0)
+INDEX_PIN = "b92569346da8002c04cb8cfed839a6eb88de65f041faf87459c6046a9a1b095d"
+SWEEP_PIN = "9f32adca61b63fc9c6f9091302a34cf2bcb52aad434394e54a461136c605e2e0"
+
 
 def toy_ctx(algo: str) -> EvalContext:
     model = NetworkModel(name="toy", edges=((0, 1),), layers=(
@@ -126,3 +138,39 @@ def test_run_files_are_pinned(tmp_path, algo):
     for name in SUMMARY_FILES:
         got[name] = _sha((record.sum_dir / name).read_bytes())
     assert got == PINNED[algo]
+
+
+def _without_cells(data: bytes, columns) -> bytes:
+    return b"\r\n".join(b",".join(b"" if i in columns else cell
+                                   for i, cell in enumerate(line.split(b",")))
+                        for line in data.split(b"\r\n"))
+
+
+@pytest.fixture(scope="module")
+def three_runs(tmp_path_factory):
+    """The three pinned runs, in one root, by algorithm."""
+    root = tmp_path_factory.mktemp("runs")
+    records = {}
+    for algo in sorted(PINNED):
+        ctx = toy_ctx(algo)
+        params = AlgoParams(algo=algo, population=8, generations=4, offspring=8)
+        record = open_run(root, "toy", algo, seed=1, params=params, hw=HW,
+                          gene_names=ctx.space.gene_names())
+        RUNNERS[algo](ctx, params, seed=1, on_generation=attach(record, ctx))
+        finalize_run(record)
+        records[algo] = record
+    return root, records
+
+
+def test_index_is_pinned(three_runs):
+    root, _ = three_runs
+    # run_id and path hold the stamp and the temporary root
+    data = _without_cells((root / "index.csv").read_bytes(), {0, 4})
+    assert _sha(data) == INDEX_PIN
+
+
+def test_sweep_table_is_pinned(three_runs):
+    root, records = three_runs
+    out = root / "sweep.csv"
+    sweep_report({algo: r.run_dir for algo, r in records.items()}, out)
+    assert _sha(out.read_bytes()) == SWEEP_PIN

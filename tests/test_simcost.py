@@ -209,7 +209,8 @@ def designs(draw):
         e_hop_per_flit=draw(st.floats(0, 5)), e_inject=draw(st.floats(0, 5)),
         p_static_core=draw(st.floats(0, 2)),
         t_npe_op=draw(st.floats(0.1, 5)), t_hop=draw(st.floats(0.1, 5)),
-        t_inject=draw(st.floats(0.1, 5)), queue_depth=10**9)
+        t_inject=draw(st.floats(0.1, 5)),
+        clock_period=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])), queue_depth=10**9)
     mapping = build_mapping(model, PartitionSpec(tuple(splits)))
     counts = [len(of_layer(mapping, l.id)) for l in layers]
     pairs = [{a, b} for a in range(n_layers) for b in range(a + 1, n_layers)
@@ -307,6 +308,9 @@ def reference_simulate(plan, hw):
     (core, upstream, loads, local, trees, work, fan_in, output, inputs,
      frame_times, fps, port_of) = plan
     depth = hw.queue_depth
+    t_npe_op, t_hop, t_inject = (hw.t_npe_op * hw.clock_period,
+                                 hw.t_hop * hw.clock_period,
+                                 hw.t_inject * hw.clock_period)
     links: dict[Link, _Port] = {}
     # core order as in mapping.layers_per_core: first appearance
     cores = {c: _Port(f"core {c} inbox", depth) for c in dict.fromkeys(core)}
@@ -360,11 +364,11 @@ def reference_simulate(plan, hw):
                  for (u, v, lk) in edges])
         inj_port, hops = ports
         # one injection serializes the whole multicast bundle
-        _, done = inj_port.acquire(t_emit, max(1, mult) * hw.t_inject)
+        _, done = inj_port.acquire(t_emit, max(1, mult) * t_inject)
         if mult > 0:
             charge_link(done, inj, mult * hw.e_inject)
         arrival = [done] * n_nodes
-        service = max(1, mult) * hw.t_hop
+        service = max(1, mult) * t_hop
         e_hop = flits * hw.e_hop_per_flit
         for (u, v, link, p) in hops:
             _, done_edge = p.acquire(arrival[u], service)
@@ -390,7 +394,7 @@ def reference_simulate(plan, hw):
     def deliver(t: float, payload) -> None:
         nonlocal sim_now, events_processed
         src, idx, mult, value = payload
-        _, done = inbox[idx].acquire(t, mult * work[idx] * hw.t_npe_op)
+        _, done = inbox[idx].acquire(t, mult * work[idx] * t_npe_op)
         if mult > 0:
             e = mult * (hw.e_ctrl_event + work[idx] * hw.e_npe_op)
             energy_core[core[idx]] += e
