@@ -256,8 +256,15 @@ def read_evaluations(run_dir) -> tuple[list[str], list[dict[str, str]]]:
         raise AnalyticsError(f"no evaluations.csv under {run_dir}")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        return header, [dict(zip(header, r)) for r in reader]
+        header = next(reader, [])
+        rows = [(reader.line_num, r) for r in reader]
+    if missing := [c for c in EVAL_FIXED_COLUMNS if c not in header]:
+        raise AnalyticsError(f"{path}: header lacks column {missing[0]!r}"
+                             if header else f"{path}: empty file")
+    for lineno, r in rows:
+        if len(r) != len(header):
+            raise AnalyticsError(f"{path}:{lineno}: expected {len(header)} fields, got {len(r)}")
+    return header, [dict(zip(header, r)) for _, r in rows]
 
 
 def _sum_dir_of(run_dir: Path) -> Path:

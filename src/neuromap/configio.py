@@ -1,6 +1,6 @@
-"""Block-structured plain-text config files, the row reader of the CSV
-data files (traces, mappings, end signals), and the one rule both use to
-read a typed value.
+"""Block-structured plain-text config files, the row reader and writer of
+the CSV data files (traces, mappings, end signals), and the one rule both
+readers use to read a typed value.
 
 Format: `[section]` headers followed by `key = value` lines. Unlike
 configparser, section names may repeat (workload files carry one
@@ -94,18 +94,21 @@ def format_blocks(blocks: list[tuple[str, dict[str, object]]]) -> str:
     return "\n".join(out)
 
 
+def entry_key(name: str, key: str) -> str:
+    """The block key holding key of the dict field name: weight_<key> for weights."""
+    return f"{name.removesuffix('s')}_{key}"
+
+
 def dataclass_block(obj) -> dict[str, object]:
-    """Section body echoing a dataclass instance, in field order: floats
-    written by repr, None fields skipped, and a dict field such as weights
-    written as one weight_<key> entry per key, in key order."""
+    """Section body echoing a dataclass instance, in field order: None
+    fields skipped, and a dict field such as weights written as one
+    entry_key entry per key, in key order. A float's str is its repr."""
     body: dict[str, object] = {}
     for f in dataclass_fields(obj):
         value = getattr(obj, f.name)
-        entries = ([(f"{f.name.removesuffix('s')}_{k}", value[k]) for k in sorted(value)]
+        entries = ([(entry_key(f.name, k), value[k]) for k in sorted(value)]
                    if isinstance(value, dict) else [(f.name, value)])
-        for key, v in entries:
-            if v is not None:
-                body[key] = repr(float(v)) if isinstance(v, float) else v
+        body.update((key, v) for key, v in entries if v is not None)
     return body
 
 
@@ -164,6 +167,14 @@ def parse_row(line: str, columns, where: str, error=ConfigFormatError) -> tuple:
         raise error(f"{where}: expected {len(columns)} fields, got {len(raw)}")
     return tuple(convert(text, kind, where, name, error)
                  for (name, kind), text in zip(columns, raw))
+
+
+def write_rows(path, columns, rows, preamble: str = "") -> None:
+    """Write preamble, then the CSV that read_rows reads back by columns, fields by str."""
+    line = ",".join(["{}"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(preamble + ",".join(name for name, _ in columns) + "\n")
+        fh.writelines(line.format(*row) for row in rows)
 
 
 def read_rows(path, columns, error, what: str = "header") -> list[tuple]:

@@ -129,9 +129,9 @@ def distortion_flag(peak: float, t_shift_ms: float, *, min_peak: float,
     return peak < min_peak or abs(t_shift_ms) > max_shift_ms
 
 
-_SIGNAL_COLUMNS = (("timestamp", float), ("value", float))
+SIGNAL_COLUMNS = (("timestamp", float), ("value", float))
 
 
 def load_end_signal(path, dt: float) -> EndSignal:
-    """Read an output_snapshot.csv (timestamp,value) and ZOH-resample."""
-    return resample(read_rows(path, _SIGNAL_COLUMNS, FidelityError), dt)
+    """Read an output_snapshot.csv of SIGNAL_COLUMNS and ZOH-resample."""
+    return resample(read_rows(path, SIGNAL_COLUMNS, FidelityError), dt)

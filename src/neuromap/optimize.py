@@ -23,7 +23,7 @@ from operator import add
 
 import numpy as np
 
-from .configio import MAX_SNAPSHOT_SAMPLES, check_numbers, convert, get_numbers, read_section
+from .configio import MAX_SNAPSHOT_SAMPLES, check_numbers, convert, entry_key, get_numbers, read_section
 from .fidelity import FidelityError, from_values, xcorr_score
 from .mesh import SCHEMES, MeshError, compress, place
 from .partition import (
@@ -89,6 +89,8 @@ class GenomeSpace:
             raise OptimizeError(f"axes_menu entries must be among {AXES}")
         for name in ("axes_menu", *MENU_GENES):
             menu = getattr(self, name)
+            if menu is not None and not menu:
+                raise OptimizeError(f"{name} has no entries")
             if menu is not None and len(set(menu)) != len(menu):
                 raise OptimizeError(f"{name} entries must be unique")
         if any(s not in SCHEMES for s in self.scheme_menu or ()):
@@ -380,12 +382,13 @@ def evaluate_batch(genomes, ctx: EvalContext, workers: int = 1,
 
         # the workers fork with SIGINT blocked, so a Ctrl-C stops only this
         # process, which then waits for the running tasks alone
-        pool = ProcessPoolExecutor(max_workers=workers)
+        chunk = 8  # genomes per task; the pool forks all its workers up front
+        pool = ProcessPoolExecutor(max_workers=min(workers, math.ceil(len(todo) / chunk)))
         try:
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
             try:
                 results = pool.map(partial(evaluate, ctx=ctx),
-                                   [g for g, _ in todo.values()], chunksize=8)
+                                   [g for g, _ in todo.values()], chunksize=chunk)
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             scored = list(results)
@@ -602,13 +605,13 @@ class AlgoParams:
 def load_algo_params(path) -> AlgoParams:
     """AlgoParams from the first [algorithm] section; absent keys keep the
     dataclass defaults, weight_<objective> keys fill the weights."""
-    weight_keys = {f"weight_{name}" for name in OBJECTIVE_NAMES}
+    weight_keys = {entry_key("weights", name): name for name in OBJECTIVE_NAMES}
     fields_ = read_section(path, "algorithm", {f.name for f in fields(AlgoParams)}
-                           - {"weights"} | weight_keys, OptimizeError)
+                           - {"weights"} | weight_keys.keys(), OptimizeError)
     kwargs = get_numbers(fields_, AlgoParams(), str(path))
     if "algo" in fields_:
         kwargs["algo"] = fields_["algo"]
-    weights = {key.removeprefix("weight_"): convert(fields_[key], float, str(path), key)
+    weights = {weight_keys[key]: convert(fields_[key], float, str(path), key)
                for key in fields_ if key in weight_keys}
     if weights:
         kwargs["weights"] = weights

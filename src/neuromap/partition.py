@@ -12,9 +12,9 @@ that core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from .configio import read_rows
+from .configio import read_rows, write_rows
 from .workload import Bitwidths, Layer, NetworkModel
 
 # axis -> (extent, stride) of a layer. Flat neuron order is channel-major,
@@ -237,11 +237,7 @@ _CSV_COLUMNS = tuple(zip(_CSV_HEADER.split(","), (int, int, str) + (int,) * 7))
 
 
 def save_mapping(mapping: Mapping, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_CSV_HEADER + "\n")
-        for a in mapping.assignments:
-            fh.write(f"{a.core_id},{a.layer_id},{a.axis},{a.range_start},"
-                     f"{a.range_end},{a.n_npc},{a.n_wpc},{a.n_bpc},{a.n_tpc},{a.m_pc}\n")
+    write_rows(path, _CSV_COLUMNS, map(astuple, mapping.assignments))
 
 
 def load_mapping(path) -> Mapping:

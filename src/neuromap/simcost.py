@@ -29,6 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from heapq import heapify, heappop, heappush
 from operator import add, itemgetter
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +41,9 @@ from .configio import (
     format_blocks,
     get_numbers,
     read_section,
+    write_rows,
 )
+from .fidelity import SIGNAL_COLUMNS
 from .mesh import MeshPlacement
 from .partition import Mapping, PartitionError, axis_shape, axis_unit, range_counts
 from .workload import EventTrace, Layer, NetworkModel, firing_masks, frame_time
@@ -100,8 +103,7 @@ def load_hw_config(path) -> HardwareConfig:
 
 
 def save_hw_config(hw: HardwareConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_blocks([("hardware", dataclass_block(hw))]))
+    Path(path).write_text(format_blocks([("hardware", dataclass_block(hw))]), encoding="utf-8")
 
 
 Link = tuple[tuple[int, int], tuple[int, int]]
@@ -641,15 +643,15 @@ def link_label(link: Link) -> str:
 def write_run_files(report: CostReport, outdir, settings: dict | None = None,
                     snapshot_every: float | None = None) -> None:
     """Write the per-run file set: summary, snapshots, end signal, settings."""
-    import os
     every = snapshot_every
     if every is None:
         every = report.duration / 50 if report.duration > 0 else 1.0
         every = max(every, 1e-12)
     times, core_rows, link_rows = snapshot(report, every)
-    os.makedirs(outdir, exist_ok=True)
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
-    with open(os.path.join(outdir, "summary.txt"), "w", encoding="utf-8") as fh:
+    with open(outdir / "summary.txt", "w", encoding="utf-8") as fh:
         fh.write(f"total_energy = {report.total_energy!r}\n")
         fh.write(f"static_energy = {report.static_energy!r}\n")
         fh.write(f"latency_end_to_end = {report.latency_end_to_end!r}\n")
@@ -664,20 +666,13 @@ def write_run_files(report: CostReport, outdir, settings: dict | None = None,
     # snapshot() keys both row tables in sorted order
     for name, rows, label in (("snapshots_cores.csv", core_rows, "core_{}".format),
                               ("snapshots_interconnects.csv", link_rows, link_label)):
-        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-            fh.write("time," + ",".join(label(k) for k in rows) + "\n")
-            fh.writelines(f"{t!r},{','.join(map(repr, vals))}\n"
-                          for t, *vals in zip(times, *rows.values()))
-
-    with open(os.path.join(outdir, "output_snapshot.csv"), "w", encoding="utf-8") as fh:
-        fh.write("timestamp,value\n")
-        for (t, v) in report.end_signal:
-            fh.write(f"{t!r},{v!r}\n")
+        write_rows(outdir / name, [("time", float)] + [(label(k), float) for k in rows],
+                   zip(times, *rows.values()))
+    write_rows(outdir / "output_snapshot.csv", SIGNAL_COLUMNS, report.end_signal)
 
     # csv quotes a value holding a comma, quote or newline; others keep
     # their str() bytes
-    with open(os.path.join(outdir, "gui_setting.csv"), "w", encoding="utf-8",
-              newline="") as fh:
+    with open(outdir / "gui_setting.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("key", "value"))
         writer.writerows((k, str(settings[k])) for k in sorted(settings or {}))

@@ -27,6 +27,7 @@ from .configio import (
     get_value,
     parse_blocks_file,
     parse_rows,
+    write_rows,
 )
 
 ALLOWED_BITWIDTHS = (4, 8, 16)
@@ -87,7 +88,7 @@ class Bitwidths:
     weights: int = 8
 
     def __post_init__(self):
-        for name, value in (("states", self.states), ("outputs", self.outputs), ("weights", self.weights)):
+        for name, value in vars(self).items():
             if value not in ALLOWED_BITWIDTHS:
                 raise WorkloadError(f"bw_{name} must be one of {ALLOWED_BITWIDTHS}, got {value}")
 
@@ -218,9 +219,24 @@ def _chain_edges(n_layers: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(n_layers - 1))
 
 
-_NETWORK_KEYS = ("name", "fps", "bw_states", "bw_outputs", "bw_weights", "edges")
-_LAYER_KEYS = ("kind", "neurons", "channels", "height", "width", "weights",
-              "biases", "rate", "snn")
+# .net keys read and written as-is, in write order: key -> (field or None if alike, type, default)
+_VALUES = {"network": {"fps": ("frame_rate_fps", int, 0), "bw_states": ("states", int, 16),
+                       "bw_outputs": ("outputs", int, 16), "bw_weights": ("weights", int, 8)},
+           "layer": {"weights": (None, int, 0), "biases": (None, int, 0),
+                     "rate": ("avg_event_rate", float, 0.0), "snn": ("is_snn", bool, True)}}
+_NETWORK_KEYS = ("name", *_VALUES["network"], "edges")
+_LAYER_KEYS = ("kind", "neurons", "channels", "height", "width", *_VALUES["layer"])
+
+
+def _from_block(section: str, fields: dict[str, str], source: str) -> dict:
+    """field -> value of section's as-is keys; an absent key gives its default."""
+    return {name or key: get_value(fields, key, kind, default, source)
+            for key, (name, kind, default) in _VALUES[section].items()}
+
+
+def _to_block(section: str, attrs: dict) -> dict[str, object]:
+    """key -> value of section's as-is keys, read off attrs (field -> value)."""
+    return {key: attrs[name or key] for key, (name, _, _) in _VALUES[section].items()}
 
 
 def _layer_from_block(idx: int, fields: dict[str, str], source: str) -> Layer:
@@ -240,17 +256,8 @@ def _layer_from_block(idx: int, fields: dict[str, str], source: str) -> Layer:
                 f"layer {idx}: neurons={declared} but channels*height*width="
                 f"{channels * height * width}"
             )
-    return Layer(
-        id=idx,
-        kind=kind,
-        channels=channels,
-        height=height,
-        width=width,
-        weights=get_value(fields, "weights", int, 0, source),
-        biases=get_value(fields, "biases", int, 0, source),
-        is_snn=get_value(fields, "snn", bool, True, source),
-        avg_event_rate=get_value(fields, "rate", float, 0.0, source),
-    )
+    return Layer(id=idx, kind=kind, channels=channels, height=height, width=width,
+                 **_from_block("layer", fields, source))
 
 
 def _parse_edges(raw: str, source: str) -> tuple[tuple[int, int], ...]:
@@ -289,45 +296,22 @@ def load_network(path) -> NetworkModel:
         raise ConfigFormatError(f"{path}: no [layer] blocks")
     edges_raw = net_fields.get("edges")
     edges = _parse_edges(edges_raw, str(path)) if edges_raw else _chain_edges(len(layers))
-    return NetworkModel(
-        name=net_fields.get("name", "unnamed"),
-        layers=tuple(layers),
-        edges=edges,
-        bitwidths=Bitwidths(
-            states=get_value(net_fields, "bw_states", int, 16, str(path)),
-            outputs=get_value(net_fields, "bw_outputs", int, 16, str(path)),
-            weights=get_value(net_fields, "bw_weights", int, 8, str(path)),
-        ),
-        frame_rate_fps=get_value(net_fields, "fps", int, 0, str(path)),
-    )
+    values = _from_block("network", net_fields, str(path))
+    fps = values.pop("frame_rate_fps")
+    return NetworkModel(name=net_fields.get("name", "unnamed"), layers=tuple(layers),
+                        edges=edges, bitwidths=Bitwidths(**values), frame_rate_fps=fps)
 
 
 def save_network(model: NetworkModel, path) -> None:
-    net: dict[str, object] = {
-        "name": model.name,
-        "fps": model.frame_rate_fps,
-        "bw_states": model.bitwidths.states,
-        "bw_outputs": model.bitwidths.outputs,
-        "bw_weights": model.bitwidths.weights,
-    }
+    net = {"name": model.name, **_to_block("network", vars(model) | vars(model.bitwidths))}
     if model.edges != _chain_edges(len(model.layers)):
         net["edges"] = ",".join(f"{s}>{d}" for (s, d) in model.edges)
     blocks: list[tuple[str, dict[str, object]]] = [("network", net)]
     for layer in model.layers:
-        fields: dict[str, object] = {"kind": layer.kind}
-        if layer.kind == "dense":
-            fields["neurons"] = layer.width
-        else:
-            fields["channels"] = layer.channels
-            fields["height"] = layer.height
-            fields["width"] = layer.width
-        fields["weights"] = layer.weights
-        fields["biases"] = layer.biases
-        fields["rate"] = repr(layer.avg_event_rate)
-        fields["snn"] = layer.is_snn
-        blocks.append(("layer", fields))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_blocks(blocks))
+        shape = ({"neurons": layer.width} if layer.kind == "dense" else dict(
+            channels=layer.channels, height=layer.height, width=layer.width))
+        blocks.append(("layer", {"kind": layer.kind, **shape, **_to_block("layer", vars(layer))}))
+    Path(path).write_text(format_blocks(blocks), encoding="utf-8")
 
 
 def synth_trace(model: NetworkModel, n_frames: int, fps: float, seed: int) -> EventTrace:
@@ -353,27 +337,28 @@ def synth_trace(model: NetworkModel, n_frames: int, fps: float, seed: int) -> Ev
     return EventTrace(events=tuple(events), fps=fps, n_frames=n_frames)
 
 
-def save_trace(trace: EventTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# fps={trace.fps!r} frames={trace.n_frames}\n")
-        fh.write("timestamp,neuron_id,payload_bits\n")
-        for (t, nid, bits) in trace.events:
-            fh.write(f"{t!r},{nid},{bits}\n")
-
-
+# a trace file's line 1, its frame grid, which timestamps alone cannot tell
+_GRID_LINE = "# fps={} frames={}"
 _TRACE_COLUMNS = (("timestamp", float), ("neuron_id", int), ("payload_bits", int))
 
 
+def save_trace(trace: EventTrace, path) -> None:
+    write_rows(path, _TRACE_COLUMNS, trace.events,
+               _GRID_LINE.format(trace.fps, trace.n_frames) + "\n")
+
+
 def load_trace(path) -> EventTrace:
-    """Read a trace written by save_trace. Line 1 must be its
-    '# fps=<f> frames=<n>' grid line, since the timestamps alone cannot
-    tell the grid, and line 2 its header."""
+    """Read a trace written by save_trace: line 1 its grid line, holding
+    fps and frames once each and nothing else, then its header and rows."""
+    grid_line = repr(_GRID_LINE.format("<f>", "<n>"))
     with open(path, "r", encoding="utf-8") as fh:
         line = fh.readline().strip()
-        grid = (dict(token.partition("=")[::2] for token in line[1:].split())
-                if line.startswith("#") else {})
-        if "fps" not in grid or "frames" not in grid:
-            raise WorkloadError(f"{path}: missing the '# fps=<f> frames=<n>' line")
+        if not line.startswith("#"):
+            raise WorkloadError(f"{path}: missing the {grid_line} line")
+        tokens = [token.partition("=") for token in line[1:].split()]
+        if sorted(key for key, _, _ in tokens) != ["fps", "frames"]:
+            raise WorkloadError(f"{path}:1: expected {grid_line}, got {line!r}")
+        grid = {key: value for key, _, value in tokens}
         fps = convert(grid["fps"], float, f"{path}:1", "fps")
         n_frames = convert(grid["frames"], int, f"{path}:1", "frames")
         events = parse_rows(fh, path, _TRACE_COLUMNS, WorkloadError,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from neuromap import fidelity, optimize, simcost, workload
+from neuromap.analytics import EVAL_FIXED_COLUMNS
 from neuromap.cli import build_parser, main, packaged_config
 from neuromap.mesh import compress, place
 from neuromap.optimize import load_algo_params
@@ -683,9 +684,10 @@ def test_optimize_zero_workers_fails_before_the_run_tree(algo, net_path, tmp_pat
      "pso needs a nonzero weight_<objective> for one of latency, area"),
     ("nsga2", ["--trace", "far.csv"],
      "trace event references input neuron 24, layer 0 has 24"),
+    ("nsga2", ["--npes-menu", ","], "npes_menu has no entries"),
 ], ids=["single-objective", "fidelity-without-reference", "repeated-objective",
         "unusable-menu-value", "ga-unweighted-objective", "pso-unweighted-objectives",
-        "trace-past-the-input-layer"])
+        "trace-past-the-input-layer", "empty-menu"])
 def test_optimize_search_errors_fail_before_the_run_tree(algo, flags, named, net_path,
                                                          tmp_path, capsys, monkeypatch):
     # far.csv fires the first neuron past the toy's 24 inputs
@@ -762,6 +764,25 @@ def test_report_cli(net_path, tmp_path, capsys):
     assert rc == 1 and "bogus" in stderr
     rc, _, stderr = run_cli(["report"], capsys)
     assert rc == 1
+
+
+EVAL_HEADER = ",".join(EVAL_FIXED_COLUMNS)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("", ": empty file"),
+    (EVAL_HEADER.replace("violation,", "") + "\n0,0\n", ": header lacks column 'violation'"),
+    (EVAL_HEADER + "\n0,0\n", f":2: expected {len(EVAL_FIXED_COLUMNS)} fields, got 2"),
+], ids=["empty", "header-without-violation", "short-row"])
+@pytest.mark.parametrize("mode", ["run", "sweep"])
+def test_report_on_a_malformed_evaluations_csv_is_domain_error(tmp_path, capsys, text,
+                                                                named, mode):
+    path = tmp_path / "evaluations.csv"
+    path.write_text(text)
+    args = (["--run", tmp_path] if mode == "run" else
+            ["--sweep", f"a={tmp_path}", "--out", tmp_path / "sweep.csv"])
+    rc, stdout, stderr = run_cli(["report", *args], capsys)
+    assert (rc, stdout, stderr) == (1, "", f"error: {path}{named}\n")
 
 
 def test_report_sweep(net_path, tmp_path, capsys):

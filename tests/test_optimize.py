@@ -123,6 +123,12 @@ def test_space_rejects_duplicate_menu_entries():
         GenomeSpace(n_layers=1, npes_menu=(2, 2))
 
 
+@pytest.mark.parametrize("name", list(optimize.MENU_GENES))
+def test_space_rejects_an_empty_menu(name):
+    with pytest.raises(OptimizeError, match=f"^{name} has no entries$"):
+        GenomeSpace(n_layers=1, **{name: ()})
+
+
 def test_space_rejects_unknown_axis():
     with pytest.raises(OptimizeError):
         GenomeSpace(n_layers=1, axes_menu=("layer", "depth"))
@@ -569,6 +575,39 @@ def test_batch_memo_dispatches_each_new_genome_once(ctx, monkeypatch):
     for batch, results in zip(batches, got):
         assert [r.genome for r in results] == batch
         assert results == [evaluate(g, ctx) for g in batch]
+
+
+def test_pool_has_no_more_workers_than_chunks(ctx, monkeypatch):
+    """The pool forks all its workers at its first task, so a batch gets no
+    more of them than it has chunks of new designs to score."""
+    sizes = []
+
+    class InlinePool:
+        """ProcessPoolExecutor stand-in: records its size, maps in this
+        process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures):
+            pass
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    designs = {}
+    for g in itertools.product(range(1, 5), range(4), repeat=3):
+        try:
+            designs.setdefault(design_key_of(g, ctx), g)
+        except optimize._DOMAIN_ERRORS:
+            continue
+    genomes = list(designs.values())
+    assert len(genomes) >= 23
+    evaluate_batch(genomes[:3], ctx, workers=8)
+    # 20 new designs make 3 chunks of at most 8
+    evaluate_batch(genomes[3:23], ctx, workers=2)
+    evaluate_batch(genomes[3:23], ctx, workers=8)
+    assert sizes == [1, 2, 3]
 
 
 POOL_MODULES = ("concurrent.futures", "multiprocessing", "socket", "logging")

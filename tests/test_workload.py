@@ -258,7 +258,11 @@ def test_headerless_trace_is_rejected(tmp_path):
      "# fps=0.0 frames=3\n", "t.csv:4: expected 3 fields, got 1"),
     ("timestamp,neuron_id,payload_bits\n0.0,0,16\n# fps=0.0 frames=1\n",
      "t.csv: missing the '# fps=<f> frames=<n>' line"),
-], ids=["second-grid-line", "grid-line-after-rows"])
+    ("# fps=30 frames=3 fps=0\ntimestamp,neuron_id,payload_bits\n0.0,0,16\n",
+     "t.csv:1: expected '# fps=<f> frames=<n>', got '# fps=30 frames=3 fps=0'"),
+    ("# fps=30 frames=3 colour=blue\ntimestamp,neuron_id,payload_bits\n0.0,0,16\n",
+     "t.csv:1: expected '# fps=<f> frames=<n>', got '# fps=30 frames=3 colour=blue'"),
+], ids=["second-grid-line", "grid-line-after-rows", "repeated-fps", "unknown-token"])
 def test_trace_grid_comes_from_line_1_only(tmp_path, text, message):
     p = tmp_path / "t.csv"
     p.write_text(text)
