@@ -30,17 +30,20 @@ import time
 from dataclasses import dataclass
 from datetime import datetime
 from functools import reduce
-from operator import add
+from operator import add, call, itemgetter
 from pathlib import Path
 
-from .configio import dataclass_block, format_blocks
+from .configio import convert, dataclass_block, format_blocks
 from .optimize import OBJECTIVE_NAMES, AlgoParams, EvalResult, dominance, simulate_genome
 from .simcost import HardwareConfig, write_run_files
 
 SNAPSHOT_POLICIES = ("all", "bests", "sampled")
 
-EVAL_FIXED_COLUMNS = ("eval_index", "generation", "timestamp", "violation",
-                      *OBJECTIVE_NAMES, "n_cores", "mesh_rows", "mesh_cols", "error")
+# evaluations.csv's fixed columns and their cell types; gene columns follow, as ints
+_EVAL_COLUMNS = (("eval_index", int), ("generation", int), ("timestamp", float),
+                 ("violation", float), *((name, float) for name in OBJECTIVE_NAMES),
+                 ("n_cores", int), ("mesh_rows", int), ("mesh_cols", int), ("error", str))
+EVAL_FIXED_COLUMNS = tuple(name for name, _ in _EVAL_COLUMNS)
 
 
 class AnalyticsError(ValueError):
@@ -182,15 +185,17 @@ def record_evaluation(record: ExperimentRecord, results, ctx=None) -> None:
     if record.closed:
         raise AnalyticsError("record is closed")
     rows, flagged = [], []
+    formats = [_fmt if kind is float else str for _, kind in _EVAL_COLUMNS]
+    formats += [str] * len(record.gene_names)
     for result in results:
         idx = record.eval_index
         record.eval_index += 1
         now = max(time.time(), record.last_timestamp)
         record.last_timestamp = now
-        rows.append([str(idx), str(record.generation), _fmt(now), _fmt(result.violation),
-                     *map(_fmt, result.objectives.as_tuple(OBJECTIVE_NAMES)),
-                     str(result.n_cores), *map(str, result.mesh_shape),
-                     result.error or "", *map(str, result.genome)])
+        values = (idx, record.generation, now, result.violation,
+                  *result.objectives.as_tuple(OBJECTIVE_NAMES), result.n_cores,
+                  *result.mesh_shape, result.error or "", *result.genome)
+        rows.append([fmt(v) for fmt, v in zip(formats, values, strict=True)])
         channels = _channels(record, result, idx)
         if channels:
             flagged.append((result, idx, now, channels))
@@ -250,21 +255,35 @@ def finalize_run(record: ExperimentRecord) -> None:
 
 # --- report generation (pure functions of evaluations.csv) ---
 
-def read_evaluations(run_dir) -> tuple[list[str], list[dict[str, str]]]:
+def read_evaluations(run_dir) -> tuple[list[str], list[dict[str, object]]]:
+    """Header and rows of evaluations.csv, each cell read as its column's
+    type; AnalyticsError names the line and column of a cell that is not."""
     path = Path(run_dir) / "evaluations.csv"
     if not path.exists():
         raise AnalyticsError(f"no evaluations.csv under {run_dir}")
+    known = dict(_EVAL_COLUMNS)
+    typed = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [(reader.line_num, r) for r in reader]
-    if missing := [c for c in EVAL_FIXED_COLUMNS if c not in header]:
-        raise AnalyticsError(f"{path}: header lacks column {missing[0]!r}"
-                             if header else f"{path}: empty file")
-    for lineno, r in rows:
-        if len(r) != len(header):
-            raise AnalyticsError(f"{path}:{lineno}: expected {len(header)} fields, got {len(r)}")
-    return header, [dict(zip(header, r)) for _, r in rows]
+        if missing := [c for c in EVAL_FIXED_COLUMNS if c not in header]:
+            raise AnalyticsError(f"{path}: header lacks column {missing[0]!r}"
+                                 if header else f"{path}: empty file")
+        columns = [(c, known.get(c, int)) for c in header]
+        kinds = [kind for _, kind in columns]
+        # each row is converted as it is read, so the text rows are never all held
+        for r in reader:
+            if len(r) != len(header):
+                raise AnalyticsError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                     f"fields, got {len(r)}")
+            try:
+                typed.append(dict(zip(header, map(call, kinds, r))))
+            except ValueError:
+                # convert is slower, so it only words the error
+                for (name, kind), text in zip(columns, r):
+                    convert(text, kind, f"{path}:{reader.line_num}", name, AnalyticsError)
+                raise
+    return header, typed
 
 
 def _sum_dir_of(run_dir: Path) -> Path:
@@ -283,8 +302,8 @@ def _aggregate(rows, key_of, out_path: Path, key_name: str,
     out = []
     for key in sorted(groups):
         g = groups[key]
-        es = [float(r["energy"]) for r in g]
-        ls = [float(r["latency"]) for r in g]
+        es = [r["energy"] for r in g]
+        ls = [r["latency"] for r in g]
         # left folds: Python 3.12's sum() compensates, which moves means
         out.append([label_of(key), str(len(g)), _fmt(min(es)),
                     _fmt(reduce(add, es, 0.0) / len(es)), _fmt(min(ls)),
@@ -309,15 +328,10 @@ def relative_energy_table(rows, group_key: str) -> list[tuple[str, float, float]
     for r in rows:
         if group_key not in r:
             raise AnalyticsError(f"unknown group key {group_key!r}")
-        groups.setdefault(r[group_key], []).append(float(r["energy"]))
+        groups.setdefault(r[group_key], []).append(r["energy"])
     if not groups:
         raise AnalyticsError("no feasible evaluations to report")
-    def sort_key(k):
-        try:
-            return (0, float(k))
-        except ValueError:
-            return (1, k)
-    return _relative({k: min(groups[k]) for k in sorted(groups, key=sort_key)})
+    return _relative({k: min(groups[k]) for k in sorted(groups)})
 
 
 def report_run(run_dir, group_key: str = "n_cores") -> dict[str, Path]:
@@ -328,19 +342,17 @@ def report_run(run_dir, group_key: str = "n_cores") -> dict[str, Path]:
     """
     run_dir = Path(run_dir)
     _, rows = read_evaluations(run_dir)
-    feasible = [r for r in rows if float(r["violation"]) == 0.0]
+    feasible = [r for r in rows if r["violation"] == 0.0]
     if not feasible:
         raise AnalyticsError("no feasible evaluations to report")
     sum_dir = _sum_dir_of(run_dir)
 
     out: dict[str, Path] = {}
     out["plot_cores"] = sum_dir / "plot_cores"
-    _aggregate(feasible, lambda r: int(r["n_cores"]), out["plot_cores"],
-               "n_cores")
+    _aggregate(feasible, itemgetter("n_cores"), out["plot_cores"], "n_cores")
     out["plot_interconnect"] = sum_dir / "plot_interconnect"
-    _aggregate(feasible, lambda r: (int(r["mesh_rows"]), int(r["mesh_cols"])),
-               out["plot_interconnect"], "mesh",
-               label_of=lambda k: f"{k[0]}x{k[1]}")
+    _aggregate(feasible, itemgetter("mesh_rows", "mesh_cols"), out["plot_interconnect"],
+               "mesh", label_of=lambda k: f"{k[0]}x{k[1]}")
 
     out["plot_relative_energy"] = sum_dir / "plot_relative_energy"
     _write_rows(out["plot_relative_energy"],
@@ -351,8 +363,8 @@ def report_run(run_dir, group_key: str = "n_cores") -> dict[str, Path]:
     out["pareto"] = sum_dir / "pareto.csv"
     gene_cols = [c for c in rows[0] if c not in EVAL_FIXED_COLUMNS]
     # each distinct row once: repeated genomes would only grow the matrix
-    keys = list(dict.fromkeys((float(r["energy"]), float(r["latency"]),
-                               tuple(r[c] for c in gene_cols)) for r in feasible))
+    keys = list(dict.fromkeys((r["energy"], r["latency"], tuple(r[c] for c in gene_cols))
+                              for r in feasible))
     beaten = dominance([0.0] * len(keys), [k[:2] for k in keys]).any(axis=0)
     front = sorted((k for k, b in zip(keys, beaten) if not b), key=lambda k: k[:2])
     _write_rows(out["pareto"], [(_fmt(e), _fmt(l), *genes) for e, l, genes in front],
@@ -366,8 +378,7 @@ def sweep_report(records: dict[str, Path], out_path) -> None:
     mins = {}
     for label, run_dir in records.items():
         _, evals = read_evaluations(run_dir)
-        feas = [float(r["energy"]) for r in evals
-                if float(r["violation"]) == 0.0]
+        feas = [r["energy"] for r in evals if r["violation"] == 0.0]
         if not feas:
             raise AnalyticsError(f"run {label!r} has no feasible evaluations")
         mins[label] = min(feas)

@@ -1,12 +1,11 @@
 """Integer-genome search over mappings and architecture parameters.
 
 A genome is (n_cores, axis) per layer plus optional global menu genes
-(NPEs, weight bit-width, memory, clock, flit width, frame rate, mesh
-scheme). Decoding never clamps: a gene of value v gives v cores or entry
-v of its menu. Structurally impossible genomes surface as constraint
-violations during evaluation, not as decode errors. Constraint handling
-is feasibility-first: any memory-bound violator ranks below every
-feasible candidate.
+(NPEs, weight bit-width, frame rate, mesh scheme). Decoding never clamps:
+a gene of value v gives v cores or entry v of its menu. Structurally
+impossible genomes surface as constraint violations during evaluation,
+not as decode errors. Constraint handling is feasibility-first: any
+memory-bound violator ranks below every feasible candidate.
 
 The NPE count scales per-op energy and static power linearly (the base
 config expresses per-lane costs), so more NPEs buy time, not free energy.
@@ -40,8 +39,10 @@ from .workload import EventTrace, NetworkModel, WorkloadError, retime_trace
 PENALTY_BASE = 1e18
 STRUCTURAL_VIOLATION = 1e12
 
-# fidelity penalty per ms of end-signal shift, on top of 1 - peak
+# the fidelity penalty reads end signals as one sample per SIGNAL_DT ms and
+# adds SHIFT_WEIGHT per ms of shift to 1 - peak
 SHIFT_WEIGHT = 1e-3
+SIGNAL_DT = 1.0
 
 
 class OptimizeError(ValueError):
@@ -49,19 +50,16 @@ class OptimizeError(ValueError):
 
 
 # Optional architecture genes, in gene order; a space carries one gene per
-# non-None menu. Each entry is GenomeSpace menu field -> (decoded slot it
-# sets, apply(slot value, menu value) -> slot value). The slots are "hw",
-# "model", "scheme" and "fps". Only the NPE row writes e_npe_op and
-# p_static_core, so scaling the slot's hw scales the base's figures.
+# non-None menu, and every GenomeSpace menu field has a row here. Each entry
+# is menu field -> (decoded slot it sets, apply(slot value, menu value) ->
+# slot value). The slots are "hw", "model", "scheme" and "fps". The NPE row
+# scales e_npe_op and p_static_core from the base's per-lane figures.
 MENU_GENES = {
     "npes_menu": ("hw", lambda hw, n: replace(
         hw, npes_per_core=int(n), e_npe_op=hw.e_npe_op * int(n),
         p_static_core=hw.p_static_core * int(n))),
     "bw_weights_menu": ("model", lambda m, bw: replace(
         m, bitwidths=replace(m.bitwidths, weights=int(bw)))),
-    "mem_menu": ("hw", lambda hw, v: replace(hw, mem_per_core=int(v))),
-    "clock_menu": ("hw", lambda hw, v: hw.scaled_times(float(v))),
-    "flit_menu": ("hw", lambda hw, v: replace(hw, flit_bits=int(v))),
     "fps_menu": ("fps", lambda _, v: float(v)),
     "scheme_menu": ("scheme", lambda _, v: str(v)),
 }
@@ -73,21 +71,18 @@ class GenomeSpace:
 
     n_layers: int
     c_max: int = 16
-    axes_menu: tuple[str, ...] = AXES
     npes_menu: tuple[int, ...] | None = None
     bw_weights_menu: tuple[int, ...] | None = None
-    mem_menu: tuple[int, ...] | None = None
-    clock_menu: tuple[float, ...] | None = None
-    flit_menu: tuple[int, ...] | None = None
     fps_menu: tuple[float, ...] | None = None
     scheme_menu: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n_layers < 1 or self.c_max < 1:
             raise OptimizeError("n_layers and c_max must be >= 1")
-        if not self.axes_menu or any(a not in AXES for a in self.axes_menu):
-            raise OptimizeError(f"axes_menu entries must be among {AXES}")
-        for name in ("axes_menu", *MENU_GENES):
+        # sample() draws below c_max + 1, which must fit an int64
+        if self.c_max >= 2**63 - 1:
+            raise OptimizeError(f"c_max must be < 2**63 - 1, got {self.c_max}")
+        for name in MENU_GENES:
             menu = getattr(self, name)
             if menu is not None and not menu:
                 raise OptimizeError(f"{name} has no entries")
@@ -115,7 +110,7 @@ class GenomeSpace:
         lo, hi = [], []
         for _ in range(self.n_layers):
             lo += [1, 0]
-            hi += [self.c_max, len(self.axes_menu) - 1]
+            hi += [self.c_max, len(AXES) - 1]
         for (_, menu) in self._menus():
             lo.append(0)
             hi.append(len(menu) - 1)
@@ -148,16 +143,15 @@ def decode(genome, model: NetworkModel, base_hw: HardwareConfig,
            space: GenomeSpace, default_scheme: str = "strict-area"):
     """(PartitionSpec, HardwareConfig, scheme, fps_override).
 
-    fps_override is None unless the space carries an fps gene. Clock menu
-    values multiply the base clock_period. NPE count scales e_npe_op and
-    p_static_core relative to the base's per-lane figures. The weight
-    bit-width gene is left to decode_model.
+    fps_override is None unless the space carries an fps gene. NPE count
+    scales e_npe_op and p_static_core relative to the base's per-lane
+    figures. The weight bit-width gene is left to decode_model.
     """
     space.validate_genome(genome)
     splits = []
     for i in range(space.n_layers):
         n_cores = int(genome[2 * i])
-        axis = space.axes_menu[int(genome[2 * i + 1])]
+        axis = AXES[int(genome[2 * i + 1])]
         splits.append(LayerSplit(n_cores=n_cores, axis=axis))
     slots = _apply_menus(genome, space, {"hw": base_hw, "scheme": default_scheme,
                                          "fps": None})
@@ -194,7 +188,6 @@ class EvalContext:
     scheme: str = "strict-area"
     objective_names: tuple[str, ...] = ("energy", "latency")
     reference: tuple[float, ...] | None = None
-    signal_dt: float = 1.0
 
     def __post_init__(self):
         if not self.objective_names:
@@ -256,8 +249,8 @@ def fidelity_penalty_of(end_signal, ctx: EvalContext) -> float:
         return 0.0
     values = [v for (_, v) in end_signal]
     try:
-        peak, shift_ms = xcorr_score(from_values(values, ctx.signal_dt),
-                                     from_values(ctx.reference, ctx.signal_dt))
+        peak, shift_ms = xcorr_score(from_values(values, SIGNAL_DT),
+                                     from_values(ctx.reference, SIGNAL_DT))
     except FidelityError:
         return 1.0
     return (1.0 - peak) + SHIFT_WEIGHT * abs(shift_ms)

@@ -26,7 +26,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from heapq import heapify, heappop, heappush
 from operator import add, itemgetter
 from pathlib import Path
@@ -89,11 +89,6 @@ class HardwareConfig:
             if not math.isfinite(t * self.clock_period):
                 raise SimError(f"{name} * clock_period must be finite, got "
                                f"{t!r} * {self.clock_period!r}")
-
-    def scaled_times(self, factor: float) -> "HardwareConfig":
-        """Copy with clock_period, and so every time constant the
-        simulator uses, multiplied by factor."""
-        return replace(self, clock_period=self.clock_period * factor)
 
 
 def load_hw_config(path) -> HardwareConfig:

@@ -129,11 +129,11 @@ def test_record_evaluation_appends_rows(tmp_path, snap_ctx):
     header, rows = read_evaluations(rec.run_dir)
     assert len(rows) == 1
     row = rows[0]
-    assert row["eval_index"] == "0"
-    assert row["generation"] == "0"
-    assert float(row["energy"]) == 10.0
-    assert float(row["latency"]) == 5.0
-    assert row["cores_l0"] == "1"
+    assert row["eval_index"] == 0
+    assert row["generation"] == 0
+    assert row["energy"] == 10.0
+    assert row["latency"] == 5.0
+    assert row["cores_l0"] == 1
     assert row["error"] == ""
 
 
@@ -243,7 +243,7 @@ def test_record_generation_running_bests(tmp_path, snap_ctx):
     assert lat[3] == "2,10.0,5.0,1,0,1,0"  # latency best unchanged
     # evaluations after a generation mark carry the next generation id
     _, rows = read_evaluations(rec.run_dir)
-    assert [r["generation"] for r in rows] == ["1", "2"]
+    assert [r["generation"] for r in rows] == [1, 2]
 
 
 def test_ga_smoke_row_count_and_monotone_timestamps(tmp_path):

@@ -206,6 +206,21 @@ def test_integer_hardware_value_past_int64_is_domain_error(net_path, tmp_path, c
     assert stderr == "error: flit_bits must be < 2**63, got 99999999999999999999\n"
 
 
+@pytest.mark.parametrize("body, named", [
+    ("flit_bits = 0", "flit_bits must be >= 1"),
+    ("t_hop = 2.0\nclock_period = 1e308",
+     "t_hop * clock_period must be finite, got 2.0 * 1e+308"),
+], ids=["zero-flit", "clock-overflowing-a-time-constant"])
+def test_hardware_value_no_simulation_can_use_is_domain_error(net_path, tmp_path, capsys,
+                                                              body, named):
+    path = tmp_path / "hw.prm"
+    path.write_text(f"[hardware]\n{body}\n")
+    rc, _, stderr = run_cli(["simulate", "--workload", net_path, "--hw", path,
+                             "--frames", 2, "--out", tmp_path / "m"], capsys)
+    assert (rc, stderr) == (1, f"error: {named}\n")
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("key, named", [("e_inject", "total_energy is inf"),
                                         ("t_hop", "duration is inf")])
 def test_non_finite_result_is_domain_error(net_path, tmp_path, capsys, key, named):
@@ -685,9 +700,14 @@ def test_optimize_zero_workers_fails_before_the_run_tree(algo, net_path, tmp_pat
     ("nsga2", ["--trace", "far.csv"],
      "trace event references input neuron 24, layer 0 has 24"),
     ("nsga2", ["--npes-menu", ","], "npes_menu has no entries"),
+    ("nsga2", ["--c-max", "99999999999999999999"],
+     "c_max must be < 2**63 - 1, got 99999999999999999999"),
+    ("nsga2", ["--c-max", "9223372036854775807"],
+     "c_max must be < 2**63 - 1, got 9223372036854775807"),
 ], ids=["single-objective", "fidelity-without-reference", "repeated-objective",
         "unusable-menu-value", "ga-unweighted-objective", "pso-unweighted-objectives",
-        "trace-past-the-input-layer", "empty-menu"])
+        "trace-past-the-input-layer", "empty-menu", "c-max-past-int64",
+        "c-max-at-int64-max"])
 def test_optimize_search_errors_fail_before_the_run_tree(algo, flags, named, net_path,
                                                          tmp_path, capsys, monkeypatch):
     # far.csv fires the first neuron past the toy's 24 inputs
@@ -783,6 +803,24 @@ def test_report_on_a_malformed_evaluations_csv_is_domain_error(tmp_path, capsys,
             ["--sweep", f"a={tmp_path}", "--out", tmp_path / "sweep.csv"])
     rc, stdout, stderr = run_cli(["report", *args], capsys)
     assert (rc, stdout, stderr) == (1, "", f"error: {path}{named}\n")
+
+
+@pytest.mark.parametrize("column, noun", [
+    ("violation", "a number"), ("latency", "a number"), ("n_cores", "an integer"),
+    ("cores_l0", "an integer"),
+])
+@pytest.mark.parametrize("mode", ["run", "sweep"])
+def test_report_names_the_cell_that_does_not_parse(tmp_path, capsys, column, noun, mode):
+    header = [*EVAL_FIXED_COLUMNS, "cores_l0"]
+    cells = {"timestamp": "1.0", "violation": "0.0", "energy": "1.0", "latency": "1.0",
+             "area": "1.0", "fidelity_penalty": "0.0", "error": "", column: "x"}
+    path = tmp_path / "evaluations.csv"
+    path.write_text(",".join(header) + "\n"
+                    + ",".join(cells.get(c, "1") for c in header) + "\n")
+    args = (["--run", tmp_path] if mode == "run" else
+            ["--sweep", f"a={tmp_path}", "--out", tmp_path / "sweep.csv"])
+    rc, stdout, stderr = run_cli(["report", *args], capsys)
+    assert (rc, stdout, stderr) == (1, "", f"error: {path}:2: {column} = 'x' is not {noun}\n")
 
 
 def test_report_sweep(net_path, tmp_path, capsys):

@@ -5,7 +5,9 @@ itself. Every private module-level name and private dataclass field needs
 one, and so does every public function, class, method and module-level
 assigned name, unless ALLOWED names it. Every function and lambda
 parameter other than self, cls and a name starting with "_" is read in
-its own body, unless ALLOWED_UNREAD_PARAMETERS names it.
+its own body, unless ALLOWED_UNREAD_PARAMETERS names it. Every name a
+module imports, other than `from __future__ import annotations`, is loaded
+in that module.
 
 The scan goes by name alone, so a method that shares its name with a
 method of a builtin type (add, update, get, ...) counts as read wherever
@@ -135,6 +137,22 @@ def _unread_parameters(trees=TREES) -> list[str]:
     return unread
 
 
+def _unread_imports(trees=TREES) -> list[str]:
+    """"<module>.<name>" of each name a module imports and never loads."""
+    unread = []
+    for module, tree in trees.items():
+        loads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{module}.{name}" for alias in node.names
+                           if (name := (alias.asname or alias.name).split(".")[0])
+                           not in loads]
+    return unread
+
+
 def test_the_scan_finds_private_names_and_fields():
     found = [qualname for qualname, _ in _private_definitions()]
     assert "analytics._fmt" in found
@@ -176,3 +194,15 @@ def test_every_parameter_is_read():
 
 def test_every_allowed_parameter_is_unread():
     assert sorted(ALLOWED_UNREAD_PARAMETERS - set(_unread_parameters())) == []
+
+
+def test_the_import_scan_finds_unread_imports():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os.path\nimport csv as c\n"
+        "from math import inf, pi\n\ndef f():\n    from json import dumps\n"
+        "    return os.sep, inf\n")
+    assert _unread_imports({"m": tree}) == ["m.c", "m.pi", "m.dumps"]
+
+
+def test_every_imported_name_is_read():
+    assert _unread_imports() == []

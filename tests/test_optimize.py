@@ -4,7 +4,7 @@ import re
 import signal
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -46,7 +46,7 @@ from neuromap.optimize import (
     scalarize,
     simulate_genome,
 )
-from neuromap.partition import LayerSplit, PartitionError, build_mapping
+from neuromap.partition import AXES, LayerSplit, PartitionError, build_mapping
 from neuromap.simcost import HardwareConfig, SimError, simulate
 from neuromap.workload import (
     Bitwidths,
@@ -87,9 +87,7 @@ def ctx():
 def full_space(n_layers=3, c_max=4):
     return GenomeSpace(
         n_layers=n_layers, c_max=c_max,
-        npes_menu=(1, 2, 4), bw_weights_menu=(4, 8, 16),
-        mem_menu=(10_000, 8 * 2**20), clock_menu=(1.0, 2.0),
-        flit_menu=(16, 32), fps_menu=(0.0, 30.0),
+        npes_menu=(1, 2, 4), bw_weights_menu=(4, 8, 16), fps_menu=(0.0, 30.0),
         scheme_menu=("strict-area", "loose-area", "strict-square"))
 
 
@@ -97,15 +95,14 @@ def full_space(n_layers=3, c_max=4):
 
 def test_gene_count_and_bounds():
     space = full_space()
-    assert space.n_genes == 2 * 3 + 7
+    assert space.n_genes == 2 * 3 + 4
     lo, hi = space.bounds()
     assert list(lo[:6]) == [1, 0, 1, 0, 1, 0]
     assert list(hi[:6]) == [4, 3, 4, 3, 4, 3]
-    assert list(hi[6:]) == [2, 2, 1, 1, 1, 1, 2]
+    assert list(hi[6:]) == [2, 2, 1, 2]
     names = space.gene_names()
     assert names[:2] == ["cores_l0", "axis_l0"]
-    assert names[6:] == ["npes", "bw_weights", "mem", "clock", "flit",
-                         "fps", "scheme"]
+    assert names[6:] == ["npes", "bw_weights", "fps", "scheme"]
 
 
 def test_sample_within_bounds():
@@ -129,9 +126,10 @@ def test_space_rejects_an_empty_menu(name):
         GenomeSpace(n_layers=1, **{name: ()})
 
 
-def test_space_rejects_unknown_axis():
-    with pytest.raises(OptimizeError):
-        GenomeSpace(n_layers=1, axes_menu=("layer", "depth"))
+def test_every_menu_field_has_a_gene_row():
+    # a *_menu field without a MENU_GENES row would be accepted and ignored
+    names = {f.name for f in fields(GenomeSpace)}
+    assert names == {"n_layers", "c_max", *optimize.MENU_GENES}
 
 
 def test_unknown_scheme_is_rejected_at_construction():
@@ -160,11 +158,10 @@ def test_decode_takes_what_the_genes_index_1000_random_genomes():
         mm = decode_model(g, m, space)
         spec, hw, scheme, fps = decode(g, mm, HW, space)
         assert [(s.n_cores, s.axis) for s in spec.splits] == [
-            (g[2 * i], space.axes_menu[g[2 * i + 1]]) for i in range(3)]
+            (g[2 * i], AXES[g[2 * i + 1]]) for i in range(3)]
         menus = [getattr(space, name) for name in optimize.MENU_GENES]
         assert [menu[v] for menu, v in zip(menus, g[6:])] == [
-            hw.npes_per_core, mm.bitwidths.weights, hw.mem_per_core,
-            hw.clock_period, hw.flit_bits, fps, scheme]
+            hw.npes_per_core, mm.bitwidths.weights, fps, scheme]
 
 
 def test_decode_semantics():
@@ -173,9 +170,6 @@ def test_decode_semantics():
     g = (2, 1, 3, 2, 1, 0,   # per-layer genes
          2,  # npes -> 4
          0,  # bw_weights -> 4
-         1,  # mem -> 8 MiB
-         1,  # clock -> 2.0
-         0,  # flit -> 16
          1,  # fps -> 30.0
          1)  # scheme -> loose-area
     mm = decode_model(g, m, space)
@@ -186,12 +180,6 @@ def test_decode_semantics():
     assert hw.npes_per_core == 4
     assert hw.e_npe_op == HW.e_npe_op * 4
     assert hw.p_static_core == HW.p_static_core * 4
-    assert hw.mem_per_core == 8 * 2**20
-    assert hw.clock_period == 2.0
-    assert hw.t_npe_op * hw.clock_period == HW.t_npe_op * 2.0
-    assert hw.t_hop * hw.clock_period == HW.t_hop * 2.0
-    assert hw.t_inject * hw.clock_period == HW.t_inject * 2.0
-    assert hw.flit_bits == 16
     assert fps == 30.0
     assert scheme == "loose-area"
 
@@ -205,14 +193,6 @@ def test_decode_defaults_without_menus():
     assert scheme == "strict-square"
     assert fps is None
     assert decode_model((1, 0, 1, 0, 1, 0), m, space) is m
-
-
-def test_decode_restricted_axes_menu():
-    m = toy_model()
-    space = GenomeSpace(n_layers=3, c_max=2, axes_menu=("channel", "width"))
-    spec, _, _, _ = decode((2, 1, 1, 0, 1, 0), m, HW, space)
-    assert spec.splits[0].axis == "width"
-    assert spec.splits[1].axis == "channel"
 
 
 # --- variation operators ---
@@ -297,15 +277,14 @@ def test_evaluate_matches_direct_pipeline(ctx):
 
 
 def test_evaluate_memory_violation(ctx):
-    space = GenomeSpace(n_layers=3, c_max=4, mem_menu=(3000, 8 * 2**20))
-    small_ctx = EvalContext(model=ctx.model, trace=ctx.trace, base_hw=HW,
-                            space=space)
-    res = evaluate((1, 0, 1, 0, 1, 0, 0), small_ctx)
+    small_hw = replace(HW, mem_per_core=3000)
+    small_ctx = replace(ctx, base_hw=small_hw)
+    res = evaluate((1, 0, 1, 0, 1, 0), small_ctx)
     assert res.violation > 0
     assert res.objectives.energy >= PENALTY_BASE
     assert res.objectives.energy == PENALTY_BASE + res.violation
     # violation equals the worst core's overshoot in bits
-    spec, hw, _, _ = decode((1, 0, 1, 0, 1, 0, 0), ctx.model, HW, space)
+    spec, hw, _, _ = decode((1, 0, 1, 0, 1, 0), ctx.model, small_hw, ctx.space)
     mapping = build_mapping(ctx.model, spec, m_max=hw.mem_per_core,
                             enforce_cap=False)
     worst = max(mapping.memory_by_core().values())
@@ -357,7 +336,7 @@ def test_evaluate_structural_failure_is_penalty_not_crash():
 def test_evaluate_sim_error_is_penalty(shallow_ctx):
     # a trace that no design can replay fails the context instead (see
     # test_context_no_genome_can_use_is_rejected); congestion is per design
-    res = evaluate((1, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0), shallow_ctx)
+    res = evaluate((1, 0, 2, 0, 2, 0, 0, 0, 1, 0), shallow_ctx)
     assert res.violation == STRUCTURAL_VIOLATION
     assert res.error == "core 3 inbox exceeded depth 2"
 
@@ -377,7 +356,7 @@ def test_fidelity_penalty_objective(ctx):
     ref_report = simulate_genome((1, 0, 1, 0, 1, 0), ctx)
     ref_values = tuple(v for (_, v) in ref_report.end_signal)
     fctx = EvalContext(model=ctx.model, trace=ctx.trace, base_hw=HW,
-                       space=ctx.space, reference=ref_values, signal_dt=1.0,
+                       space=ctx.space, reference=ref_values,
                        objective_names=("energy", "fidelity_penalty"))
     same = evaluate((1, 0, 1, 0, 1, 0), fctx)
     assert abs(same.objectives.fidelity_penalty) < 1e-9
@@ -385,7 +364,7 @@ def test_fidelity_penalty_objective(ctx):
     # a mismatched reference costs fidelity
     shifted = tuple([0.0, 0.0] + list(ref_values))
     fctx2 = EvalContext(model=ctx.model, trace=ctx.trace, base_hw=HW,
-                        space=ctx.space, reference=shifted, signal_dt=1.0,
+                        space=ctx.space, reference=shifted,
                         objective_names=("energy", "fidelity_penalty"))
     moved = evaluate((1, 0, 1, 0, 1, 0), fctx2)
     assert moved.objectives.fidelity_penalty > 0
@@ -406,9 +385,6 @@ def test_repeated_objective_rejected(ctx, names):
 
 @pytest.mark.parametrize("menu, value, named", [
     ("npes_menu", 0, "npes_per_core must be >= 1"),
-    ("flit_menu", 0, "flit_bits must be >= 1"),
-    ("mem_menu", 2**63, "mem_per_core must be < 2**63, got 9223372036854775808"),
-    ("clock_menu", -1.0, "clock_period must be finite and >= 0, got -1.0"),
     ("fps_menu", -1.0, "trace fps must be >= 0 and finite, got -1.0"),
     ("fps_menu", math.nan, "trace fps must be >= 0 and finite, got nan"),
     ("bw_weights_menu", 0, "bw_weights must be one of (4, 8, 16), got 0"),
@@ -418,14 +394,6 @@ def test_hardware_menu_value_no_design_can_use_is_rejected(ctx, menu, value, nam
     with pytest.raises(OptimizeError) as exc:
         replace(ctx, space=space)
     assert str(exc.value) == f"{menu} value {value!r}: {named}"
-
-
-def test_clock_menu_value_overflowing_a_time_constant_is_rejected(ctx):
-    space = replace(ctx.space, clock_menu=(1.0, 1e308))
-    with pytest.raises(OptimizeError) as exc:
-        replace(ctx, base_hw=replace(HW, t_hop=2.0), space=space)
-    assert str(exc.value) == ("clock_menu value 1e+308: t_hop * clock_period "
-                              "must be finite, got 2.0 * 1e+308")
 
 
 @pytest.mark.parametrize("change, named", [
@@ -745,7 +713,7 @@ def shallow_ctx():
 def test_batch_simulates_a_congested_design_once(shallow_ctx, monkeypatch):
     """An infeasible design is shared like a feasible one: a2 differs from
     a only in the axis of its one-core first layer."""
-    menus = (0, 0, 0, 0, 0, 1, 0)
+    menus = (0, 0, 1, 0)
     a, a2 = (1, 0, 2, 0, 2, 0, *menus), (1, 3, 2, 0, 2, 0, *menus)
     key = design_key_of(a, shallow_ctx)
     assert design_key_of(a2, shallow_ctx) == key
@@ -1076,15 +1044,21 @@ def test_nsga2_requires_two_objectives(small_ctx):
 
 
 def test_single_feasible_genome_gives_archive_of_one():
+    """With c_max=1 every layer has one core, which keys alike on every
+    axis, so every genome decodes to one design and the archive holds
+    that design alone."""
     m = toy_model()
     tr = synth_trace(m, n_frames=2, fps=0, seed=4)
-    space = GenomeSpace(n_layers=3, c_max=1, axes_menu=("layer",))
-    assert space.bounds()[0].tolist() == space.bounds()[1].tolist()
+    space = GenomeSpace(n_layers=3, c_max=1)
+    lo, hi = space.bounds()
+    assert lo[0::2].tolist() == hi[0::2].tolist() == [1, 1, 1]
     ctx = EvalContext(model=m, trace=tr, base_hw=HW, space=space)
+    genomes = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    assert len({design_key_of(g, ctx) for g in genomes}) == 1
     params = AlgoParams(algo="nsga2", population=4, generations=3, offspring=2)
     archive, _ = run_nsga2(ctx, params, seed=0)
-    assert len(archive.members) == 1
-    assert archive.members[0].genome == (1, 0, 1, 0, 1, 0)
+    assert len({r.objectives for r in archive.members}) == 1
+    assert all(r.feasible for r in archive.members)
 
 
 def test_runs_deterministic_per_seed(small_ctx):

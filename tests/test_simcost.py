@@ -783,7 +783,8 @@ def test_fps0_end_signal_invariant_to_time_scaling():
     spec = PartitionSpec((LayerSplit(2, "layer"), LayerSplit(2, "layer"),
                           LayerSplit(1, "layer")))
     r1 = run(model, spec, trace, hw=HW)
-    r2 = run(model, spec, trace, hw=HW.scaled_times(7.25))
+    r2 = run(model, spec, trace,
+             hw=dataclasses.replace(HW, clock_period=HW.clock_period * 7.25))
     assert [v for (_, v) in r1.end_signal] == [v for (_, v) in r2.end_signal]
     assert r2.latency_end_to_end != r1.latency_end_to_end
 
@@ -1035,7 +1036,7 @@ def test_snapshot_matches_the_sorted_log_reference(design, variant, picks):
     model, mapping, placement, hw, trace = design
     if variant == "no time":
         # a drain trace then runs in zero duration: a one-sample grid
-        hw = hw.scaled_times(0.0)
+        hw = dataclasses.replace(hw, clock_period=hw.clock_period * 0.0)
     elif variant == "-0.0 energy":
         # validation passes -0.0, so every charge is -0.0 and the running
         # sums must start from 0.0 to stay 0.0
@@ -1051,7 +1052,8 @@ def test_snapshot_matches_the_sorted_log_reference_on_pinned_cases():
         model, mapping, placement, hw, trace = case()
         report = simulate(model, mapping, placement, hw, trace)
         assert_snapshot_matches_reference(report, intervals(report, [0, 7, 10**6]))
-        for hw in (hw.scaled_times(0.0), dataclasses.replace(hw, e_inject=-0.0)):
+        for hw in (dataclasses.replace(hw, clock_period=hw.clock_period * 0.0),
+                   dataclasses.replace(hw, e_inject=-0.0)):
             report = simulate(model, mapping, placement, hw, trace)
             assert_snapshot_matches_reference(report, intervals(report, [3]))
 
