@@ -25,6 +25,7 @@ directories' files come from simcost.write_run_files, with LF ends.
 from __future__ import annotations
 
 import csv
+import os
 import shutil
 import time
 from dataclasses import dataclass
@@ -104,16 +105,19 @@ class ExperimentRecord:
 
 def open_run(root, app: str, algo: str, seed: int, params: AlgoParams,
              hw: HardwareConfig, run_settings: dict | None = None,
-             gene_names=(), policy: str = "bests", sample_every: int = 10,
-             when: datetime | None = None) -> ExperimentRecord:
+             gene_names=(), policy: str = "bests",
+             sample_every: int = 10) -> ExperimentRecord:
     """Create the run directory tree, write the parameter echoes and the
-    headers of evaluations.csv, energyOpt.csv and latOpt.csv."""
+    headers of evaluations.csv, energyOpt.csv and latOpt.csv. The app label
+    names a directory under root, so it may hold no path separator."""
+    if set(app) & {"/", os.sep, os.altsep}:
+        raise AnalyticsError(f"app label {app!r} holds a path separator")
     if policy not in SNAPSHOT_POLICIES:
         raise AnalyticsError(f"snapshot policy must be one of {SNAPSHOT_POLICIES}")
     if sample_every < 1:
         raise AnalyticsError("sample_every must be >= 1")
     root = Path(root)
-    stamp = _stamp(when)
+    stamp = _stamp()
     algo_tag = algo.upper()
     run_dir = root / f"{app}_app" / f"{algo_tag}_{seed}_{stamp}"
     if run_dir.exists():
@@ -169,7 +173,7 @@ def _channels(record: ExperimentRecord, result: EvalResult,
                  (("Energy", energy_flag), ("Latency", latency_flag)) if flag)
 
 
-def record_evaluation(record: ExperimentRecord, results, ctx=None) -> None:
+def record_evaluation(record: ExperimentRecord, results, ctx) -> None:
     """Append the rows of a sequence of evaluations (one generation's),
     then materialize snapshots for the flagged ones, in evaluation order.
     evaluations.csv is opened once per call.
@@ -202,8 +206,6 @@ def record_evaluation(record: ExperimentRecord, results, ctx=None) -> None:
     _write_rows(record.evaluations_path, rows, mode="a")
 
     for result, idx, now, channels in flagged:
-        if ctx is None:
-            raise AnalyticsError("flagged evaluation needs an EvalContext")
         stamp = _stamp(datetime.fromtimestamp(now))
         settings = {"eval_index": idx, "generation": record.generation,
                     "genome": " ".join(str(g) for g in result.genome)}

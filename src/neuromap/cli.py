@@ -212,6 +212,8 @@ def cmd_report(args) -> int:
             if "=" not in item:
                 raise CliError(f"--sweep entries are LABEL=RUN_DIR, got {item!r}")
             label, path = item.split("=", 1)
+            if label in runs:
+                raise CliError(f"--sweep label {label!r} given twice")
             runs[label] = Path(path)
         sweep_report(runs, args.out)
         print(f"wrote {args.out}")

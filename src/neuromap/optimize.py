@@ -1,7 +1,7 @@
 """Integer-genome search over mappings and architecture parameters.
 
 A genome is (n_cores, axis) per layer plus optional global menu genes
-(NPEs, weight bit-width, frame rate, mesh scheme). Decoding never clamps:
+(NPEs, frame rate, mesh scheme). Decoding never clamps:
 a gene of value v gives v cores or entry v of its menu. Structurally
 impossible genomes surface as constraint violations during evaluation,
 not as decode errors. Constraint handling is feasibility-first: any
@@ -52,14 +52,12 @@ class OptimizeError(ValueError):
 # Optional architecture genes, in gene order; a space carries one gene per
 # non-None menu, and every GenomeSpace menu field has a row here. Each entry
 # is menu field -> (decoded slot it sets, apply(slot value, menu value) ->
-# slot value). The slots are "hw", "model", "scheme" and "fps". The NPE row
+# slot value). The slots are "hw", "scheme" and "fps". The NPE row
 # scales e_npe_op and p_static_core from the base's per-lane figures.
 MENU_GENES = {
     "npes_menu": ("hw", lambda hw, n: replace(
         hw, npes_per_core=int(n), e_npe_op=hw.e_npe_op * int(n),
         p_static_core=hw.p_static_core * int(n))),
-    "bw_weights_menu": ("model", lambda m, bw: replace(
-        m, bitwidths=replace(m.bitwidths, weights=int(bw)))),
     "fps_menu": ("fps", lambda _, v: float(v)),
     "scheme_menu": ("scheme", lambda _, v: str(v)),
 }
@@ -72,7 +70,6 @@ class GenomeSpace:
     n_layers: int
     c_max: int = 16
     npes_menu: tuple[int, ...] | None = None
-    bw_weights_menu: tuple[int, ...] | None = None
     fps_menu: tuple[float, ...] | None = None
     scheme_menu: tuple[str, ...] | None = None
 
@@ -130,22 +127,13 @@ class GenomeSpace:
                 raise OptimizeError(f"gene {g} outside [{a}, {b}]")
 
 
-def _apply_menus(genome, space: GenomeSpace, slots: dict) -> dict:
-    """Apply the genome's menu genes to the given slots; others are skipped."""
-    for pos, (name, menu) in enumerate(space._menus(), 2 * space.n_layers):
-        slot, apply = MENU_GENES[name]
-        if slot in slots:
-            slots[slot] = apply(slots[slot], menu[int(genome[pos])])
-    return slots
-
-
 def decode(genome, model: NetworkModel, base_hw: HardwareConfig,
            space: GenomeSpace, default_scheme: str = "strict-area"):
     """(PartitionSpec, HardwareConfig, scheme, fps_override).
 
     fps_override is None unless the space carries an fps gene. NPE count
     scales e_npe_op and p_static_core relative to the base's per-lane
-    figures. The weight bit-width gene is left to decode_model.
+    figures.
     """
     space.validate_genome(genome)
     splits = []
@@ -153,14 +141,16 @@ def decode(genome, model: NetworkModel, base_hw: HardwareConfig,
         n_cores = int(genome[2 * i])
         axis = AXES[int(genome[2 * i + 1])]
         splits.append(LayerSplit(n_cores=n_cores, axis=axis))
-    slots = _apply_menus(genome, space, {"hw": base_hw, "scheme": default_scheme,
-                                         "fps": None})
+    slots = {"hw": base_hw, "scheme": default_scheme, "fps": None}
+    for pos, (name, menu) in enumerate(space._menus(), 2 * space.n_layers):
+        slot, apply = MENU_GENES[name]
+        slots[slot] = apply(slots[slot], menu[int(genome[pos])])
     return PartitionSpec(tuple(splits)), slots["hw"], slots["scheme"], slots["fps"]
 
 
 def decode_model(genome, model: NetworkModel, space: GenomeSpace) -> NetworkModel:
-    """Model with the genome's weight bit-width applied, if that gene exists."""
-    return _apply_menus(genome, space, {"model": model})["model"]
+    """The model itself: no gene changes it."""
+    return model
 
 
 @dataclass(frozen=True)
@@ -210,7 +200,7 @@ class EvalContext:
             input_ids(self.model, self.trace)
         except (MeshError, SimError) as exc:
             raise OptimizeError(str(exc)) from None
-        base = {"hw": self.base_hw, "model": self.model, "fps": None}
+        base = {"hw": self.base_hw, "fps": None}
         for name, menu in self.space._menus():
             slot, apply = MENU_GENES[name]
             for v in menu if slot in base else ():
@@ -266,22 +256,22 @@ _DOMAIN_ERRORS = (PartitionError, SimError)
 def _realize(genome, ctx: EvalContext) -> _Design:
     """decode -> map -> retime -> compress -> place; a split that cannot be
     built raises PartitionError. The design may overflow a core's memory."""
-    model = decode_model(genome, ctx.model, ctx.space)
-    spec, hw, scheme, fps_override = decode(genome, model, ctx.base_hw,
+    spec, hw, scheme, fps_override = decode(genome, ctx.model, ctx.base_hw,
                                             ctx.space, ctx.scheme)
-    mapping = build_mapping(model, spec, m_max=hw.mem_per_core,
+    mapping = build_mapping(ctx.model, spec, m_max=hw.mem_per_core,
                             enforce_cap=False)
     trace = ctx.trace
     if fps_override is not None and fps_override != trace.fps:
         trace = retime_trace(trace, fps_override)
     n = mapping.n_cores_total
     placement = place(n, compress(n, scheme))
-    return _Design(model, mapping, placement, hw, trace)
+    return _Design(ctx.model, mapping, placement, hw, trace)
 
 
 def _design_key(design: _Design) -> tuple:
-    """Everything of a design that its simulation and objectives read,
-    given one EvalContext: two designs with one key score alike.
+    """Everything of a design that its simulation and objectives read
+    beyond its EvalContext, whose model every design shares: two designs
+    of one context with one key score alike.
 
     A partition is keyed by its flat-neuron range when its neurons are
     contiguous in flat order, so a one-core layer keys alike on every
@@ -294,8 +284,8 @@ def _design_key(design: _Design) -> tuple:
          flat_range(layers[a.layer_id], a.axis, a.range_start, a.range_end)
          or (a.axis, a.range_start, a.range_end))
         for a in mapping.assignments)
-    return (parts, layers, model.bitwidths, hw, placement.rows,
-            placement.cols, placement.coords, trace.fps)
+    return (parts, hw, placement.rows, placement.cols, placement.coords,
+            trace.fps)
 
 
 def _score(genome, design: _Design, ctx: EvalContext) -> EvalResult:

@@ -174,13 +174,6 @@ class Mapping:
     def n_cores_total(self) -> int:
         return len({a.core_id for a in self.assignments})
 
-    @property
-    def layers_per_core(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for a in self.assignments:
-            out.setdefault(a.core_id, []).append(a.layer_id)
-        return {c: tuple(sorted(set(ls))) for c, ls in out.items()}
-
     def memory_by_core(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for a in self.assignments:

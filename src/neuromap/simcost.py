@@ -258,7 +258,7 @@ def check_mapping(model: NetworkModel, mapping: Mapping) -> dict[int, list[int]]
             if a.m_pc != want[4]:
                 raise SimError(f"layer {layer.id} core {a.core_id}: M_pc_bits "
                                f"{a.m_pc} differs from {want[4]} for its counts")
-    core_ids = sorted(mapping.layers_per_core)
+    core_ids = sorted({a.core_id for a in mapping.assignments})
     for k, c in enumerate(core_ids):
         if c != k:
             raise SimError(f"mapping core ids must run 0..{len(core_ids) - 1}, "
@@ -547,7 +547,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
 
     duration = sim_now
     static = hw.p_static_core * duration
-    # core order as in mapping.layers_per_core: first appearance
+    # core order: first appearance in mapping.assignments
     energy_core = {c: energy[c] + static for c in dict.fromkeys(core)}
     energy_link = {lk: energy[p] for lk, p in charged.items()}
     # a left fold, which every Python version adds in the same order (3.12's

@@ -36,6 +36,14 @@ def of_layer(mapping: Mapping, layer_id: int) -> list:
     return [a for a in mapping.assignments if a.layer_id == layer_id]
 
 
+def layers_per_core(mapping: Mapping) -> dict[int, tuple[int, ...]]:
+    """Each core's layer ids, sorted, with cores in first-appearance order."""
+    out: dict[int, set[int]] = {}
+    for a in mapping.assignments:
+        out.setdefault(a.core_id, set()).add(a.layer_id)
+    return {c: tuple(sorted(ls)) for c, ls in out.items()}
+
+
 def with_rate(model: NetworkModel, rate: float) -> NetworkModel:
     """Copy of the model with every layer's event rate replaced."""
     return replace(model, layers=tuple(replace(l, avg_event_rate=rate) for l in model.layers))

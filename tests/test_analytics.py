@@ -113,14 +113,14 @@ def test_open_run_creates_tree_and_echoes(tmp_path):
                                                  "cores_l1", "axis_l1"]
 
 
-def test_open_run_rejects_bad_policy_and_duplicate(tmp_path):
+def test_open_run_rejects_bad_policy_and_duplicate(tmp_path, monkeypatch):
     with pytest.raises(AnalyticsError):
         open_toy_run(tmp_path, policy="weekly")
-    from datetime import datetime
-    when = datetime(2026, 1, 2, 3, 4, 5)
-    open_toy_run(tmp_path, when=when)
+    # two runs opened within one second share a stamp
+    monkeypatch.setattr(analytics, "_stamp", lambda: "2026_01_02_03-04-05")
+    open_toy_run(tmp_path)
     with pytest.raises(AnalyticsError):
-        open_toy_run(tmp_path, when=when)
+        open_toy_run(tmp_path)
 
 
 def test_record_evaluation_appends_rows(tmp_path, snap_ctx):
@@ -215,13 +215,10 @@ def test_infeasible_logged_never_snapshotted(tmp_path, snap_ctx):
 
 
 def test_flagged_eval_needs_report_or_ctx(tmp_path):
+    # the context re-simulates a flagged genome on demand
     rec = open_toy_run(tmp_path)
-    with pytest.raises(AnalyticsError):
-        record_evaluation(rec, [mk_result(10.0, 5.0)])
-    # with a context it re-simulates the genome on demand
-    rec2 = open_toy_run(tmp_path, seed=8)
-    record_evaluation(rec2, [mk_result(10.0, 5.0)], ctx=toy_ctx())
-    snap = next((rec2.run_dir / "Energy").iterdir())
+    record_evaluation(rec, [mk_result(10.0, 5.0)], ctx=toy_ctx())
+    snap = next((rec.run_dir / "Energy").iterdir())
     assert {p.name for p in snap.iterdir()} == SNAPSHOT_FILES
 
 
@@ -401,7 +398,7 @@ def test_pareto_csv_holds_non_dominated_rows(tmp_path, snap_ctx):
         record_evaluation(rec, [mk_result(e, l, genome=g)],
                           ctx=snap_ctx)
     record_evaluation(rec, [mk_result(0.1, 0.1, violation=3.0,
-                                      genome=(2, 0, 1, 0))])
+                                      genome=(2, 0, 1, 0))], ctx=snap_ctx)
     rows = pts + more
     brute = {(e, l, g) for (e, l, g) in rows
              if not any(e2 <= e and l2 <= l and (e2, l2) != (e, l)
@@ -439,7 +436,7 @@ def test_finalize_appends_index_and_closes(tmp_path, snap_ctx):
 def test_finalize_without_feasible_evaluation_indexes_inf(tmp_path):
     root = tmp_path / "experiments"
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, [mk_result(1e18, 1e18, violation=512.0)])
+    record_evaluation(rec, [mk_result(1e18, 1e18, violation=512.0)], ctx=toy_ctx())
     record_generation(rec, 0)
     finalize_run(rec)
     assert rec.closed

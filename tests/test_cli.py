@@ -767,6 +767,36 @@ def test_env_out_root(net_path, tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envroot" / "toychain_app").is_dir()
 
 
+@pytest.mark.parametrize("flags, net_name, label", [
+    (["--app", "../x"], "toychain", "../x"),
+    (["--app", "a/b"], "toychain", "a/b"),
+    ([], "../x", "../x"),
+], ids=["app-up", "app-down", "net-name-up"])
+def test_app_label_with_a_path_separator_fails_before_the_run_tree(
+        tmp_path, capsys, flags, net_name, label):
+    net = tmp_path / "toy.net"
+    net.write_text(TOY_NET.replace("name = toychain", f"name = {net_name}"))
+    before = sorted(tmp_path.rglob("*"))
+    rc, stdout, stderr = run_cli(
+        ["optimize", "--workload", net, "--algo", "ga", "--frames", 2,
+         "--population", 4, "--generations", 1, "--c-max", 2, *flags,
+         "--out", tmp_path / "o" / "p10"], capsys)
+    assert (rc, stdout, stderr) == (
+        1, "", f"error: app label {label!r} holds a path separator\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_app_label_with_a_comma_is_quoted_in_the_index(net_path, tmp_path, capsys):
+    rc, _, _ = run_cli(
+        ["optimize", "--workload", net_path, "--algo", "ga", "--frames", 2,
+         "--population", 4, "--generations", 1, "--c-max", 2, "--app", "a,b",
+         "--out", tmp_path / "o"], capsys)
+    assert rc == 0
+    assert (tmp_path / "o" / "a,b_app").is_dir()
+    with open(tmp_path / "o" / "index.csv", encoding="utf-8", newline="") as fh:
+        assert [row["app"] for row in csv.DictReader(fh)] == ["a,b"]
+
+
 # --- report ---
 
 def test_report_cli(net_path, tmp_path, capsys):
@@ -842,6 +872,16 @@ def test_report_sweep(net_path, tmp_path, capsys):
     assert len(lines) == 3
     rc, _, stderr = run_cli(["report", "--sweep", "nolabel"], capsys)
     assert rc == 1
+
+
+def test_report_sweep_repeated_label_fails_before_reading_a_run(tmp_path, capsys):
+    # neither run exists, so reading one would fail with another message
+    out = tmp_path / "s.csv"
+    rc, stdout, stderr = run_cli(
+        ["report", "--sweep", f"a={tmp_path / 'RUN1'}", f"a={tmp_path / 'RUN2'}",
+         "--out", out], capsys)
+    assert (rc, stdout, stderr) == (1, "", "error: --sweep label 'a' given twice\n")
+    assert not out.exists()
 
 
 # --- shipped parameter files (Table defaults) ---

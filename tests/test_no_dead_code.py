@@ -7,7 +7,9 @@ assigned name, unless ALLOWED names it. Every function and lambda
 parameter other than self, cls and a name starting with "_" is read in
 its own body, unless ALLOWED_UNREAD_PARAMETERS names it. Every name a
 module imports, other than `from __future__ import annotations`, is loaded
-in that module.
+in that module. Every defaulted parameter of a package function is passed,
+by keyword or by position, by a call of that function's name somewhere in
+the package, unless ALLOWED_DEFAULTS names it.
 
 The scan goes by name alone, so a method that shares its name with a
 method of a builtin type (add, update, get, ...) counts as read wherever
@@ -32,12 +34,28 @@ ALLOWED = {
     # RUNNERS by name: perfbench calls and times optimize.run_nsga2, and
     # the tests call all three
     "optimize.run_ga", "optimize.run_nsga2", "optimize.run_pso",
+    # perfbench/rep.py calls and times it; no gene changes the model now,
+    # so it returns the model it is given (ROADMAP item 5 deletes it)
+    "optimize.decode_model",
 }
 
 # parameters no body reads, and why each stays
 ALLOWED_UNREAD_PARAMETERS = {
     # perfbench/rep.py passes decode's arguments by position
     "optimize.decode.model",
+    # perfbench/rep.py calls decode_model(genome, model, space)
+    "optimize.decode_model.genome", "optimize.decode_model.space",
+}
+
+# defaulted parameters no call in the package passes, and why each stays
+ALLOWED_DEFAULTS = {
+    # the console-script entry reads sys.argv
+    "cli.main.argv",
+    # acceptance #8's frozen knee uses the uncentred score
+    "fidelity.xcorr_score.mean_center",
+    # callers reach run_search through the RUNNERS partials, which the scan
+    # does not follow
+    "optimize.run_search.workers", "optimize.run_search.on_generation",
 }
 
 
@@ -137,6 +155,54 @@ def _unread_parameters(trees=TREES) -> list[str]:
     return unread
 
 
+def _defaulted_parameters(node, scope: str, in_class: bool = False):
+    """("<scope>.<function>.<parameter>", function name, position) of each
+    defaulted parameter of each function under node. position is the
+    parameter's index among a call's positional arguments, a method's self
+    or cls not counted, and None for a keyword-only parameter."""
+    for child in ast.iter_child_nodes(node):
+        name = scope
+        if isinstance(child, ast.FunctionDef):
+            name = f"{scope}.{child.name}"
+            a = child.args
+            positional = [*a.posonlyargs, *a.args]
+            if in_class and positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            first = len(positional) - len(a.defaults)
+            yield from ((f"{name}.{arg.arg}", child.name, i)
+                        for i, arg in enumerate(positional) if i >= first)
+            yield from ((f"{name}.{arg.arg}", child.name, None)
+                        for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                        if default is not None)
+        elif isinstance(child, ast.ClassDef):
+            name = f"{scope}.{child.name}"
+        yield from _defaulted_parameters(child, name, isinstance(child, ast.ClassDef))
+
+
+def _passes(call: ast.Call, parameter: str, position) -> bool:
+    """Whether call passes the parameter, by keyword, by position, or
+    through a *args or **kwargs that may hold it."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unpassed_defaults(trees=TREES) -> list[str]:
+    """The qualified defaulted parameters that no call of their function's
+    name, as a name or an attribute, passes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                calls.setdefault(name, []).append(n)
+    return [qualname for module, tree in trees.items()
+            for qualname, function, position in _defaulted_parameters(tree, module)
+            if not any(_passes(call, qualname.rsplit(".", 1)[-1], position)
+                       for call in calls.get(function, ()))]
+
+
 def _unread_imports(trees=TREES) -> list[str]:
     """"<module>.<name>" of each name a module imports and never loads."""
     unread = []
@@ -206,3 +272,21 @@ def test_the_import_scan_finds_unread_imports():
 
 def test_every_imported_name_is_read():
     assert _unread_imports() == []
+
+
+def test_the_default_scan_finds_unpassed_defaults():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+        "class K:\n    def m(self, e=0, g=1):\n        return f(1, 2, c=3)\n"
+        "def h(x=0, y=1):\n    pass\n"
+        "def k(z=0):\n    pass\n"
+        "K().m(5)\nh(*xs)\nk(**opts)\n")
+    assert _unpassed_defaults({"m": tree}) == ["m.f.d", "m.K.m.g"]
+
+
+def test_every_default_is_passed():
+    assert sorted(set(_unpassed_defaults()) - ALLOWED_DEFAULTS) == []
+
+
+def test_every_allowed_default_is_unpassed():
+    assert sorted(ALLOWED_DEFAULTS - set(_unpassed_defaults())) == []

@@ -87,7 +87,7 @@ def ctx():
 def full_space(n_layers=3, c_max=4):
     return GenomeSpace(
         n_layers=n_layers, c_max=c_max,
-        npes_menu=(1, 2, 4), bw_weights_menu=(4, 8, 16), fps_menu=(0.0, 30.0),
+        npes_menu=(1, 2, 4), fps_menu=(0.0, 30.0),
         scheme_menu=("strict-area", "loose-area", "strict-square"))
 
 
@@ -95,14 +95,14 @@ def full_space(n_layers=3, c_max=4):
 
 def test_gene_count_and_bounds():
     space = full_space()
-    assert space.n_genes == 2 * 3 + 4
+    assert space.n_genes == 2 * 3 + 3
     lo, hi = space.bounds()
     assert list(lo[:6]) == [1, 0, 1, 0, 1, 0]
     assert list(hi[:6]) == [4, 3, 4, 3, 4, 3]
-    assert list(hi[6:]) == [2, 2, 1, 2]
+    assert list(hi[6:]) == [2, 1, 2]
     names = space.gene_names()
     assert names[:2] == ["cores_l0", "axis_l0"]
-    assert names[6:] == ["npes", "bw_weights", "fps", "scheme"]
+    assert names[6:] == ["npes", "fps", "scheme"]
 
 
 def test_sample_within_bounds():
@@ -155,13 +155,12 @@ def test_decode_takes_what_the_genes_index_1000_random_genomes():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         g = space.sample(rng)
-        mm = decode_model(g, m, space)
-        spec, hw, scheme, fps = decode(g, mm, HW, space)
+        spec, hw, scheme, fps = decode(g, m, HW, space)
         assert [(s.n_cores, s.axis) for s in spec.splits] == [
             (g[2 * i], AXES[g[2 * i + 1]]) for i in range(3)]
         menus = [getattr(space, name) for name in optimize.MENU_GENES]
         assert [menu[v] for menu, v in zip(menus, g[6:])] == [
-            hw.npes_per_core, mm.bitwidths.weights, fps, scheme]
+            hw.npes_per_core, fps, scheme]
 
 
 def test_decode_semantics():
@@ -169,12 +168,10 @@ def test_decode_semantics():
     space = full_space()
     g = (2, 1, 3, 2, 1, 0,   # per-layer genes
          2,  # npes -> 4
-         0,  # bw_weights -> 4
          1,  # fps -> 30.0
          1)  # scheme -> loose-area
-    mm = decode_model(g, m, space)
-    assert mm.bitwidths.weights == 4
-    spec, hw, scheme, fps = decode(g, mm, HW, space)
+    assert decode_model(g, m, space) is m
+    spec, hw, scheme, fps = decode(g, m, HW, space)
     assert [s.n_cores for s in spec.splits] == [2, 3, 1]
     assert [s.axis for s in spec.splits] == ["channel", "height", "layer"]
     assert hw.npes_per_core == 4
@@ -336,7 +333,7 @@ def test_evaluate_structural_failure_is_penalty_not_crash():
 def test_evaluate_sim_error_is_penalty(shallow_ctx):
     # a trace that no design can replay fails the context instead (see
     # test_context_no_genome_can_use_is_rejected); congestion is per design
-    res = evaluate((1, 0, 2, 0, 2, 0, 0, 0, 1, 0), shallow_ctx)
+    res = evaluate((1, 0, 2, 0, 2, 0, 0, 1, 0), shallow_ctx)
     assert res.violation == STRUCTURAL_VIOLATION
     assert res.error == "core 3 inbox exceeded depth 2"
 
@@ -387,7 +384,6 @@ def test_repeated_objective_rejected(ctx, names):
     ("npes_menu", 0, "npes_per_core must be >= 1"),
     ("fps_menu", -1.0, "trace fps must be >= 0 and finite, got -1.0"),
     ("fps_menu", math.nan, "trace fps must be >= 0 and finite, got nan"),
-    ("bw_weights_menu", 0, "bw_weights must be one of (4, 8, 16), got 0"),
 ])
 def test_hardware_menu_value_no_design_can_use_is_rejected(ctx, menu, value, named):
     space = replace(ctx.space, **{menu: (4, value)})
@@ -713,7 +709,7 @@ def shallow_ctx():
 def test_batch_simulates_a_congested_design_once(shallow_ctx, monkeypatch):
     """An infeasible design is shared like a feasible one: a2 differs from
     a only in the axis of its one-core first layer."""
-    menus = (0, 0, 1, 0)
+    menus = (0, 1, 0)
     a, a2 = (1, 0, 2, 0, 2, 0, *menus), (1, 3, 2, 0, 2, 0, *menus)
     key = design_key_of(a, shallow_ctx)
     assert design_key_of(a2, shallow_ctx) == key

@@ -22,7 +22,7 @@ from neuromap.partition import (
     split_homogeneous,
 )
 from neuromap.workload import Bitwidths, Layer, NetworkModel
-from helpers import colocate, of_layer, pilotnet_like, uniform_spec
+from helpers import colocate, layers_per_core, of_layer, pilotnet_like, uniform_spec
 
 
 def dense(n, lid=0, weights=0, biases=0, snn=True, rate=0.1):
@@ -189,7 +189,7 @@ def test_two_layer_one_core_each():
     model = chain_model([50, 20])
     mapping = build_mapping(model, uniform_spec(model))
     assert mapping.n_cores_total == 2
-    assert mapping.layers_per_core == {0: (0,), 1: (1,)}
+    assert layers_per_core(mapping) == {0: (0,), 1: (1,)}
 
 
 def test_cores_numbered_in_layer_then_part_order():
@@ -259,7 +259,7 @@ def test_cluster_merges_layers_3_and_4():
     model = chain_model([8] * 10)
     mapping = build_mapping(model, uniform_spec(model))
     merged = colocate(mapping, [{3, 4}])
-    per_core = merged.layers_per_core
+    per_core = layers_per_core(merged)
     assert (3, 4) in per_core.values()
     assert merged.n_cores_total == 9
     core_ids = sorted(per_core)
@@ -272,7 +272,7 @@ def test_cluster_multi_part_groups_pair_by_part():
     mapping = build_mapping(model, spec)
     merged = colocate(mapping, [{0, 1}])
     assert merged.n_cores_total == 2
-    assert all(ls == (0, 1) for ls in merged.layers_per_core.values())
+    assert all(ls == (0, 1) for ls in layers_per_core(merged).values())
 
 
 # --- csv io ---

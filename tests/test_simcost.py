@@ -300,6 +300,39 @@ def test_port_matches_brute_force_queue(steps, depth):
             assert bounded.max_depth == max_depth
 
 
+def _queue_rule(t_in: float, dones) -> int:
+    """The depth an arrival sees: itself plus every earlier service that
+    ends after it."""
+    return 1 + sum(d > t_in for d in dones)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=40))
+def test_port_depth_never_exceeds_the_queue_rule_in_any_arrival_order(steps):
+    """Hops are reserved when their source fires, so a shared link sees
+    arrivals out of time order. The port drops the done times at or before
+    each arrival it processes, so a late-processed early arrival can only
+    see fewer of them than the rule counts."""
+    port = _Port()
+    dones, rule = [], 0
+    for t_in, service in steps:
+        rule = max(rule, _queue_rule(t_in, dones))
+        dones.append(port.acquire(float(t_in), float(service))[1])
+        assert port.max_depth <= rule
+
+
+def test_port_depth_depends_on_the_arrival_order():
+    # pinned as the kernel behaves; CHANGES.md's FOUND: line on port queue
+    # depths says why a smaller .prm queue_depth could admit such a design
+    port = _Port()
+    dones = []
+    for t_in in (10.0, 20.0, 5.0):
+        dones.append(port.acquire(t_in, 1.0)[1])
+    # the arrival at 5 comes after the one at 20 has dropped done 11
+    assert port.max_depth == 2
+    assert _queue_rule(5.0, dones[:2]) == 3
+
+
 def reference_simulate(plan, hw):
     """The replay of a plan as simulate ran it before its kernel was
     flattened: ports as _Port objects, and push, emit, fire and deliver as
@@ -312,7 +345,7 @@ def reference_simulate(plan, hw):
                                  hw.t_hop * hw.clock_period,
                                  hw.t_inject * hw.clock_period)
     links: dict[Link, _Port] = {}
-    # core order as in mapping.layers_per_core: first appearance
+    # core order as in simulate: first appearance in mapping.assignments
     cores = {c: _Port(f"core {c} inbox", depth) for c in dict.fromkeys(core)}
     inbox = [cores[c] for c in core]
     # per source partition, its (injection port, [(u, v, link, port)]),
