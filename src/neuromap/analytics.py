@@ -184,7 +184,8 @@ def record_evaluation(record: ExperimentRecord, results, ctx) -> None:
     sample_every-th feasible evaluation in both. Infeasible evaluations
     are logged but never snapshotted (there is nothing to simulate). A
     flagged evaluation's snapshot comes from re-simulating its genome
-    under ctx.
+    under ctx; AnalyticsError, before its directory is written, unless
+    that gives the evaluation's own energy and latency.
     """
     if record.closed:
         raise AnalyticsError("record is closed")
@@ -211,8 +212,13 @@ def record_evaluation(record: ExperimentRecord, results, ctx) -> None:
                     "genome": " ".join(str(g) for g in result.genome)}
         # a copy avoids snapshotting and writing the same charge log again
         first = record.run_dir / channels[0] / f"{stamp}_{idx}"
-        write_run_files(simulate_genome(result.genome, ctx), first,
-                        settings=settings)
+        report = simulate_genome(result.genome, ctx)
+        got = (report.total_energy, report.latency_end_to_end)
+        want = (result.objectives.energy, result.objectives.latency)
+        if got != want:
+            raise AnalyticsError(f"evaluation {idx} re-simulates to (energy, latency) "
+                                 f"{got!r}, not {want!r}")
+        write_run_files(report, first, settings=settings)
         for channel in channels[1:]:
             shutil.copytree(first, record.run_dir / channel / first.name)
 

@@ -104,8 +104,7 @@ def cmd_simulate(args) -> int:
         mapping = load_mapping(args.mapping)
     else:
         spec = _spec_from_flags(args, model)
-        mapping = build_mapping(model, spec, m_max=hw.mem_per_core,
-                                enforce_cap=False)
+        mapping = build_mapping(model, spec, m_max=hw.mem_per_core)
     n = mapping.n_cores_total
     placement = place(n, compress(n, args.scheme))
     report = simulate(model, mapping, placement, hw, trace)

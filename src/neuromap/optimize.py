@@ -258,8 +258,7 @@ def _realize(genome, ctx: EvalContext) -> _Design:
     built raises PartitionError. The design may overflow a core's memory."""
     spec, hw, scheme, fps_override = decode(genome, ctx.model, ctx.base_hw,
                                             ctx.space, ctx.scheme)
-    mapping = build_mapping(ctx.model, spec, m_max=hw.mem_per_core,
-                            enforce_cap=False)
+    mapping = build_mapping(ctx.model, spec, m_max=hw.mem_per_core)
     trace = ctx.trace
     if fps_override is not None and fps_override != trace.fps:
         trace = retime_trace(trace, fps_override)

@@ -185,7 +185,7 @@ class Mapping:
         return sorted((c, bits) for c, bits in self.memory_by_core().items()
                       if bits > m_max)
 
-    def check_budget(self, m_max: int, error: type[ValueError] = PartitionError) -> None:
+    def check_budget(self, m_max: int, error: type[ValueError]) -> None:
         """Raise error naming the lowest core over m_max, if any."""
         over = self.over_budget(m_max)
         if over:
@@ -203,12 +203,11 @@ def _assignments_for_layer(layer: Layer, split: LayerSplit, bitwidths: Bitwidths
 
 
 def build_mapping(model: NetworkModel, spec: PartitionSpec,
-                  m_max: int = M_MAX_DEFAULT, *,
-                  enforce_cap: bool = True) -> Mapping:
+                  m_max: int = M_MAX_DEFAULT) -> Mapping:
     """Assign every layer's partitions to fresh cores, in layer order.
 
-    enforce_cap=False skips the M_pc <= m_max check so callers can score
-    the violation instead of failing.
+    m_max drives the greedy splits only: a core over it is left for the
+    caller to reject (simulate) or score (a search's penalty).
     """
     if len(spec.splits) != len(model.layers):
         raise PartitionError(
@@ -219,10 +218,7 @@ def build_mapping(model: NetworkModel, spec: PartitionSpec,
         batch = _assignments_for_layer(layer, split, model.bitwidths, m_max, core)
         assignments.extend(batch)
         core += len(batch)
-    mapping = Mapping(tuple(assignments))
-    if enforce_cap:
-        mapping.check_budget(m_max)
-    return mapping
+    return Mapping(tuple(assignments))
 
 
 _CSV_HEADER = "core_id,layer_id,axis,range_start,range_end,N_npc,N_wpc,N_bpc,N_tpc,M_pc_bits"

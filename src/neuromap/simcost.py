@@ -25,7 +25,6 @@ import functools
 import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from heapq import heapify, heappop, heappush
 from operator import add, itemgetter
@@ -116,33 +115,6 @@ class ChargeLog(NamedTuple):
     owners: tuple[tuple[str, object], ...]  # port -> ("core", c) or ("link", link)
 
 
-_NO_CHARGES = ChargeLog(array("d"), array("i"), array("d"), ())
-
-
-class CostLog(Sequence):
-    """Read-only view of a charge log as (time, "core"|"link", key, energy)
-    tuples in charge order. len() is the column length; iteration and
-    indexing build one tuple at a time, and a slice gives a tuple of them."""
-
-    __slots__ = ("_charges",)
-
-    def __init__(self, charges: ChargeLog):
-        self._charges = charges
-
-    def __len__(self) -> int:
-        return len(self._charges.times)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        times, ports, energies, owners = self._charges
-        return (times[i], *owners[ports[i]], energies[i])
-
-    def __iter__(self):
-        times, ports, energies, owners = self._charges
-        return ((t, *owners[p], e) for t, p, e in zip(times, ports, energies))
-
-
 @dataclass(frozen=True)
 class CostReport:
     energy_per_core: dict[int, float]
@@ -159,10 +131,11 @@ class CostReport:
     charges: ChargeLog | None
 
     @property
-    def cost_log(self) -> CostLog:
-        """(time, "core"|"link", key, energy) of every charge, in charge
-        order: a view over charges, empty when simulated with log=False."""
-        return CostLog(_NO_CHARGES if self.charges is None else self.charges)
+    def cost_log(self) -> array | tuple:
+        """The done time of every charge, in charge order; () when
+        simulated with log=False. It stays only so that perfbench can count
+        charges with len(); once perfbench reads len(charges.times) it goes."""
+        return () if self.charges is None else self.charges.times
 
 
 # (frame, flat neuron) of every firing of the layer, shared across
@@ -273,11 +246,13 @@ class SimPlan(NamedTuple):
     core: list[int]                     # core of each partition
     upstream: list[list[int]]           # partitions whose bundles a firing waits on
     loads: list[list[tuple[int, int]]]  # (events, flits) of each firing, one per frame
-    local: list[list[int]]              # destinations on the partition's own core
-    # XY multicast to the other destinations, or None: ([(u node, v node, link,
-    # port, 1 on the first hop, the injection from an extra node to the root,
-    # else 0)], node count, [(node, destination)], [(link, port)])
-    trees: list[tuple | None]
+    # every destination of a firing: ([(u node, v node, link, port, 1 on the
+    # first hop, the injection from the extra node to the root, else 0)],
+    # node count, [(node, destination)], [(link, port)]). The XY multicast
+    # tree to other cores has nodes 0..count-1, root 0; the extra node,
+    # numbered count, holds the firing time, and the destinations on the
+    # partition's own core sit there, listed first. No other core: no hops
+    fanout: list[tuple]
     work: list[int]                     # core ops per consumed event
     fan_in: list[int]                   # neurons a firing value averages over, 0 on layer 0
     # on the output layer its neuron count, which an input layer that is
@@ -324,8 +299,7 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
     n_cores = mapping.n_cores_total
     links: dict[Link, int] = {}
     upstream: list[list[int]] = [[] for _ in assigns]
-    local: list[list[int]] = [[] for _ in assigns]
-    trees: list[tuple | None] = [None] * len(assigns)
+    fanout: list = [None] * len(assigns)
     loads: list = [None] * len(assigns)
     per_event = math.ceil(model.bitwidths.outputs / hw.flit_bits)
     for lid, idxs in by_layer.items():
@@ -348,8 +322,8 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
             loads[i] = list(zip(m, fl))
             upstream[i] = pred_parts
             src_core = assigns[i].core_id
-            local[i] = [j for j in succ_parts if assigns[j].core_id == src_core]
             remote = [j for j in succ_parts if assigns[j].core_id != src_core]
+            hops, node = [], {}
             if remote:
                 src_xy = coords[src_core]
                 by_position = sorted(remote, key=lambda j: (assigns[j].layer_id,
@@ -360,16 +334,18 @@ def build_plan(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                 hops = [(u, v, lk, links.setdefault(lk, n_cores + len(links)), k)
                         for (u, v, lk, k) in [(len(node), 0, (src_xy, src_xy), 1)]
                         + [(*edge, 0) for edge in edges]]
-                trees[i] = (hops, len(node),
-                            [(node[coords[assigns[j].core_id]], j) for j in remote],
-                            [(lk, p) for (_, _, lk, p, _) in hops])
+            fanout[i] = (hops, len(node),
+                         [(len(node), j) for j in succ_parts
+                          if assigns[j].core_id == src_core]
+                         + [(node[coords[assigns[j].core_id]], j) for j in remote],
+                         [(lk, p) for (_, _, lk, p, _) in hops])
 
     pred_neurons = [sum(model.layers[p].neurons for p in model.predecessors(l.id))
                     for l in model.layers]
     out = model.output_layer
     return SimPlan(
         core=[a.core_id for a in assigns],
-        upstream=upstream, loads=loads, local=local, trees=trees,
+        upstream=upstream, loads=loads, fanout=fanout,
         work=[math.ceil(a.n_npc / hw.npes_per_core) for a in assigns],
         fan_in=[pred_neurons[a.layer_id] for a in assigns],
         output=[out.neurons if a.layer_id == out.id else 0 for a in assigns],
@@ -390,7 +366,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
 
     # --- replay: one loop over dense port ids; only the port queues, the
     # partition states and the heap change ---
-    (core, upstream, loads, local, trees, work, fan_in, output, inputs,
+    (core, upstream, loads, fanout, work, fan_in, output, inputs,
      frame_times, fps, links) = plan
     depth = hw.queue_depth
     # the clock scales every time constant, once per call
@@ -501,13 +477,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                 end_signal.append((t, value if denom else mult / output[i]))
                 continue
             # emit one bundle to every destination
-            src_core = core[i]
-            for j in local[i]:
-                heappush(heap, (t, src_core, seq, j, i, mult, value))
-                seq += 1
-            if trees[i] is None:
-                continue
-            hops, n_nodes, dests, tree_links = trees[i]
+            hops, n_nodes, dests, tree_links = fanout[i]
             if unsent[i]:
                 unsent[i] = False
                 used.update(tree_links)
@@ -541,6 +511,7 @@ def simulate(model: NetworkModel, mapping: Mapping, placement: MeshPlacement,
                         log_port(p)
                         log_energy(charge[k])
                 arrival[v] = done
+            src_core = core[i]
             for (v, j) in dests:
                 heappush(heap, (arrival[v], src_core, seq, j, i, mult, value))
                 seq += 1

@@ -56,9 +56,16 @@ def pilotnet_like(rate: float = 0.002) -> NetworkModel:
     return with_rate(load_network(packaged_config("pilotnet_synth.net")), rate)
 
 
+def cost_log(report) -> tuple:
+    """(time, "core"|"link", key, energy) of every charge of a logged
+    report, in charge order, rebuilt from its charge columns."""
+    times, ports, energies, owners = report.charges
+    return tuple((t, *owners[p], e) for t, p, e in zip(times, ports, energies))
+
+
 def reference_snapshot(report, every: float):
     """snapshot() as it was before the charge log became columns: the whole
-    cost_log sorted by time (stably, so equal times keep charge order), then
+    cost_log(report) sorted by time (stably, so equal times keep charge order), then
     added into one running sum per core and link up to each sample instant.
     Takes a valid interval only."""
     duration = report.duration
@@ -71,7 +78,7 @@ def reference_snapshot(report, every: float):
                    if (core_keys and duration > 0) else 0.0)
     core_rows = {k: [] for k in core_keys}
     link_rows = {k: [] for k in link_keys}
-    log = sorted(report.cost_log, key=lambda e: e[0])
+    log = sorted(cost_log(report), key=lambda e: e[0])
     pos = 0
     acc = {"core": dict.fromkeys(core_keys, 0.0),
            "link": dict.fromkeys(link_keys, 0.0)}

@@ -144,7 +144,7 @@ def test_memory_bound_hand_value_monotonicity_and_cap_never_exceeded():
             hi = max(1, extent_of[axis](layer))
             splits.append(LayerSplit(int(rng.integers(1, hi + 1)), axis))
         spec = PartitionSpec(tuple(splits))
-        probe = build_mapping(model, spec, m_max=10**12, enforce_cap=False)
+        probe = build_mapping(model, spec, m_max=10**12)
         cap = max(probe.memory_by_core().values())
         # cap == worst core of this very mapping, so it is feasible
         mapping = build_mapping(model, spec, m_max=cap)

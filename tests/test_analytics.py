@@ -1,5 +1,6 @@
 import csv
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from neuromap.optimize import (
     EvalResult,
     GenomeSpace,
     Objectives,
+    evaluate,
     load_algo_params,
     run_ga,
     run_nsga2,
@@ -62,8 +64,23 @@ def shared_report():
 @pytest.fixture
 def snap_ctx(monkeypatch, shared_report):
     """A context under which every flagged evaluation snapshots
-    shared_report instead of re-simulating its genome."""
-    monkeypatch.setattr(analytics, "simulate_genome", lambda genome, ctx: shared_report)
+    shared_report, carrying the evaluation's own energy and latency,
+    instead of re-simulating its genome."""
+    flagged = []
+    channels = analytics._channels
+
+    def noting(record, result, idx):
+        out = channels(record, result, idx)
+        if out:
+            flagged.append(result.objectives)
+        return out
+
+    def stand_in(genome, ctx):
+        obj = flagged.pop(0)
+        return replace(shared_report, total_energy=obj.energy,
+                       latency_end_to_end=obj.latency)
+    monkeypatch.setattr(analytics, "_channels", noting)
+    monkeypatch.setattr(analytics, "simulate_genome", stand_in)
     return toy_ctx()
 
 
@@ -170,7 +187,8 @@ def test_doubly_flagged_snapshot_is_written_once(tmp_path, monkeypatch):
     rec = open_toy_run(tmp_path)
     # the first feasible evaluation flags both channels; its snapshot
     # comes from a re-simulation with the log on
-    record_evaluation(rec, [mk_result(10.0, 5.0)], ctx=toy_ctx())
+    ctx = toy_ctx()
+    record_evaluation(rec, [evaluate((1, 0, 1, 0), ctx)], ctx=ctx)
     (energy,) = (rec.run_dir / "Energy").iterdir()
     (latency,) = (rec.run_dir / "Latency").iterdir()
     assert len(writes) == 1
@@ -217,9 +235,25 @@ def test_infeasible_logged_never_snapshotted(tmp_path, snap_ctx):
 def test_flagged_eval_needs_report_or_ctx(tmp_path):
     # the context re-simulates a flagged genome on demand
     rec = open_toy_run(tmp_path)
-    record_evaluation(rec, [mk_result(10.0, 5.0)], ctx=toy_ctx())
+    ctx = toy_ctx()
+    record_evaluation(rec, [evaluate((1, 0, 1, 0), ctx)], ctx=ctx)
     snap = next((rec.run_dir / "Energy").iterdir())
     assert {p.name for p in snap.iterdir()} == SNAPSHOT_FILES
+
+
+@pytest.mark.parametrize("field", ["total_energy", "latency_end_to_end"])
+def test_a_snapshot_that_re_simulates_differently_is_an_error(tmp_path, monkeypatch,
+                                                               field):
+    ctx = toy_ctx()
+    result = evaluate((1, 0, 1, 0), ctx)
+    report = simulate_genome(result.genome, ctx)
+    changed = replace(report, **{field: getattr(report, field) * 2})
+    monkeypatch.setattr(analytics, "simulate_genome", lambda genome, ctx: changed)
+    rec = open_toy_run(tmp_path)
+    with pytest.raises(AnalyticsError, match=r"^evaluation 0 re-simulates to "
+                       r"\(energy, latency\) \(.+\), not \(.+\)$"):
+        record_evaluation(rec, [result], ctx=ctx)
+    assert [list((rec.run_dir / c).iterdir()) for c in ("Energy", "Latency")] == [[], []]
 
 
 def test_record_generation_running_bests(tmp_path, snap_ctx):

@@ -14,7 +14,6 @@ from neuromap.mesh import compress, place
 from neuromap.optimize import load_algo_params
 from neuromap.partition import (
     LayerSplit,
-    PartitionError,
     PartitionSpec,
     build_mapping,
     save_mapping,
@@ -237,18 +236,16 @@ def test_over_budget_is_one_message_on_every_path(net_path, tmp_path, capsys):
     model = load_network(net_path)
     spec = PartitionSpec(tuple(LayerSplit(1, "layer") for _ in model.layers))
     cap = 2000
-    mapping = build_mapping(model, spec, m_max=cap, enforce_cap=False)
+    mapping = build_mapping(model, spec, m_max=cap)
     # layers 0 and 1 need 3072 and 3872 bits, layer 2 fits
     text = ("infeasible mapping: core 0 needs M_pc = 3072 bits, exceeding "
             "M_max = 2000 bits (2 core(s) over budget)")
-    with pytest.raises(PartitionError) as built:
-        build_mapping(model, spec, m_max=cap)
     placement = place(mapping.n_cores_total, compress(mapping.n_cores_total,
                                                       "strict-area"))
     with pytest.raises(simcost.SimError) as simulated:
         simulate(model, mapping, placement, simcost.HardwareConfig(mem_per_core=cap),
                  synth_trace(model, n_frames=2, fps=0, seed=0))
-    assert str(built.value) == str(simulated.value) == text
+    assert str(simulated.value) == text
     hw_path = tmp_path / "hw.prm"
     hw_path.write_text(f"[hardware]\nmem_per_core = {cap}\n")
     map_path = tmp_path / "map.csv"

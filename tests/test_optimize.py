@@ -282,8 +282,7 @@ def test_evaluate_memory_violation(ctx):
     assert res.objectives.energy == PENALTY_BASE + res.violation
     # violation equals the worst core's overshoot in bits
     spec, hw, _, _ = decode((1, 0, 1, 0, 1, 0), ctx.model, small_hw, ctx.space)
-    mapping = build_mapping(ctx.model, spec, m_max=hw.mem_per_core,
-                            enforce_cap=False)
+    mapping = build_mapping(ctx.model, spec, m_max=hw.mem_per_core)
     worst = max(mapping.memory_by_core().values())
     assert res.violation == float(worst - 3000)
 
@@ -308,7 +307,7 @@ def test_over_budget_is_the_filter_and_evaluate_reads_it(neurons, cap, data):
     res = evaluate(genome, ctx)
     spec, _, _, _ = decode(genome, model, ctx.base_hw, space)
     try:
-        mapping = build_mapping(model, spec, m_max=cap, enforce_cap=False)
+        mapping = build_mapping(model, spec, m_max=cap)
     except PartitionError:
         assert res.violation == STRUCTURAL_VIOLATION
         return

@@ -45,7 +45,14 @@ from neuromap.workload import (
     firing_masks,
     synth_trace,
 )
-from helpers import colocate, of_layer, pilotnet_like, reference_snapshot, uniform_spec
+from helpers import (
+    colocate,
+    cost_log,
+    of_layer,
+    pilotnet_like,
+    reference_snapshot,
+    uniform_spec,
+)
 from test_partition import flat_slices
 
 HW = HardwareConfig(npes_per_core=4, e_npe_op=3.0, e_ctrl_event=7.0,
@@ -88,8 +95,11 @@ def run(model, spec, trace, hw=HW, cluster=None, scheme="strict-area"):
     n = mapping.n_cores_total
     placement = place(n, compress(n, scheme))
     if cluster:
-        # co-located layers hand their events over on the shared core
-        assert any(build_plan(model, mapping, placement, hw, trace).local)
+        # co-located layers hand their events over on the shared core, at
+        # the extra node past the tree
+        assert any(v == extra for (_, extra, dests, _) in
+                   build_plan(model, mapping, placement, hw, trace).fanout
+                   for (v, _) in dests)
     return simulate(model, mapping, placement, hw, trace)
 
 
@@ -149,15 +159,14 @@ def expected_dynamic_energy(plan, hw):
     for i, loads in enumerate(plan.loads):
         if plan.output[i]:
             continue
-        hops, _, remote, _ = plan.trees[i] or ([None], 0, [], [])
-        edges, dests = hops[1:], plan.local[i] + [j for (_, j) in remote]
+        hops, _, dests, _ = plan.fanout[i]
         for m, f in loads:
             if m == 0:
                 continue
             total += sum(m * (hw.e_ctrl_event + plan.work[j] * hw.e_npe_op)
-                         for j in dests)
-            if plan.trees[i]:
-                total += m * hw.e_inject + len(edges) * f * hw.e_hop_per_flit
+                         for (_, j) in dests)
+            if hops:
+                total += m * hw.e_inject + len(hops[1:]) * f * hw.e_hop_per_flit
     return total
 
 
@@ -338,7 +347,7 @@ def reference_simulate(plan, hw):
     flattened: ports as _Port objects, and push, emit, fire and deliver as
     closures. The kernel must match it bit for bit, down to dict orders and
     the cost log."""
-    (core, upstream, loads, local, trees, work, fan_in, output, inputs,
+    (core, upstream, loads, fanout, work, fan_in, output, inputs,
      frame_times, fps, port_of) = plan
     depth = hw.queue_depth
     t_npe_op, t_hop, t_inject = (hw.t_npe_op * hw.clock_period,
@@ -381,37 +390,35 @@ def reference_simulate(plan, hw):
     def emit(src: int, t_emit: float, mult: int, value: float, flits: int) -> None:
         """Send one bundle from partition src to every destination."""
         nonlocal sim_now
-        src_core = core[src]
-        for j in local[src]:
-            push(t_emit, src_core, "deliver", (src, j, mult, value))
-        tree = trees[src]
-        if tree is None:
-            return
-        hops, n_nodes, dests, _ = tree
-        inj, edges = hops[0][2], [(u, v, lk) for (u, v, lk, _, _) in hops[1:]]
-        ports = tree_ports[src]
-        if ports is None:
-            ports = tree_ports[src] = (
-                links.setdefault(inj, _Port(f"injection port {inj[0]}", depth)),
-                [(u, v, lk, links.setdefault(lk, _Port(f"link {lk[0]}->{lk[1]}", depth)))
-                 for (u, v, lk) in edges])
-        inj_port, hops = ports
-        # one injection serializes the whole multicast bundle
-        _, done = inj_port.acquire(t_emit, max(1, mult) * t_inject)
-        if mult > 0:
-            charge_link(done, inj, mult * hw.e_inject)
-        arrival = [done] * n_nodes
-        service = max(1, mult) * t_hop
-        e_hop = flits * hw.e_hop_per_flit
-        for (u, v, link, p) in hops:
-            _, done_edge = p.acquire(arrival[u], service)
+        hops, n_nodes, dests, _ = fanout[src]
+        # destinations on the source's own core sit at the extra node,
+        # n_nodes, which holds the firing time
+        arrival = [t_emit] * (n_nodes + 1)
+        if hops:
+            inj, edges = hops[0][2], [(u, v, lk) for (u, v, lk, _, _) in hops[1:]]
+            ports = tree_ports[src]
+            if ports is None:
+                ports = tree_ports[src] = (
+                    links.setdefault(inj, _Port(f"injection port {inj[0]}", depth)),
+                    [(u, v, lk, links.setdefault(lk, _Port(f"link {lk[0]}->{lk[1]}", depth)))
+                     for (u, v, lk) in edges])
+            inj_port, edge_ports = ports
+            # one injection serializes the whole multicast bundle
+            _, done = inj_port.acquire(t_emit, max(1, mult) * t_inject)
             if mult > 0:
-                charge_link(done_edge, link, e_hop)
-            arrival[v] = done_edge
-            if done_edge > sim_now:
-                sim_now = done_edge
+                charge_link(done, inj, mult * hw.e_inject)
+            arrival[:n_nodes] = [done] * n_nodes
+            service = max(1, mult) * t_hop
+            e_hop = flits * hw.e_hop_per_flit
+            for (u, v, link, p) in edge_ports:
+                _, done_edge = p.acquire(arrival[u], service)
+                if mult > 0:
+                    charge_link(done_edge, link, e_hop)
+                arrival[v] = done_edge
+                if done_edge > sim_now:
+                    sim_now = done_edge
         for (v, j) in dests:
-            push(arrival[v], src_core, "deliver", (src, j, mult, value))
+            push(arrival[v], core[src], "deliver", (src, j, mult, value))
 
     def fire(idx: int, t: float) -> None:
         mult, flits = next(firings[idx])
@@ -565,7 +572,7 @@ def assert_port_table(plan):
     assert sorted(plan.links.values()) == list(
         range(n_cores, n_cores + len(plan.links)))
     in_trees = set()
-    for hops, _, _, links in filter(None, plan.trees):
+    for hops, _, _, links in plan.fanout:
         assert links == [(lk, p) for (_, _, lk, p, _) in hops]
         for (_, _, lk, p, _) in hops:
             assert p == plan.links[lk]
@@ -753,7 +760,7 @@ def test_energy_totals_cross_check():
     assert report.total_energy == pytest.approx(
         sum(report.energy_per_core.values())
         + sum(report.energy_interconnect.values()), rel=1e-12)
-    logged = sum(e for (_, _, _, e) in report.cost_log)
+    logged = sum(e for (_, _, _, e) in cost_log(report))
     assert report.total_energy == pytest.approx(
         logged + report.static_energy, rel=1e-12)
 
@@ -1055,7 +1062,7 @@ def intervals(report, picks):
     samples are left out."""
     d = report.duration
     everies = [d / k for k in (1, 3, 7, 50)] + [2 * d] if d > 0 else [1.0, 1e-9]
-    charged = [t for (t, _, _, _) in report.cost_log if t > 0]
+    charged = [t for (t, _, _, _) in cost_log(report) if t > 0]
     for i in picks if charged else ():
         t = charged[i % len(charged)]
         everies += [t, t / 2]
@@ -1118,17 +1125,13 @@ def test_snapshot_of_an_unlogged_report_is_an_error(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
-def rebuilt_cost_log(report) -> tuple:
-    """The (time, kind, key, energy) tuples, rebuilt from the columns."""
-    times, ports, energies, owners = report.charges
-    return tuple((t, *owners[p], e) for t, p, e in zip(times, ports, energies))
-
-
 def test_cost_log_length_builds_no_tuples():
     """len() reads the column length: a tuple per charge would allocate
-    about 3 MiB on this report."""
+    about 3 MiB on this report. It is the count perfbench reads, 0 when
+    unlogged."""
     from test_simcost_pinned import CASES
-    report = simulate(*CASES["desk-wide-fps30"]())
+    design = CASES["desk-wide-fps30"]()
+    report = simulate(*design)
     assert len(report.charges.times) > 20_000
     tracemalloc.start()
     try:
@@ -1136,30 +1139,9 @@ def test_cost_log_length_builds_no_tuples():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert n == len(report.charges.times)
+    assert n == len(report.charges.times) == len(cost_log(report))
     assert peak < 4096
-
-
-def test_cost_log_view_reads_the_charge_columns():
-    report = _toy_report()
-    rebuilt = rebuilt_cost_log(report)
-    log = report.cost_log
-    n = len(rebuilt)
-    assert len(log) == n > 0
-    assert tuple(log) == rebuilt
-    assert [log[i] for i in range(-n, n)] == list(rebuilt * 2)
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            log[i]
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_cost_log_view_slices_like_a_tuple(data):
-    report = _toy_report()
-    rebuilt = rebuilt_cost_log(report)
-    cut = data.draw(st.slices(len(rebuilt) + 3))
-    assert report.cost_log[cut] == rebuilt[cut]
+    assert len(simulate(*design, log=False).cost_log) == 0
 
 
 def test_charge_log_stays_within_24_bytes_a_charge():

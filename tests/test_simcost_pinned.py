@@ -26,7 +26,7 @@ from neuromap.simcost import (
     write_run_files,
 )
 from neuromap.workload import Layer, NetworkModel, load_network, synth_trace
-from helpers import colocate, uniform_spec
+from helpers import colocate, cost_log, uniform_spec
 
 NPES_MENU = (1, 2, 4, 8, 16, 32, 64)
 DESK_GENOMES = {
@@ -97,7 +97,7 @@ def fingerprint(report) -> dict:
         "end_signal": _sha(report.end_signal),
         "energy_per_core": _sha(list(report.energy_per_core.items())),
         "energy_interconnect": _sha(list(report.energy_interconnect.items())),
-        "cost_log": _sha(tuple(report.cost_log)),
+        "cost_log": _sha(cost_log(report)),
     }
 
 
